@@ -20,10 +20,10 @@ from .criterion import (
     kolmogorov_eta,
     nondimensional_groups,
 )
-from .forcing import ForceStats, ForcingSpec, compute_F, compute_kappa, compute_L, realize_force
-from .grid import Field, GridSpec, dealias, divergence, grad_div, gradient, laplacian, volume_norm_sq
-from .solver import BlowUpError, FlowParams, StepperConfig, rhs, run_mms, step, suggest_dt
-from .stats import RunningStats, dissipation_rate, finalize, merge, update
+from .forcing import ForceStats, ForcingSpec, compute_F, force_stats, realize_force
+from .grid import Field, GridSpec, dealias, divergence, gradient, volume_norm_sq
+from .solver import BlowUpError, FlowParams, StepperConfig, run_mms, step
+from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "BlowUpError",
     "CriterionInput",
     "CriterionReport",
+    "Diagnostics",
     "Field",
     "FlowParams",
     "ForceStats",
@@ -40,26 +41,20 @@ __all__ = [
     "StepperConfig",
     "build_report",
     "compute_F",
-    "compute_L",
-    "compute_kappa",
     "dealias",
-    "dissipation_rate",
+    "diagnostics",
     "divergence",
     "eps_bound",
     "finalize",
+    "force_stats",
     "gamma_range_mesh_dependent",
     "gamma_range_mesh_independent",
-    "grad_div",
     "gradient",
     "kolmogorov_eta",
-    "laplacian",
-    "merge",
     "nondimensional_groups",
     "realize_force",
-    "rhs",
     "run_mms",
     "step",
-    "suggest_dt",
     "update",
     "volume_norm_sq",
 ]

@@ -46,7 +46,7 @@ def write_checkpoint(path, u: Field, t: float, params: FlowParams) -> None:
 
 
 def read_checkpoint(path):
-    """Returns (grid, u, t, params). The grid uses the default dealias fraction."""
+    """Returns (grid, u, t, params)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:

@@ -2,18 +2,18 @@
 
 Schema (flat key paths shown as they appear in error messages):
 
-    grid.dim, grid.n, grid.box_length, grid.dealias_fraction
+    grid.dim, grid.n, grid.box_length
     flow.nu, flow.gamma
     forcing.n_low, forcing.modes  (list of {m: [...], amplitude: [[re, im], ...]})
-    stepper.dt, stepper.t_end, stepper.scheme, stepper.cfl_target
+    stepper.dt, stepper.t_end
     stats.burn_in, stats.window
     seed, output_dir
-    sweep.gamma_values, sweep.parallel_workers   (sweep configs only)
+    sweep.gamma_values, sweep.parallel_workers   (read by sweep configs only)
 
-Physical parameters (viscosity, gamma, forcing, box size) have no defaults
-and must be spelled out; numerical knobs (scheme, cfl_target,
-dealias_fraction, n_low) default sensibly. stepper.t_end defaults to
-stats.burn_in + stats.window.
+Any other key is rejected. Physical parameters (viscosity, gamma, forcing,
+box size) have no defaults; forcing.n_low defaults to 2, stats.burn_in to 0.
+stepper.t_end may be left out: it must equal stats.burn_in + stats.window in
+steps of stepper.dt, and at least one step must start at or after burn_in.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import yaml
 from .forcing import ForcingSpec
 from .grid import GridSpec
 from .solver import FlowParams, StepperConfig
+from .stats import BURN_IN_TOL
 
 
 class ConfigError(ValueError):
@@ -47,6 +48,12 @@ class RunConfig:
             raise ConfigError("stats.window must be positive")
         if self.burn_in < 0:
             raise ConfigError("stats.burn_in must be nonnegative")
+        dt = self.stepper.dt
+        n_steps = round(self.stepper.t_end / dt)
+        if n_steps != round((self.burn_in + self.window) / dt):
+            raise ConfigError("stepper.t_end must equal stats.burn_in + stats.window")
+        if (n_steps - 1) * dt < self.burn_in - BURN_IN_TOL:
+            raise ConfigError(f"stats.burn_in leaves no step of dt = {dt} to average over")
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,27 @@ class SweepConfig:
 
 _REQUIRED = object()
 
+# Keys of each section; None marks a top-level scalar.
+_SCHEMA = {
+    "grid": ("dim", "n", "box_length"),
+    "flow": ("nu", "gamma"),
+    "forcing": ("n_low", "modes"),
+    "stepper": ("dt", "t_end"),
+    "stats": ("burn_in", "window"),
+    "seed": None,
+    "output_dir": None,
+    "sweep": ("gamma_values", "parallel_workers"),
+}
+
+
+def _check_keys(d: dict) -> None:
+    for key, value in d.items():
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown config key: {key}")
+        for sub in value if _SCHEMA[key] and isinstance(value, dict) else ():
+            if sub not in _SCHEMA[key]:
+                raise ConfigError(f"unknown config key: {key}.{sub}")
+
 
 def _get(d: dict, path: str, default=_REQUIRED):
     cur = d
@@ -83,12 +111,12 @@ def _get(d: dict, path: str, default=_REQUIRED):
 
 
 def _build_run_config(d: dict) -> RunConfig:
+    _check_keys(d)
     try:
         grid = GridSpec(
             dim=int(_get(d, "grid.dim")),
             n=int(_get(d, "grid.n")),
             box_length=float(_get(d, "grid.box_length")),
-            dealias_fraction=float(_get(d, "grid.dealias_fraction", 2.0 / 3.0)),
         )
     except ValueError as e:
         raise ConfigError(f"grid: {e}") from e
@@ -102,6 +130,9 @@ def _build_run_config(d: dict) -> RunConfig:
         raise ConfigError("forcing.modes must be a list")
     modes = []
     for i, entry in enumerate(raw_modes):
+        for key in entry if isinstance(entry, dict) else ():
+            if key not in ("m", "amplitude"):
+                raise ConfigError(f"unknown config key: forcing.modes[{i}].{key}")
         try:
             m = tuple(int(v) for v in entry["m"])
             amp = tuple(complex(re, im) for re, im in entry["amplitude"])
@@ -119,8 +150,6 @@ def _build_run_config(d: dict) -> RunConfig:
         stepper = StepperConfig(
             dt=float(_get(d, "stepper.dt")),
             t_end=float(_get(d, "stepper.t_end", burn_in + window)),
-            scheme=str(_get(d, "stepper.scheme", "imex-ars222")),
-            cfl_target=float(_get(d, "stepper.cfl_target", 0.4)),
         )
     except ValueError as e:
         raise ConfigError(f"stepper: {e}") from e
@@ -143,7 +172,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
             "dim": cfg.grid.dim,
             "n": cfg.grid.n,
             "box_length": cfg.grid.box_length,
-            "dealias_fraction": cfg.grid.dealias_fraction,
         },
         "flow": {"nu": cfg.params.nu, "gamma": cfg.params.gamma},
         "forcing": {
@@ -156,22 +184,11 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
         "stepper": {
             "dt": cfg.stepper.dt,
             "t_end": cfg.stepper.t_end,
-            "scheme": cfg.stepper.scheme,
-            "cfl_target": cfg.stepper.cfl_target,
         },
         "stats": {"burn_in": cfg.burn_in, "window": cfg.window},
         "seed": cfg.seed,
         "output_dir": cfg.output_dir,
     }
-
-
-def sweep_config_to_dict(cfg: SweepConfig) -> dict:
-    d = run_config_to_dict(cfg.base)
-    d["sweep"] = {
-        "gamma_values": list(cfg.gamma_values),
-        "parallel_workers": cfg.parallel_workers,
-    }
-    return d
 
 
 def load_run_config(path) -> RunConfig:
@@ -201,5 +218,10 @@ def save_run_config(cfg: RunConfig, path) -> None:
 
 
 def save_sweep_config(cfg: SweepConfig, path) -> None:
+    d = run_config_to_dict(cfg.base)
+    d["sweep"] = {
+        "gamma_values": list(cfg.gamma_values),
+        "parallel_workers": cfg.parallel_workers,
+    }
     with open(path, "w") as fh:
-        yaml.safe_dump(sweep_config_to_dict(cfg), fh, sort_keys=False)
+        yaml.safe_dump(d, fh, sort_keys=False)

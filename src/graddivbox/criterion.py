@@ -93,12 +93,11 @@ def eps_bound_viscous(inp: CriterionInput) -> float:
 
 
 def gamma_range_mesh_independent(inp: CriterionInput):
-    """(gamma_lo, gamma_hi) = ((kappa^2/24) LU, (kappa^2/4) Re LU)."""
+    """(gamma_lo, gamma_hi) = ((kappa^2/24) LU, (kappa^2/4) Re LU); empty when Re < 1/6."""
     re, _ = nondimensional_groups(inp)
     lu = inp.L * inp.U
     lo = inp.kappa ** 2 / 24.0 * lu
     hi = inp.kappa ** 2 / 4.0 * re * lu
-    assert lo <= hi or re < 1.0 / 6.0
     return lo, hi
 
 
@@ -121,35 +120,6 @@ def kolmogorov_eta(Re: float, L: float) -> float:
     if not Re > 0:
         raise ValueError(f"Re must be positive, got {Re}")
     return Re ** -0.75 * L
-
-
-def nondimensionalize_run(nu: float, gamma: float, force_scale: float,
-                          L: float, U: float) -> dict:
-    """Rescaled equation coefficients under t* = t U/L, x* = x/L, u* = u/U.
-
-    Returns nu/(LU) (= 1/Re), gamma/(LU) (= 1/R_gamma) and the force scale
-    F/U^2, plus the scales themselves so the map can be inverted exactly.
-    """
-    if not (L > 0 and U > 0):
-        raise ValueError("L and U must be positive")
-    lu = L * U
-    return {
-        "nu_star": nu / lu,
-        "gamma_star": gamma / lu,
-        "force_star": force_scale / U ** 2,
-        "L": L,
-        "U": U,
-    }
-
-
-def undo_nondimensionalize(summary: dict) -> dict:
-    """Inverse of nondimensionalize_run; exact to roundoff."""
-    lu = summary["L"] * summary["U"]
-    return {
-        "nu": summary["nu_star"] * lu,
-        "gamma": summary["gamma_star"] * lu,
-        "force_scale": summary["force_star"] * summary["U"] ** 2,
-    }
 
 
 def build_report(inp: CriterionInput, measured_eps_avg: float | None = None) -> CriterionReport:

@@ -77,7 +77,12 @@ def _is_canonical(m) -> bool:
 
 @dataclass(frozen=True)
 class ForceStats:
-    """Derived scalars of a body force: amplitude F, length scale L, ratio kappa."""
+    """Derived scalars of a body force: amplitude F, length scale L, ratio kappa.
+
+    L is the least of the box size, F / sup|grad f| and F / rms|grad f|;
+    L_branch names the attaining candidate ('box_length', 'sup_gradient' or
+    'rms_gradient'). kappa = sup|f| / F is >= 1 by definition.
+    """
 
     F: float
     L: float
@@ -124,13 +129,8 @@ def compute_F(f: Field) -> float:
     return float(np.sqrt(fsq))
 
 
-def compute_L(f: Field):
-    """Force length scale: min of the box size and two gradient ratios.
-
-    Returns (L, branch) where branch names the attaining candidate:
-    'box_length', 'sup_gradient' (F / sup|grad f|) or 'rms_gradient'
-    (F / rms|grad f|).
-    """
+def force_stats(f: Field) -> ForceStats:
+    """F, L and kappa of a force, from one gradient and one sup over the samples."""
     F = compute_F(f)
     g = gradient(f)
     gp = g.phys
@@ -142,28 +142,11 @@ def compute_L(f: Field):
         "rms_gradient": F / l2 if l2 > 0 else np.inf,
     }
     branch = min(candidates, key=candidates.get)
-    return candidates[branch], branch
-
-
-def compute_kappa(f: Field) -> float:
-    """Signal-to-noise ratio: sup|f| over rms|f|; >= 1 by definition."""
-    F = compute_F(f)
-    sup = float(np.sqrt(np.max(np.sum(f.phys * f.phys, axis=0))))
-    return sup / F
-
-
-def force_stats(f: Field) -> ForceStats:
-    F = compute_F(f)
-    L, branch = compute_L(f)
-    g = gradient(f)
-    gp = g.phys
-    sup = float(np.sqrt(np.max(np.sum(gp * gp, axis=0))))
-    l2 = float(np.sqrt(volume_norm_sq(g)))
     return ForceStats(
         F=F,
-        L=L,
+        L=candidates[branch],
         L_branch=branch,
-        kappa=compute_kappa(f),
+        kappa=float(np.sqrt(np.max(np.sum(f.phys * f.phys, axis=0)))) / F,
         grad_f_sup=sup,
         grad_f_l2=l2,
     )

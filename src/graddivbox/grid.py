@@ -22,6 +22,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# 2/3 rule (Orszag 1971): products of the kept modes alias only onto removed
+# modes, which keeps the nonlinear term skew-symmetric; a larger cutoff does not.
+DEALIAS_FRACTION = 2.0 / 3.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -35,7 +39,6 @@ class GridSpec:
     dim: int
     n: int
     box_length: float
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -45,10 +48,6 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 4, got {n}")
         if not self.box_length > 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError(
-                f"dealias_fraction must be in (0, 1], got {self.dealias_fraction}"
-            )
 
     @property
     def shape(self) -> tuple:
@@ -92,8 +91,8 @@ def wavenumber_sq(grid: GridSpec):
 
 @lru_cache(maxsize=None)
 def dealias_mask(grid: GridSpec):
-    """Boolean mask keeping modes with |m_j| <= dealias_fraction * n/2 on every axis."""
-    cutoff = grid.dealias_fraction * (grid.n / 2) + 1e-9
+    """Boolean mask keeping modes with |m_j| <= DEALIAS_FRACTION * n/2 on every axis."""
+    cutoff = DEALIAS_FRACTION * (grid.n / 2) + 1e-9
     mask = np.ones(grid.spectral_shape, dtype=bool)
     for m in mode_numbers(grid):
         mask &= np.abs(m) <= cutoff
@@ -149,9 +148,8 @@ class Field:
         return cls(grid, spec=arr)
 
     @classmethod
-    def zeros(cls, grid: GridSpec, ncomp=None) -> "Field":
-        ncomp = grid.dim if ncomp is None else ncomp
-        return cls(grid, phys=np.zeros((ncomp,) + grid.shape))
+    def zeros(cls, grid: GridSpec) -> "Field":
+        return cls(grid, phys=np.zeros((grid.dim,) + grid.shape))
 
     @property
     def ncomp(self) -> int:
@@ -175,23 +173,15 @@ class Field:
         return self._spec
 
 
-def transform_to_spectral(field: Field) -> Field:
-    """Return the field with its spectral view materialized."""
-    field.spec
-    return field
-
-
-def transform_to_physical(field: Field) -> Field:
-    """Return the field with its physical view materialized."""
-    field.phys
-    return field
+def k_dot(grid: GridSpec, s):
+    """Per-mode k . s of spectral vector coefficients (components on the first axis)."""
+    k = wavevectors(grid)
+    return sum(k[j] * s[j] for j in range(grid.dim))
 
 
 def divergence(u: Field) -> Field:
     """Spectral divergence of a vector field; returns a one-component Field."""
-    k = wavevectors(u.grid)
-    s = u.spec
-    d = 1j * sum(k[j] * s[j] for j in range(u.grid.dim))
+    d = 1j * k_dot(u.grid, u.spec)
     return Field.from_spectral(u.grid, d[np.newaxis])
 
 
@@ -204,22 +194,6 @@ def gradient(field: Field) -> Field:
     for i in range(field.ncomp):
         for j in range(grid.dim):
             out[i * grid.dim + j] = 1j * k[j] * s[i]
-    return Field.from_spectral(grid, out)
-
-
-def laplacian(u: Field) -> Field:
-    return Field.from_spectral(u.grid, -wavenumber_sq(u.grid) * u.spec)
-
-
-def grad_div(u: Field) -> Field:
-    """The operator grad(div u): per mode -k (k . uhat)."""
-    grid = u.grid
-    k = wavevectors(grid)
-    s = u.spec
-    kdotu = sum(k[j] * s[j] for j in range(grid.dim))
-    out = np.empty_like(s)
-    for j in range(grid.dim):
-        out[j] = -k[j] * kdotu
     return Field.from_spectral(grid, out)
 
 
@@ -257,7 +231,7 @@ def project_divergence_free(u: Field) -> Field:
     k = wavevectors(grid)
     ksq = wavenumber_sq(grid)
     s = u.spec.copy()
-    kdotu = sum(k[j] * s[j] for j in range(grid.dim))
+    kdotu = k_dot(grid, s)
     with np.errstate(invalid="ignore", divide="ignore"):
         coef = np.where(ksq > 0, kdotu / np.where(ksq > 0, ksq, 1.0), 0.0)
     for j in range(grid.dim):

@@ -30,9 +30,9 @@ from . import criterion as crit
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, SweepConfig
 from .forcing import check_divergence_free, force_stats, realize_force
-from .grid import Field, dealias_mask, mode_numbers, project_divergence_free, volume_norm_sq
-from .solver import BlowUpError, imex_step
-from .stats import RunningStats, dissipation_rate, divergence_norm_sq, finalize, update
+from .grid import Field, dealias, mode_numbers, project_divergence_free, volume_norm_sq
+from .solver import BlowUpError, step
+from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
 
 PERTURBATION_RMS = 0.01
 PERTURBATION_MAX_MODE = 4
@@ -42,6 +42,11 @@ CSV_HEADER = "t,kinetic_energy,eps_nu,eps_gamma,div_norm_sq,budget_residual"
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _csv_row(t: float, d: Diagnostics, residual: float) -> str:
+    values = (t, 0.5 * d.u_sq, d.eps_nu, d.eps_gamma, d.div_sq, residual)
+    return ",".join(_fmt(v) for v in values) + "\n"
 
 
 def _json_safe(obj):
@@ -87,7 +92,7 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     scale = target_rms / prms if prms > 0 else 0.0
     u0 = Field.from_physical(grid, base + scale * pert.phys)
     # keep the state band-limited from the start
-    return Field.from_spectral(grid, u0.spec * dealias_mask(grid))
+    return dealias(u0)
 
 
 def run_single(cfg: RunConfig, restart_path=None) -> dict:
@@ -103,51 +108,41 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         force = None
         fstats = None
     f_field = force if force is not None else Field.zeros(grid)
-    fhat = f_field.spec
 
     dt = stepper.dt
     n_steps = int(round(stepper.t_end / dt))
-    if n_steps < 1:
-        raise ValueError("stepper.t_end shorter than one step")
 
     if restart_path is not None:
         ck_grid, u, t0, ck_params = read_checkpoint(restart_path)
-        if (ck_grid.dim, ck_grid.n) != (grid.dim, grid.n) or ck_grid.box_length != grid.box_length:
+        if ck_grid != grid:
             raise ValueError("checkpoint grid does not match the configured grid")
-        if (ck_params.nu, ck_params.gamma) != (params.nu, params.gamma):
+        if ck_params != params:
             raise ValueError("checkpoint flow parameters do not match the configured flow")
-        u = Field.from_physical(grid, u.phys)  # rebind to the configured grid (dealias fraction)
         start_step = int(round(t0 / dt))
     else:
         u = initial_condition(cfg, force)
         start_step = 0
 
     stats = RunningStats(burn_in=cfg.burn_in, t=start_step * dt)
+    d = diagnostics(u, params)
     csv_path = os.path.join(cfg.output_dir, "timeseries.csv")
     with open(csv_path, "w") as csv:
         csv.write(CSV_HEADER + "\n")
         if start_step == 0:
-            e = dissipation_rate(u, params)
-            csv.write(",".join([
-                _fmt(0.0), _fmt(0.5 * volume_norm_sq(u)), _fmt(e[1]), _fmt(e[2]),
-                _fmt(divergence_norm_sq(u)), _fmt(0.0),
-            ]) + "\n")
+            csv.write(_csv_row(0.0, d, 0.0))
         for i in range(start_step, n_steps):
             t = i * dt
-            u_hat = imex_step(u.spec, t, dt, params, grid, fhat)
-            u_next = Field.from_spectral(grid, u_hat)
-            if not np.all(np.isfinite(u_next.phys)):
+            try:
+                u_next = step(u, params, f_field, stepper, t)
+            except BlowUpError:
                 write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), u, t, params)
-                raise BlowUpError(t + dt, last_state=u)
+                raise
             # canonical state is physical space so checkpoints restart bitwise
             u_next = Field.from_physical(grid, u_next.phys)
-            update(stats, u, u_next, params, f_field, dt)
-            e = dissipation_rate(u_next, params)
-            csv.write(",".join([
-                _fmt((i + 1) * dt), _fmt(0.5 * volume_norm_sq(u_next)), _fmt(e[1]),
-                _fmt(e[2]), _fmt(divergence_norm_sq(u_next)), _fmt(stats.last_residual),
-            ]) + "\n")
-            u = u_next
+            d_next = diagnostics(u_next, params)
+            update(stats, u, d, u_next, d_next, params, f_field, dt)
+            csv.write(_csv_row((i + 1) * dt, d_next, stats.last_residual))
+            u, d = u_next, d_next
 
     write_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"), u, n_steps * dt, params)
 
@@ -227,7 +222,6 @@ def run_sweep(sweep: SweepConfig) -> dict:
             results = list(pool.map(_run_for_sweep, jobs))
     else:
         results = [_run_for_sweep(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
 
     rows = []
     summaries = {}

@@ -5,8 +5,9 @@ Accumulates trapezoid-in-time integrals of the dissipation rate
     eps(u) = (1/|box|) int nu |grad u|^2 + gamma |div u|^2 dx,
 
 of the mean-square velocity (giving the finite-window velocity scale U_T),
-and of the mean-square divergence. Each step is also audited against the
-discrete energy inequality: the residual
+and of the mean-square divergence, read from one `diagnostics` record per
+state. Each step is also audited against the discrete energy inequality:
+the residual
 
     r = 1/2 ||u_next||^2 - 1/2 ||u_prev||^2
         + dt (nu ||grad u_mid||^2 + gamma ||div u_mid||^2) - dt (f, u_mid)
@@ -25,12 +26,15 @@ import numpy as np
 from .grid import (
     Field,
     inner_product,
+    k_dot,
     parseval_weights,
     volume_norm_sq,
     wavenumber_sq,
-    wavevectors,
 )
 from .solver import FlowParams
+
+# a step is averaged when it starts at or after burn_in, less this rounding slack
+BURN_IN_TOL = 1e-12
 
 
 @dataclass
@@ -47,13 +51,19 @@ class RunningStats:
     budget_residual_max: float = 0.0
     last_residual: float = field(default=0.0, repr=False)
 
-    @property
-    def int_eps(self) -> float:
-        return self.int_eps_nu + self.int_eps_gamma
+
+@dataclass(frozen=True)
+class Diagnostics:
+    """Volume means of one state: |u|^2, the two dissipation channels and (div u)^2."""
+
+    u_sq: float
+    eps_nu: float
+    eps_gamma: float
+    div_sq: float
 
 
-def dissipation_rate(u: Field, params: FlowParams):
-    """(eps_total, eps_nu, eps_gamma) computed spectrally via Parseval.
+def diagnostics(u: Field, params: FlowParams) -> Diagnostics:
+    """The diagnostics record of `u`; the dissipation terms come from Parseval.
 
     eps_nu is nu times the volume mean of the squared Frobenius norm of
     grad u, which per mode is |k|^2 |uhat|^2; eps_gamma is gamma times the
@@ -62,54 +72,34 @@ def dissipation_rate(u: Field, params: FlowParams):
     grid = u.grid
     w = parseval_weights(grid)
     ksq = wavenumber_sq(grid)
-    k = wavevectors(grid)
     s = u.spec
     grad_sq = float(np.sum(w * ksq * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
-    kdotu = sum(k[j] * s[j] for j in range(grid.dim))
+    kdotu = k_dot(grid, s)
     div_sq = float(np.sum(w * (kdotu.real ** 2 + kdotu.imag ** 2)))
-    eps_nu = params.nu * grad_sq
-    eps_gamma = params.gamma * div_sq
-    return eps_nu + eps_gamma, eps_nu, eps_gamma
+    return Diagnostics(volume_norm_sq(u), params.nu * grad_sq, params.gamma * div_sq, div_sq)
 
 
-def divergence_norm_sq(u: Field) -> float:
-    """Volume mean of (div u)^2, computed spectrally."""
-    grid = u.grid
-    w = parseval_weights(grid)
-    k = wavevectors(grid)
-    s = u.spec
-    kdotu = sum(k[j] * s[j] for j in range(grid.dim))
-    return float(np.sum(w * (kdotu.real ** 2 + kdotu.imag ** 2)))
-
-
-def budget_residual(u_prev: Field, u_next: Field, params: FlowParams,
-                    f: Field, dt: float) -> float:
-    """Signed per-step energy-budget residual; positive means inequality violation."""
-    mid = Field.from_spectral(u_prev.grid, 0.5 * (u_prev.spec + u_next.spec))
-    eps_mid, _, _ = dissipation_rate(mid, params)
-    work = inner_product(f, mid)
-    return (0.5 * volume_norm_sq(u_next) - 0.5 * volume_norm_sq(u_prev)
-            + dt * eps_mid - dt * work)
-
-
-def update(stats: RunningStats, u_prev: Field, u_next: Field,
-           params: FlowParams, f: Field, dt: float) -> RunningStats:
+def update(stats: RunningStats, u_prev: Field, d_prev: Diagnostics, u_next: Field,
+           d_next: Diagnostics, params: FlowParams, f: Field, dt: float) -> RunningStats:
     """Fold one solver step into the accumulator (trapezoid in time).
 
-    Steps whose start time lies inside the burn-in window are excluded from
-    the averages; the budget audit runs on every step.
+    `d_prev` and `d_next` are the diagnostics records of `u_prev` and
+    `u_next`. Steps whose start time lies inside the burn-in window are
+    excluded from the averages. The budget audit runs on every step; its
+    signed residual, positive on a violation, is left in `stats.last_residual`.
     """
     t_prev = stats.t
-    r = budget_residual(u_prev, u_next, params, f, dt)
+    mid = Field.from_spectral(u_prev.grid, 0.5 * (u_prev.spec + u_next.spec))
+    d_mid = diagnostics(mid, params)
+    r = (0.5 * d_next.u_sq - 0.5 * d_prev.u_sq
+         + dt * (d_mid.eps_nu + d_mid.eps_gamma) - dt * inner_product(f, mid))
     stats.last_residual = r
     stats.budget_residual_max = max(stats.budget_residual_max, r)
-    if t_prev >= stats.burn_in - 1e-12:
-        e_prev = dissipation_rate(u_prev, params)
-        e_next = dissipation_rate(u_next, params)
-        stats.int_eps_nu += 0.5 * dt * (e_prev[1] + e_next[1])
-        stats.int_eps_gamma += 0.5 * dt * (e_prev[2] + e_next[2])
-        stats.int_u_sq += 0.5 * dt * (volume_norm_sq(u_prev) + volume_norm_sq(u_next))
-        stats.int_div_sq += 0.5 * dt * (divergence_norm_sq(u_prev) + divergence_norm_sq(u_next))
+    if t_prev >= stats.burn_in - BURN_IN_TOL:
+        stats.int_eps_nu += 0.5 * dt * (d_prev.eps_nu + d_next.eps_nu)
+        stats.int_eps_gamma += 0.5 * dt * (d_prev.eps_gamma + d_next.eps_gamma)
+        stats.int_u_sq += 0.5 * dt * (d_prev.u_sq + d_next.u_sq)
+        stats.int_div_sq += 0.5 * dt * (d_prev.div_sq + d_next.div_sq)
         stats.t_accum += dt
     stats.t = t_prev + dt
     return stats
@@ -138,19 +128,3 @@ def finalize(stats: RunningStats, force_stats=None) -> dict:
     if force_stats is not None and u_t > 0:
         out["eps_normalized"] = (eps_nu + eps_gamma) * force_stats.L / u_t ** 3
     return out
-
-
-def merge(a: RunningStats, b: RunningStats) -> RunningStats:
-    """Combine accumulators from disjoint windows (associative)."""
-    if a.burn_in != b.burn_in:
-        raise ValueError("cannot merge accumulators with different burn-in settings")
-    return RunningStats(
-        burn_in=a.burn_in,
-        t=max(a.t, b.t),
-        t_accum=a.t_accum + b.t_accum,
-        int_eps_nu=a.int_eps_nu + b.int_eps_nu,
-        int_eps_gamma=a.int_eps_gamma + b.int_eps_gamma,
-        int_u_sq=a.int_u_sq + b.int_u_sq,
-        int_div_sq=a.int_div_sq + b.int_div_sq,
-        budget_residual_max=max(a.budget_residual_max, b.budget_residual_max),
-    )

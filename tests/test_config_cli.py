@@ -15,11 +15,13 @@ from graddivbox.config import (
     SweepConfig,
     load_run_config,
     load_sweep_config,
+    run_config_to_dict,
     save_run_config,
     save_sweep_config,
 )
 from graddivbox.forcing import ForcingSpec
 from graddivbox.grid import Field, GridSpec
+from graddivbox import runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import FlowParams, StepperConfig
 
@@ -75,6 +77,70 @@ class TestConfigRoundTrip:
             yaml.safe_dump(d, fh)
         with pytest.raises(ConfigError, match="power of two"):
             load_run_config(tmp_path / "g.yaml")
+
+    @pytest.mark.parametrize("name", [
+        "stats.burnin", "grid.bogus", "grid.dealias_fraction", "stepper.scheme",
+        "stepper.cfl_target", "sweep.workers", "seeds",
+    ])
+    def test_unknown_key_names_offender(self, tmp_path, name):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        *section, key = name.split(".")
+        (d.setdefault(section[0], {}) if section else d)[key] = 0.15
+        path = tmp_path / "unknown.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=f"unknown config key: {name}$"):
+            load_run_config(path)
+
+    def test_unknown_mode_key_names_offender(self, tmp_path):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d["forcing"]["modes"][1]["phase"] = 0.5
+        path = tmp_path / "mode.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=r"forcing\.modes\[1\]\.phase"):
+            load_run_config(path)
+
+    def test_sweep_section_allowed_in_run_config(self, tmp_path):
+        sweep = SweepConfig(base=small_run_config(tmp_path), gamma_values=(0.0, 1.0))
+        path = tmp_path / "sweep.yaml"
+        save_sweep_config(sweep, path)
+        assert load_run_config(path) == sweep.base
+
+
+class TestWindowValidation:
+    def _load(self, tmp_path, **stepper_and_stats):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        for key, value in stepper_and_stats.items():
+            d["stepper" if key in ("dt", "t_end") else "stats"][key] = value
+        path = tmp_path / "window.yaml"
+        path.write_text(yaml.safe_dump(d))
+        return load_run_config(path)
+
+    def test_no_step_after_burn_in_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="stats.burn_in"):
+            self._load(tmp_path, dt=0.01, t_end=0.2, burn_in=0.195, window=0.005)
+
+    def test_t_end_must_match_burn_in_plus_window(self, tmp_path):
+        with pytest.raises(ConfigError, match="stepper.t_end"):
+            self._load(tmp_path, dt=0.01, t_end=0.3, burn_in=0.0, window=0.2)
+
+    def test_t_end_defaults_to_burn_in_plus_window(self, tmp_path):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        del d["stepper"]["t_end"]
+        d["stats"] = {"burn_in": 0.02, "window": 0.04}
+        path = tmp_path / "default.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert load_run_config(path).stepper.t_end == pytest.approx(0.06)
+
+    def test_window_of_one_step_runs(self, tmp_path):
+        # the last step starts exactly at burn_in: accepted, and it is averaged
+        cfg = self._load(tmp_path, dt=0.01, t_end=0.2, burn_in=0.19, window=0.01)
+        assert run_single(cfg)["window"] == pytest.approx(0.01)
+
+    def test_bad_window_does_not_start_a_sweep(self, tmp_path):
+        with pytest.raises(ConfigError, match="stats.burn_in"):
+            base = small_run_config(tmp_path, dt=0.01, t_end=0.2, burn_in=0.195, window=0.005)
+            run_sweep(SweepConfig(base=base, gamma_values=(0.0, 1.0)))
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestSweepValidation:
@@ -137,6 +203,22 @@ class TestRunSingle:
         n_tail = len(res_rows) - 1  # minus header
         assert n_tail > 0
         assert full_rows[-n_tail:] == res_rows[1:]
+
+    def test_one_diagnostics_pass_per_state(self, tmp_path, monkeypatch):
+        # one record per state (the initial one and each step's) plus one per midpoint
+        calls = []
+
+        def counted(u, params):
+            calls.append(u)
+            return stats_diagnostics(u, params)
+
+        stats_diagnostics = stats.diagnostics
+        monkeypatch.setattr(stats, "diagnostics", counted)
+        monkeypatch.setattr(runner, "diagnostics", counted)
+        cfg = small_run_config(tmp_path, t_end=0.01, window=0.01)
+        run_single(cfg)
+        n_steps = 5
+        assert len(calls) == (n_steps + 1) + n_steps
 
     def test_serial_rerun_is_bitwise(self, tmp_path):
         a = small_run_config(tmp_path, t_end=0.05, window=0.05, subdir="a")

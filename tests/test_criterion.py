@@ -11,8 +11,6 @@ from graddivbox.criterion import (
     gamma_range_mesh_independent,
     kolmogorov_eta,
     nondimensional_groups,
-    nondimensionalize_run,
-    undo_nondimensionalize,
 )
 
 
@@ -133,32 +131,6 @@ class TestKolmogorovEta:
         re = 37.5
         eta = kolmogorov_eta(re, 1.0)
         assert (eta / 1.0) ** (-4.0 / 3.0) == pytest.approx(re, rel=1e-12)
-
-
-class TestNondimensionalize:
-    def test_unit_scales_unchanged(self):
-        out = nondimensionalize_run(nu=0.3, gamma=0.7, force_scale=1.1, L=1.0, U=1.0)
-        assert out["nu_star"] == 0.3
-        assert out["gamma_star"] == 0.7
-        assert out["force_star"] == 1.1
-
-    def test_gamma_star_is_inverse_r_gamma(self):
-        inp = make_input(U=2.0, L=3.0, gamma=1.5)
-        _, rg = nondimensional_groups(inp)
-        out = nondimensionalize_run(nu=0.1, gamma=1.5, force_scale=1.0, L=3.0, U=2.0)
-        assert out["gamma_star"] == pytest.approx(1.0 / rg)
-
-    def test_consistency_with_groups_under_scaling(self):
-        out1 = nondimensionalize_run(nu=0.1, gamma=0.0, force_scale=1.0, L=1.0, U=1.0)
-        out2 = nondimensionalize_run(nu=0.1, gamma=0.0, force_scale=1.0, L=2.0, U=1.0)
-        assert out2["nu_star"] == pytest.approx(0.5 * out1["nu_star"])
-
-    def test_inverse_map_exact(self):
-        out = nondimensionalize_run(nu=0.123, gamma=4.56, force_scale=7.8, L=0.9, U=1.7)
-        back = undo_nondimensionalize(out)
-        assert back["nu"] == pytest.approx(0.123, rel=1e-14)
-        assert back["gamma"] == pytest.approx(4.56, rel=1e-14)
-        assert back["force_scale"] == pytest.approx(7.8, rel=1e-14)
 
 
 class TestValidationAndReport:

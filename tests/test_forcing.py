@@ -5,8 +5,6 @@ from graddivbox.forcing import (
     ForcingError,
     ForcingSpec,
     compute_F,
-    compute_kappa,
-    compute_L,
     force_stats,
     realize_force,
 )
@@ -107,7 +105,7 @@ class TestForceAmplitude:
         F0 = 2.5
         f = Field.from_physical(grid2d, np.stack([F0 * np.cos(xs[1]), F0 * np.sin(xs[1])]))
         assert compute_F(f) == pytest.approx(F0, rel=1e-12)
-        assert compute_kappa(f) == pytest.approx(1.0, rel=1e-12)
+        assert force_stats(f).kappa == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_force_rejected(self, grid2d):
         with pytest.raises(ForcingError, match="degenerate"):
@@ -117,20 +115,20 @@ class TestForceAmplitude:
 class TestForceLengthScale:
     def test_sinusoidal_branches(self, grid3d):
         # branches: box 2 pi, F/sup|grad f| = 1/sqrt(2), F/rms|grad f| = 1
-        L, branch = compute_L(sinusoidal_force(grid3d, F0=1.0))
-        assert L == pytest.approx(1.0 / np.sqrt(2), rel=1e-12)
-        assert branch == "sup_gradient"
+        st = force_stats(sinusoidal_force(grid3d, F0=1.0))
+        assert st.L == pytest.approx(1.0 / np.sqrt(2), rel=1e-12)
+        assert st.L_branch == "sup_gradient"
 
     def test_scale_invariant(self, grid3d):
         f = sinusoidal_force(grid3d)
         scaled = Field.from_physical(grid3d, 7.0 * f.phys)
-        assert compute_L(scaled)[0] == pytest.approx(compute_L(f)[0], rel=1e-12)
+        assert force_stats(scaled).L == pytest.approx(force_stats(f).L, rel=1e-12)
 
     def test_mode_two_halves_L(self, grid2d):
         xs = coords(grid2d)
         f1 = Field.from_physical(grid2d, np.stack([np.sin(xs[1]), np.zeros(grid2d.shape)]))
         f2 = Field.from_physical(grid2d, np.stack([np.sin(2 * xs[1]), np.zeros(grid2d.shape)]))
-        assert compute_L(f2)[0] == pytest.approx(0.5 * compute_L(f1)[0], rel=1e-12)
+        assert force_stats(f2).L == pytest.approx(0.5 * force_stats(f1).L, rel=1e-12)
 
     def test_gradient_inequalities(self, grid3d):
         for F0 in (0.3, 1.0, 5.0):
@@ -141,20 +139,20 @@ class TestForceLengthScale:
 
 class TestKappa:
     def test_sinusoidal(self, grid3d):
-        assert compute_kappa(sinusoidal_force(grid3d, F0=1.7)) == pytest.approx(np.sqrt(2), rel=1e-10)
+        assert force_stats(sinusoidal_force(grid3d, F0=1.7)).kappa == pytest.approx(np.sqrt(2), rel=1e-10)
 
     def test_taylor_green(self, grid2d):
-        assert compute_kappa(taylor_green_force(grid2d, F0=0.9)) == pytest.approx(np.sqrt(2), rel=1e-10)
+        assert force_stats(taylor_green_force(grid2d, F0=0.9)).kappa == pytest.approx(np.sqrt(2), rel=1e-10)
 
     def test_scale_invariant(self, grid2d):
         f = taylor_green_force(grid2d)
         scaled = Field.from_physical(grid2d, 0.01 * f.phys)
-        assert compute_kappa(scaled) == pytest.approx(compute_kappa(f), rel=1e-13)
+        assert force_stats(scaled).kappa == pytest.approx(force_stats(f).kappa, rel=1e-13)
 
     def test_translation_invariant(self, grid2d):
         f = taylor_green_force(grid2d)
         shifted = Field.from_physical(grid2d, np.roll(f.phys, (5, 11), axis=(1, 2)))
-        assert compute_kappa(shifted) == pytest.approx(compute_kappa(f), rel=1e-12)
+        assert force_stats(shifted).kappa == pytest.approx(force_stats(f).kappa, rel=1e-12)
 
     def test_kappa_at_least_one(self, grid3d):
         rng = np.random.default_rng(23)
@@ -162,13 +160,13 @@ class TestKappa:
             m = (0, 1, int(rng.integers(1, 3)))
             a = (float(rng.standard_normal()), 0.0, 0.0)
             f = realize_force(ForcingSpec(grid=grid3d, modes=((m, a),)))
-            assert compute_kappa(f) >= 1.0 - 1e-12
+            assert force_stats(f).kappa >= 1.0 - 1e-12
 
     def test_fine_grid_adequacy(self):
         # sup-norm sampled on the run grid vs a 4x finer grid, band-limited force
         coarse = GridSpec(dim=2, n=32, box_length=TWO_PI)
         fine = GridSpec(dim=2, n=128, box_length=TWO_PI)
         modes = (((1, 1), (-0.25j, 0.25j)), ((1, -1), (-0.25j, -0.25j)))
-        kc = compute_kappa(realize_force(ForcingSpec(grid=coarse, modes=modes)))
-        kf = compute_kappa(realize_force(ForcingSpec(grid=fine, modes=modes)))
+        kc = force_stats(realize_force(ForcingSpec(grid=coarse, modes=modes))).kappa
+        kf = force_stats(realize_force(ForcingSpec(grid=fine, modes=modes))).kappa
         assert kc == pytest.approx(kf, rel=1e-6)
