@@ -25,7 +25,7 @@ import sys
 
 from . import criterion as crit
 from .config import ConfigError, load_run_config, load_sweep_config
-from .runner import _json_safe, run_single, run_sweep
+from .runner import json_safe, run_single, run_sweep
 from .solver import BlowUpError, StepperConfig, divergent_mms_target, run_mms
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
     except BlowUpError as e:
         print(f"error: {e}; last finite state checkpointed in {cfg.output_dir}", file=sys.stderr)
         return EXIT_BLOWUP
-    print(json.dumps(_json_safe(summary), indent=2))
+    print(json.dumps(json_safe(summary), indent=2))
     return EXIT_OK
 
 
@@ -92,7 +92,7 @@ def _cmd_sweep(args) -> int:
         parallel_workers=int(workers) if workers else sweep.parallel_workers,
     )
     result = run_sweep(sweep)
-    print(json.dumps(_json_safe(result), indent=2))
+    print(json.dumps(json_safe(result), indent=2))
     return EXIT_PARTIAL_SWEEP if result["failures"] else EXIT_OK
 
 
@@ -100,7 +100,7 @@ def _cmd_criterion(args) -> int:
     inp = crit.CriterionInput(U=args.U, L=args.L, nu=args.nu, kappa=args.kappa,
                               gamma=args.gamma, h=args.h)
     report = crit.build_report(inp)
-    print(json.dumps(_json_safe(dataclasses.asdict(report)), indent=2))
+    print(json.dumps(json_safe(dataclasses.asdict(report)), indent=2))
     return EXIT_OK
 
 
@@ -116,7 +116,7 @@ def _cmd_mms(args) -> int:
     for a, b in zip(reports, reports[1:]):
         if b["max_l2_error"] > 0:
             orders.append(math.log2(a["max_l2_error"] / b["max_l2_error"]))
-    print(json.dumps(_json_safe({"levels": reports, "observed_orders": orders}), indent=2))
+    print(json.dumps(json_safe({"levels": reports, "observed_orders": orders}), indent=2))
     return EXIT_OK
 
 

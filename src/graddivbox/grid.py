@@ -7,8 +7,9 @@ structural and the inverse transform is real by construction.
 
 Normalization: spectral coefficients are true Fourier-series coefficients,
 ``u(x) = sum_k uhat_k exp(i k.x)``, i.e. forward transform divided by the
-total number of samples. This is the single normalization constant of the
-whole package; Parseval then reads ``mean(|u|^2) = sum_k w_k |uhat_k|^2``
+total number of samples. This is the single normalization of the whole
+package, applied inside the transforms by ``norm="forward"`` in the two
+`Field` views; Parseval then reads ``mean(|u|^2) = sum_k w_k |uhat_k|^2``
 with ``w_k = 2`` for modes whose conjugate partner is not stored and
 ``w_k = 1`` on the self-conjugate planes.
 """
@@ -160,16 +161,14 @@ class Field:
     def phys(self):
         if self._phys is None:
             axes = tuple(range(1, self.grid.dim + 1))
-            self._phys = np.fft.irfftn(
-                self._spec * self.grid.num_samples, s=self.grid.shape, axes=axes
-            )
+            self._phys = np.fft.irfftn(self._spec, s=self.grid.shape, axes=axes, norm="forward")
         return self._phys
 
     @property
     def spec(self):
         if self._spec is None:
             axes = tuple(range(1, self.grid.dim + 1))
-            self._spec = np.fft.rfftn(self._phys, axes=axes) / self.grid.num_samples
+            self._spec = np.fft.rfftn(self._phys, axes=axes, norm="forward")
         return self._spec
 
 

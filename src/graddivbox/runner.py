@@ -12,8 +12,13 @@ statistics after burn-in, and writes three artifacts into output_dir:
                      admissible gamma windows
     final.ckpt       restartable binary checkpoint of the end state
 
-All floats in the CSV are printed with 17 significant digits, so a serial
-rerun (or a checkpoint restart) reproduces rows bitwise.
+The state stays spectral through the whole run: the checkpoint stores the
+solver's own coefficients, and the mean (k = 0) mode of a fresh run stays
+exactly 0. All
+floats in the CSV are printed with 17 significant digits, so a serial rerun
+(or a checkpoint restart) reproduces rows bitwise. A restart must start on
+the step grid and before t_end; anything else is refused before a file is
+written.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
 PERTURBATION_RMS = 0.01
 PERTURBATION_MAX_MODE = 4
 
+# a restart time may miss the step grid by this fraction of dt (rounding slack)
+STEP_GRID_TOL = 1e-9
+
 CSV_HEADER = "t,kinetic_energy,eps_nu,eps_gamma,div_norm_sq,budget_residual"
 
 
@@ -49,11 +57,12 @@ def _csv_row(t: float, d: Diagnostics, residual: float) -> str:
     return ",".join(_fmt(v) for v in values) + "\n"
 
 
-def _json_safe(obj):
+def json_safe(obj):
+    """`obj` with numpy scalars as Python numbers and non-finite floats as strings."""
     if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+        return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+        return [json_safe(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
@@ -77,9 +86,9 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     """
     grid = cfg.grid
     if force is not None:
-        base = force.phys / np.sqrt(volume_norm_sq(force))
+        base = force.spec / np.sqrt(volume_norm_sq(force))
     else:
-        base = np.zeros((grid.dim,) + grid.shape)
+        base = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
     rng = np.random.default_rng(cfg.seed)
     noise = Field.from_physical(grid, rng.standard_normal((grid.dim,) + grid.shape))
     s = noise.spec.copy()
@@ -90,7 +99,8 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     prms = np.sqrt(volume_norm_sq(pert))
     target_rms = PERTURBATION_RMS if force is not None else 1.0
     scale = target_rms / prms if prms > 0 else 0.0
-    u0 = Field.from_physical(grid, base + scale * pert.phys)
+    # summed in spectral space, so the mean (k = 0) mode is exactly 0
+    u0 = Field.from_spectral(grid, base + scale * pert.spec)
     # keep the state band-limited from the start
     return dealias(u0)
 
@@ -98,8 +108,6 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
 def run_single(cfg: RunConfig, restart_path=None) -> dict:
     """Execute one run; returns the summary dict (also written to summary.json)."""
     grid, params, stepper = cfg.grid, cfg.params, cfg.stepper
-    os.makedirs(cfg.output_dir, exist_ok=True)
-
     if cfg.forcing.modes:
         force = realize_force(cfg.forcing)
         check_divergence_free(force)
@@ -119,10 +127,16 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         if ck_params != params:
             raise ValueError("checkpoint flow parameters do not match the configured flow")
         start_step = int(round(t0 / dt))
+        if abs(t0 / dt - start_step) > STEP_GRID_TOL:
+            raise ValueError(f"checkpoint time t0 = {t0} is not on the step grid of dt = {dt}")
+        if start_step >= n_steps:
+            raise ValueError(f"checkpoint time t0 = {t0} leaves no step of dt = {dt} "
+                             f"before t_end = {stepper.t_end}")
     else:
         u = initial_condition(cfg, force)
         start_step = 0
 
+    os.makedirs(cfg.output_dir, exist_ok=True)
     stats = RunningStats(burn_in=cfg.burn_in, t=start_step * dt)
     d = diagnostics(u, params)
     csv_path = os.path.join(cfg.output_dir, "timeseries.csv")
@@ -137,8 +151,6 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
             except BlowUpError:
                 write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), u, t, params)
                 raise
-            # canonical state is physical space so checkpoints restart bitwise
-            u_next = Field.from_physical(grid, u_next.phys)
             d_next = diagnostics(u_next, params)
             update(stats, u, d, u_next, d_next, params, f_field, dt)
             csv.write(_csv_row((i + 1) * dt, d_next, stats.last_residual))
@@ -148,7 +160,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
 
     summary = _summarize(cfg, fstats, stats)
     with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
-        json.dump(_json_safe(summary), fh, indent=2)
+        json.dump(json_safe(summary), fh, indent=2)
     return summary
 
 
@@ -251,5 +263,5 @@ def run_sweep(sweep: SweepConfig) -> dict:
         "failures": {str(g): e for g, e in failures.items()},
     }
     with open(os.path.join(base.output_dir, "sweep.json"), "w") as fh:
-        json.dump(_json_safe(out), fh, indent=2)
+        json.dump(json_safe(out), fh, indent=2)
     return out

@@ -6,16 +6,22 @@ The model advanced here is
 
 on the periodic box, with no pressure variable: the penalty term
 -gamma grad(div u) stands in for the pressure gradient. The nonlinearity is
-kept in the skew-symmetrized form written above, assembled pseudospectrally
-with 2/3-rule dealiasing before and after products, so its energy inner
-product with u vanishes to roundoff even when div u != 0.
+the skew-symmetrized form written above, assembled pseudospectrally in the
+rotational form omega x u + grad(|u|^2 / 2) + (1/2)(div u) u, omega = curl u,
+with 2/3-rule dealiasing before and after products. Every product is
+quadratic, so under the 2/3 rule (Orszag 1971) the two forms agree on every
+retained mode, and the energy inner product of the term with u vanishes to
+roundoff even when div u != 0. One evaluation makes one batched inverse
+transform of [u, omega, div u] and one batched forward transform of
+[omega x u + (1/2)(div u) u, |u|^2 / 2].
 
 Time stepping is the L-stable two-stage second-order IMEX Runge-Kutta
 scheme ARS(2,2,2): advection explicit, nu*lap + gamma*grad div implicit.
 The implicit per-mode operator (I + c dt (nu |k|^2 I + gamma k k^T)) is
 inverted in closed form by splitting each mode into its k-parallel and
-k-perpendicular parts. The scheme is single-step, so a (u, t) checkpoint
-restarts a run bitwise.
+k-perpendicular parts. The scheme is single-step and works on the spectral
+coefficients alone, so a (u_hat, t) checkpoint restarts a run bitwise, and
+the blow-up check reads the new spectral state without transforming it.
 """
 
 from __future__ import annotations
@@ -76,34 +82,45 @@ class StepperConfig:
 def nonlinear_term(u: Field) -> np.ndarray:
     """Spectral coefficients of N(u) = div(u x u) - (1/2)(div u) u.
 
-    Inputs are dealiased before the physical-space products and the products
-    are dealiased again, so only alias-free Galerkin modes survive; the
-    mean (k = 0) mode is projected out.
+    N is assembled as omega x u + grad(|u|^2 / 2) + (1/2)(div u) u. In 2d
+    omega is the scalar d_x u_y - d_y u_x and omega x u = (-omega u_y,
+    omega u_x). The input is dealiased before the physical-space products
+    and the products are dealiased again, so only alias-free Galerkin modes
+    survive; the mean (k = 0) mode is exactly 0.
     """
     grid = u.grid
     dim = grid.dim
     mask = dealias_mask(grid)
     k = wavevectors(grid)
+    ncurl = 1 if dim == 2 else 3
 
-    ud_hat = u.spec * mask
-    ud = Field.from_spectral(grid, ud_hat)
-    up = ud.phys
+    # spectral [u, omega, div u] of the dealiased input
+    lhs = np.empty((dim + ncurl + 1,) + grid.spectral_shape, dtype=complex)
+    s = np.multiply(u.spec, mask, out=lhs[:dim])
+    for i in range(ncurl):
+        a, b = (0, 1) if dim == 2 else ((i + 1) % 3, (i + 2) % 3)
+        lhs[dim + i] = 1j * (k[a] * s[b] - k[b] * s[a])
+    lhs[-1] = 1j * k_dot(grid, s)
+    phys = Field.from_spectral(grid, lhs).phys
+    up, w, div = phys[:dim], phys[dim:-1], phys[-1]
 
-    div_hat = 1j * k_dot(grid, ud_hat)
-    div_p = Field.from_spectral(grid, div_hat[np.newaxis]).phys[0]
+    # physical [omega x u + (1/2)(div u) u, |u|^2 / 2]
+    rhs = np.empty((dim + 1,) + grid.shape)
+    if dim == 2:
+        np.multiply(-w[0], up[1], out=rhs[0])
+        np.multiply(w[0], up[0], out=rhs[1])
+    else:
+        for i in range(3):
+            a, b = (i + 1) % 3, (i + 2) % 3
+            rhs[i] = w[a] * up[b] - w[b] * up[a]
+    rhs[:dim] += (0.5 * div) * up
+    rhs[dim] = 0.5 * np.sum(up * up, axis=0)
+    p_hat = Field.from_physical(grid, rhs).spec
 
-    axes = tuple(range(grid.dim))
-    nsamp = grid.num_samples
-    out = np.zeros((dim,) + grid.spectral_shape, dtype=complex)
-    for i in range(dim):
-        for j in range(i, dim):
-            prod_hat = np.fft.rfftn(up[i] * up[j], axes=axes) / nsamp
-            prod_hat *= mask
-            out[i] += 1j * k[j] * prod_hat
-            if j != i:
-                out[j] += 1j * k[i] * prod_hat
-        skew_hat = np.fft.rfftn(div_p * up[i], axes=axes) / nsamp
-        out[i] -= 0.5 * mask * skew_hat
+    out = p_hat[:dim]
+    for j in range(dim):
+        out[j] += 1j * k[j] * p_hat[dim]
+    out *= mask
     out[(slice(None),) + (0,) * dim] = 0.0
     return out
 
@@ -161,10 +178,9 @@ def step(u: Field, params: FlowParams, f: Field, cfg: StepperConfig, t: float = 
     if f.grid != u.grid:
         raise ValueError("u and f live on different grids")
     u_hat = imex_step(u.spec, t, cfg.dt, params, u.grid, f.spec)
-    out = Field.from_spectral(u.grid, u_hat)
-    if not np.all(np.isfinite(out.phys)):
+    if not np.all(np.isfinite(u_hat)):
         raise BlowUpError(t + cfg.dt)
-    return out
+    return Field.from_spectral(u.grid, u_hat)
 
 
 class ManufacturedSolution:

@@ -62,8 +62,8 @@ class Diagnostics:
     div_sq: float
 
 
-def diagnostics(u: Field, params: FlowParams) -> Diagnostics:
-    """The diagnostics record of `u`; the dissipation terms come from Parseval.
+def _dissipation(u: Field, params: FlowParams) -> tuple:
+    """(eps_nu, eps_gamma, div_sq) of `u` from Parseval.
 
     eps_nu is nu times the volume mean of the squared Frobenius norm of
     grad u, which per mode is |k|^2 |uhat|^2; eps_gamma is gamma times the
@@ -76,7 +76,13 @@ def diagnostics(u: Field, params: FlowParams) -> Diagnostics:
     grad_sq = float(np.sum(w * ksq * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
     kdotu = k_dot(grid, s)
     div_sq = float(np.sum(w * (kdotu.real ** 2 + kdotu.imag ** 2)))
-    return Diagnostics(volume_norm_sq(u), params.nu * grad_sq, params.gamma * div_sq, div_sq)
+    return params.nu * grad_sq, params.gamma * div_sq, div_sq
+
+
+def diagnostics(u: Field, params: FlowParams) -> Diagnostics:
+    """The diagnostics record of `u`; the dissipation terms come from Parseval."""
+    eps_nu, eps_gamma, div_sq = _dissipation(u, params)
+    return Diagnostics(volume_norm_sq(u), eps_nu, eps_gamma, div_sq)
 
 
 def update(stats: RunningStats, u_prev: Field, d_prev: Diagnostics, u_next: Field,
@@ -90,9 +96,9 @@ def update(stats: RunningStats, u_prev: Field, d_prev: Diagnostics, u_next: Fiel
     """
     t_prev = stats.t
     mid = Field.from_spectral(u_prev.grid, 0.5 * (u_prev.spec + u_next.spec))
-    d_mid = diagnostics(mid, params)
+    eps_nu_mid, eps_gamma_mid, _ = _dissipation(mid, params)
     r = (0.5 * d_next.u_sq - 0.5 * d_prev.u_sq
-         + dt * (d_mid.eps_nu + d_mid.eps_gamma) - dt * inner_product(f, mid))
+         + dt * (eps_nu_mid + eps_gamma_mid) - dt * inner_product(f, mid))
     stats.last_residual = r
     stats.budget_residual_max = max(stats.budget_residual_max, r)
     if t_prev >= stats.burn_in - BURN_IN_TOL:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from graddivbox.config import (
 )
 from graddivbox.forcing import ForcingSpec
 from graddivbox.grid import Field, GridSpec
-from graddivbox import runner, stats
+from graddivbox import checkpoint, runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import FlowParams, StepperConfig
 
-from conftest import TWO_PI, shear_field
+from conftest import TWO_PI, random_state_field, shear_field
 
 
 def small_run_config(tmp_path, dim=2, n=32, nu=0.05, gamma=1.0, dt=2e-3,
@@ -204,8 +205,32 @@ class TestRunSingle:
         assert n_tail > 0
         assert full_rows[-n_tail:] == res_rows[1:]
 
+    def test_final_checkpoint_keeps_zero_mean_exactly(self, tmp_path):
+        cfg = small_run_config(tmp_path, t_end=0.02, window=0.02)
+        run_single(cfg)
+        _, u, _, _ = read_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"))
+        assert np.all(u.spec[:, 0, 0] == 0.0)
+
+    def _checkpoint_at(self, tmp_path, t0):
+        cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2, subdir="resumed")
+        ck = tmp_path / "start.ckpt"
+        write_checkpoint(ck, shear_field(cfg.grid), t0, cfg.params)
+        return cfg, str(ck)
+
+    def test_restart_off_step_grid_rejected(self, tmp_path):
+        cfg, ck = self._checkpoint_at(tmp_path, 0.1049)
+        with pytest.raises(ValueError, match=r"t0 = 0\.1049 is not on the step grid of dt = 0\.01"):
+            run_single(cfg, restart_path=ck)
+        assert not os.path.exists(cfg.output_dir)
+
+    def test_restart_past_t_end_rejected(self, tmp_path):
+        cfg, ck = self._checkpoint_at(tmp_path, 0.5)
+        with pytest.raises(ValueError, match=r"t0 = 0\.5 .*dt = 0\.01 before t_end = 0\.2"):
+            run_single(cfg, restart_path=ck)
+        assert not os.path.exists(cfg.output_dir)
+
     def test_one_diagnostics_pass_per_state(self, tmp_path, monkeypatch):
-        # one record per state (the initial one and each step's) plus one per midpoint
+        # one record per state: the initial one and each step's; the midpoint needs none
         calls = []
 
         def counted(u, params):
@@ -218,7 +243,7 @@ class TestRunSingle:
         cfg = small_run_config(tmp_path, t_end=0.01, window=0.01)
         run_single(cfg)
         n_steps = 5
-        assert len(calls) == (n_steps + 1) + n_steps
+        assert len(calls) == n_steps + 1
 
     def test_serial_rerun_is_bitwise(self, tmp_path):
         a = small_run_config(tmp_path, t_end=0.05, window=0.05, subdir="a")
@@ -260,7 +285,50 @@ class TestCheckpoint:
         assert (grid2.dim, grid2.n, grid2.box_length) == (2, 16, 1.0)
         assert t2 == 1.25
         assert params2 == params
-        np.testing.assert_array_equal(u2.phys, u.phys)
+        np.testing.assert_array_equal(u2.spec, u.spec)
+
+    def test_version_1_physical_payload_still_loads(self, tmp_path):
+        grid = GridSpec(dim=3, n=8, box_length=2.0)
+        phys = np.random.default_rng(1).standard_normal((3,) + grid.shape)
+        header = struct.pack("<4sIIIdddd", b"GDPB", 1, 3, 8, 2.0, 0.75, 0.1, 4.0)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(header + phys.astype("<f8").tobytes())
+        grid2, u, t, params = read_checkpoint(path)
+        assert grid2 == grid
+        assert (t, params) == (0.75, FlowParams(nu=0.1, gamma=4.0))
+        np.testing.assert_array_equal(u.phys, phys)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        grid = GridSpec(dim=2, n=16, box_length=1.0)
+        path = tmp_path / "final.ckpt"
+        write_checkpoint(path, Field.zeros(grid), 0.5, FlowParams(nu=1.0))
+        before = path.read_bytes()
+
+        class PayloadWriteFails:
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *args, **kw: PayloadWriteFails(open(*args, **kw)), raising=False)
+        u = random_state_field(grid, seed=2)
+        with pytest.raises(OSError, match="no space"):
+            write_checkpoint(path, u, 1.0, FlowParams(nu=1.0))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["final.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -125,6 +125,32 @@ class TestStep:
                 v = step(v, FlowParams(nu=1e-6, gamma=0.0), Field.zeros(grid2d), cfg, t=i * cfg.dt)
 
 
+class TestTransformCount:
+    """A step makes two nonlinear evaluations, each one batched inverse and one batched forward transform."""
+
+    # per evaluation, 2d: [u, omega, div u] (4) + [omega x u + (div u) u / 2, |u|^2 / 2] (3); 3d: 7 + 4
+    @pytest.mark.parametrize("dim, components", [(2, 14), (3, 22)])
+    def test_fft_components_per_step(self, monkeypatch, dim, components):
+        grid = GridSpec(dim=dim, n=16, box_length=TWO_PI)
+        u = random_state_field(grid, seed=3)
+        f = Field.from_spectral(grid, random_state_field(grid, seed=4).spec)
+        counted = []
+
+        def counting(fft):
+            def wrapper(a, *args, **kwargs):
+                axes = kwargs.get("axes")
+                transformed = range(a.ndim) if axes is None else [ax % a.ndim for ax in axes]
+                counted.append(math.prod(size for ax, size in enumerate(a.shape) if ax not in transformed))
+                return fft(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn))
+        monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn))
+        step(u, FlowParams(nu=0.05, gamma=1.0), f, StepperConfig(dt=1e-3, t_end=1.0))
+        assert sum(counted) == components
+        assert len(counted) == 4
+
+
 class TestMms:
     def test_decaying_shear_target(self, grid2d):
         # exact solution of the model: integrator error only
