@@ -7,9 +7,6 @@ Subcommands:
     criterion --U --L --nu --kappa [--h H] [--gamma G]
     mms <config> [--levels N]
 
-Environment overrides: GRADDIVBOX_OUTPUT_DIR replaces the configured
-output directory, GRADDIVBOX_WORKERS the sweep worker count.
-
 Exit codes: 0 success, 2 configuration error, 3 solution blow-up,
 4 partial sweep failure.
 """
@@ -20,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from . import criterion as crit
@@ -65,15 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_env_overrides(cfg, output_dir):
-    output_dir = output_dir or os.environ.get("GRADDIVBOX_OUTPUT_DIR")
-    if output_dir:
-        cfg = dataclasses.replace(cfg, output_dir=output_dir)
-    return cfg
+def _with_output_dir(cfg, output_dir):
+    return dataclasses.replace(cfg, output_dir=output_dir) if output_dir else cfg
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_env_overrides(load_run_config(args.config), args.output_dir)
+    cfg = _with_output_dir(load_run_config(args.config), args.output_dir)
     try:
         summary = run_single(cfg, restart_path=args.restart)
     except BlowUpError as e:
@@ -85,11 +78,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = load_sweep_config(args.config)
-    base = _apply_env_overrides(sweep.base, args.output_dir)
-    workers = args.workers or os.environ.get("GRADDIVBOX_WORKERS")
     sweep = dataclasses.replace(
-        sweep, base=base,
-        parallel_workers=int(workers) if workers else sweep.parallel_workers,
+        sweep, base=_with_output_dir(sweep.base, args.output_dir),
+        parallel_workers=args.workers or sweep.parallel_workers,
     )
     result = run_sweep(sweep)
     print(json.dumps(json_safe(result), indent=2))

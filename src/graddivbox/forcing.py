@@ -93,7 +93,7 @@ class ForceStats:
 
 
 def realize_force(spec: ForcingSpec) -> Field:
-    """Build the physical force field from its mode list."""
+    """Build the force field's spectral coefficients from its mode list."""
     if not spec.modes:
         raise ForcingError("zero force: the mode list is empty")
     grid = spec.grid
@@ -101,9 +101,8 @@ def realize_force(spec: ForcingSpec) -> Field:
     coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
     for m, a in spec.modes:
         _place_mode(coeffs, m, a, n)
-    f = Field.from_spectral(grid, coeffs)
-    f.phys  # materialize; reality is structural in the half-spectrum layout
-    return f
+    # reality is structural in the half-spectrum layout
+    return Field.from_spectral(grid, coeffs)
 
 
 def _place_mode(coeffs, m, a, n):
@@ -134,6 +133,7 @@ def force_stats(f: Field) -> ForceStats:
     F = compute_F(f)
     g = gradient(f)
     gp = g.phys
+    fp = f.phys
     sup = float(np.sqrt(np.max(np.sum(gp * gp, axis=0))))
     l2 = float(np.sqrt(volume_norm_sq(g)))
     candidates = {
@@ -146,7 +146,7 @@ def force_stats(f: Field) -> ForceStats:
         F=F,
         L=candidates[branch],
         L_branch=branch,
-        kappa=float(np.sqrt(np.max(np.sum(f.phys * f.phys, axis=0)))) / F,
+        kappa=float(np.sqrt(np.max(np.sum(fp * fp, axis=0)))) / F,
         grad_f_sup=sup,
         grad_f_l2=l2,
     )

@@ -1,17 +1,20 @@
 """Periodic uniform grids, vector fields, and exact spectral operators.
 
-Fields live on a cubic (or square) periodic box and carry paired
-physical-space and spectral-space views. The spectral layout is the
-real-to-complex half spectrum (numpy ``rfftn``), so conjugate symmetry is
-structural and the inverse transform is real by construction.
+Fields live on a cubic (or square) periodic box and hold one view: their
+spectral coefficients. The physical samples are an inverse transform
+computed on each read. The spectral layout is the real-to-complex half
+spectrum (numpy ``rfftn``), so conjugate symmetry is structural and the
+inverse transform is real by construction. Norms and inner products are
+Parseval sums over that half spectrum.
 
 Normalization: spectral coefficients are true Fourier-series coefficients,
 ``u(x) = sum_k uhat_k exp(i k.x)``, i.e. forward transform divided by the
 total number of samples. This is the single normalization of the whole
-package, applied inside the transforms by ``norm="forward"`` in the two
-`Field` views; Parseval then reads ``mean(|u|^2) = sum_k w_k |uhat_k|^2``
-with ``w_k = 2`` for modes whose conjugate partner is not stored and
-``w_k = 1`` on the self-conjugate planes.
+package, applied inside the transforms by ``norm="forward"`` in
+`Field.from_physical` and `Field.phys`; Parseval then reads
+``mean(|u|^2) = sum_k w_k |uhat_k|^2`` with ``w_k = 2`` for modes whose
+conjugate partner is not stored and ``w_k = 1`` on the self-conjugate
+planes.
 """
 
 from __future__ import annotations
@@ -110,66 +113,52 @@ def parseval_weights(grid: GridSpec):
 
 
 class Field:
-    """A multi-component field on a GridSpec with lazily paired views.
+    """A multi-component field on a GridSpec, held as its spectral coefficients.
 
-    Components are stored along the leading axis: shape (ncomp, n, ..., n)
-    physically, (ncomp, n, ..., n//2+1) spectrally. Velocity and force
-    fields have ncomp == grid.dim; scalars (e.g. a divergence) have
-    ncomp == 1. Fields are treated as immutable; operators return new
-    instances.
+    `spec` has shape (ncomp, n, ..., n//2+1). Velocity and force fields have
+    ncomp == grid.dim; scalars (e.g. a divergence) have ncomp == 1. The
+    physical samples, shape (ncomp, n, ..., n), are an inverse transform
+    computed on every read of `phys`; nothing is cached. Fields are treated
+    as immutable; operators return new instances.
     """
 
-    __slots__ = ("grid", "_phys", "_spec")
+    __slots__ = ("grid", "spec")
 
-    def __init__(self, grid: GridSpec, phys=None, spec=None):
-        if phys is None and spec is None:
-            raise ValueError("Field needs a physical or spectral view")
-        if phys is not None:
-            phys = np.asarray(phys, dtype=float)
-            if phys.ndim == grid.dim:
-                phys = phys[np.newaxis]
-            if phys.shape[1:] != grid.shape:
-                raise ValueError(f"physical view shape {phys.shape} does not match grid {grid.shape}")
-        if spec is not None:
-            spec = np.asarray(spec, dtype=complex)
-            if spec.ndim == grid.dim:
-                spec = spec[np.newaxis]
-            if spec.shape[1:] != grid.spectral_shape:
-                raise ValueError(f"spectral view shape {spec.shape} does not match grid {grid.spectral_shape}")
+    def __init__(self, grid: GridSpec, spec):
+        spec = np.asarray(spec, dtype=complex)
+        if spec.ndim == grid.dim:
+            spec = spec[np.newaxis]
+        if spec.shape[1:] != grid.spectral_shape:
+            raise ValueError(f"spectral shape {spec.shape} does not match grid {grid.spectral_shape}")
         self.grid = grid
-        self._phys = phys
-        self._spec = spec
+        self.spec = spec
 
     @classmethod
     def from_physical(cls, grid: GridSpec, arr) -> "Field":
-        return cls(grid, phys=arr)
+        arr = np.asarray(arr, dtype=float)
+        if arr.ndim == grid.dim:
+            arr = arr[np.newaxis]
+        if arr.shape[1:] != grid.shape:
+            raise ValueError(f"physical shape {arr.shape} does not match grid {grid.shape}")
+        axes = tuple(range(1, grid.dim + 1))
+        return cls(grid, np.fft.rfftn(arr, axes=axes, norm="forward"))
 
     @classmethod
     def from_spectral(cls, grid: GridSpec, arr) -> "Field":
-        return cls(grid, spec=arr)
+        return cls(grid, arr)
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "Field":
-        return cls(grid, phys=np.zeros((grid.dim,) + grid.shape))
+        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex))
 
     @property
     def ncomp(self) -> int:
-        view = self._phys if self._phys is not None else self._spec
-        return view.shape[0]
+        return self.spec.shape[0]
 
     @property
     def phys(self):
-        if self._phys is None:
-            axes = tuple(range(1, self.grid.dim + 1))
-            self._phys = np.fft.irfftn(self._spec, s=self.grid.shape, axes=axes, norm="forward")
-        return self._phys
-
-    @property
-    def spec(self):
-        if self._spec is None:
-            axes = tuple(range(1, self.grid.dim + 1))
-            self._spec = np.fft.rfftn(self._phys, axes=axes, norm="forward")
-        return self._spec
+        axes = tuple(range(1, self.grid.dim + 1))
+        return np.fft.irfftn(self.spec, s=self.grid.shape, axes=axes, norm="forward")
 
 
 def k_dot(grid: GridSpec, s):
@@ -202,37 +191,31 @@ def dealias(field: Field) -> Field:
 
 
 def volume_norm_sq(field: Field) -> float:
-    """(1/|box|) integral of |field|^2, i.e. the mean of |field|^2 over samples.
-
-    Uses the physical view when already materialized, otherwise Parseval on
-    the spectral view; the two agree to roundoff.
-    """
-    if field._phys is not None:
-        p = field._phys
-        return float(np.mean(np.sum(p * p, axis=0)))
+    """(1/|box|) integral of |field|^2, by Parseval over the stored half-spectrum."""
     w = parseval_weights(field.grid)
-    s = field._spec
+    s = field.spec
     return float(np.sum(w * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
 
 
 def inner_product(u: Field, v: Field) -> float:
-    """Volume-normalized L2 inner product (1/|box|) integral of u . v."""
-    if u._phys is not None and v._phys is not None:
-        return float(np.mean(np.sum(u._phys * v._phys, axis=0)))
+    """Volume-normalized L2 inner product (1/|box|) integral of u . v, by Parseval."""
     w = parseval_weights(u.grid)
     su, sv = u.spec, v.spec
     return float(np.sum(w * np.sum((np.conj(su) * sv).real, axis=0)))
+
+
+def k_parallel_coef(grid: GridSpec, s):
+    """Per-mode k . s / |k|^2, and 0 at k = 0: the k-parallel part of s is k_j times it."""
+    ksq = wavenumber_sq(grid)
+    return np.where(ksq > 0, k_dot(grid, s) / np.where(ksq > 0, ksq, 1.0), 0.0)
 
 
 def project_divergence_free(u: Field) -> Field:
     """Remove the k-parallel part of every mode (Leray projection)."""
     grid = u.grid
     k = wavevectors(grid)
-    ksq = wavenumber_sq(grid)
     s = u.spec.copy()
-    kdotu = k_dot(grid, s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(ksq > 0, kdotu / np.where(ksq > 0, ksq, 1.0), 0.0)
+    coef = k_parallel_coef(grid, s)
     for j in range(grid.dim):
         s[j] -= k[j] * coef
     return Field.from_spectral(grid, s)

@@ -90,8 +90,7 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     else:
         base = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
     rng = np.random.default_rng(cfg.seed)
-    noise = Field.from_physical(grid, rng.standard_normal((grid.dim,) + grid.shape))
-    s = noise.spec.copy()
+    s = Field.from_physical(grid, rng.standard_normal((grid.dim,) + grid.shape)).spec
     for m in mode_numbers(grid):
         s[:, np.abs(m) > PERTURBATION_MAX_MODE] = 0.0
     s[(slice(None),) + (0,) * grid.dim] = 0.0

@@ -296,7 +296,7 @@ class TestCheckpoint:
         grid2, u, t, params = read_checkpoint(path)
         assert grid2 == grid
         assert (t, params) == (0.75, FlowParams(nu=0.1, gamma=4.0))
-        np.testing.assert_array_equal(u.phys, phys)
+        np.testing.assert_array_equal(u.spec, np.fft.rfftn(phys, axes=(1, 2, 3), norm="forward"))
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
@@ -392,15 +392,15 @@ class TestCli:
         assert main(["run", str(path)]) == 3
         assert os.path.exists(os.path.join(cfg.output_dir, "blowup.ckpt"))
 
-    def test_output_dir_env_override(self, tmp_path, capsys, monkeypatch):
+    def test_output_dir_option_overrides_config(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, t_end=0.02, window=0.02)
         path = tmp_path / "run.yaml"
         save_run_config(cfg, path)
         override = tmp_path / "elsewhere"
-        monkeypatch.setenv("GRADDIVBOX_OUTPUT_DIR", str(override))
-        assert main(["run", str(path)]) == 0
+        assert main(["run", str(path), "--output-dir", str(override)]) == 0
         capsys.readouterr()
         assert os.path.exists(override / "summary.json")
+        assert not os.path.exists(cfg.output_dir)
 
     def test_mms_subcommand(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dt=4e-3, t_end=0.2, window=0.2)

@@ -168,6 +168,15 @@ class TestVolumeNorm:
         phys_val = float(np.mean(np.sum(u.phys * v.phys, axis=0)))
         assert spec_val == pytest.approx(phys_val, rel=1e-12, abs=1e-14)
 
+    def test_one_norm_path_for_physical_and_spectral_fields(self, grid3d):
+        rng = np.random.default_rng(16)
+        pu, pv = rng.standard_normal((2, 3) + grid3d.shape)
+        u, v = Field.from_physical(grid3d, pu), Field.from_physical(grid3d, pv)
+        su, sv = Field.from_spectral(grid3d, u.spec), Field.from_spectral(grid3d, v.spec)
+        assert volume_norm_sq(u) == volume_norm_sq(su)
+        assert inner_product(u, v) == inner_product(su, sv)
+        assert volume_norm_sq(u) == pytest.approx(float(np.mean(np.sum(pu * pu, axis=0))), rel=1e-12)
+
 
 def test_projected_field_is_divergence_free(grid2d):
     u = project_divergence_free(random_state_field(grid2d, seed=4))
