@@ -99,14 +99,15 @@ def _cmd_mms(args) -> int:
     cfg = load_run_config(args.config)
     target = divergent_mms_target(cfg.grid)
     reports = []
-    dt = cfg.stepper.dt
-    for _ in range(args.levels):
-        reports.append(run_mms(target, cfg.params, StepperConfig(dt=dt, t_end=cfg.stepper.t_end)))
-        dt /= 2.0
-    orders = []
-    for a, b in zip(reports, reports[1:]):
-        if b["max_l2_error"] > 0:
-            orders.append(math.log2(a["max_l2_error"] / b["max_l2_error"]))
+    for level in range(args.levels):
+        dt = cfg.stepper.dt / 2 ** level
+        try:
+            reports.append(run_mms(target, cfg.params, StepperConfig(dt=dt, t_end=cfg.stepper.t_end)))
+        except BlowUpError as e:
+            print(f"error: {e} with dt = {dt}", file=sys.stderr)
+            return EXIT_BLOWUP
+    errs = [r["max_l2_error"] for r in reports]
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:]) if b > 0]
     print(json.dumps(json_safe({"levels": reports, "observed_orders": orders}), indent=2))
     return EXIT_OK
 

@@ -12,8 +12,8 @@ Schema (flat key paths shown as they appear in error messages):
 
 Any other key is rejected. Physical parameters (viscosity, gamma, forcing,
 box size) have no defaults; forcing.n_low defaults to 2, stats.burn_in to 0.
-stepper.t_end may be left out: it must equal stats.burn_in + stats.window in
-steps of stepper.dt, and at least one step must start at or after burn_in.
+stepper.t_end may be left out: it is whole steps of stepper.dt, as many as
+stats.burn_in + stats.window, and a step must start in the window (`averaged`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import yaml
 from .forcing import ForcingSpec
 from .grid import GridSpec
 from .solver import FlowParams, StepperConfig
-from .stats import BURN_IN_TOL
+from .stats import averaged
 
 
 class ConfigError(ValueError):
@@ -48,11 +48,10 @@ class RunConfig:
             raise ConfigError("stats.window must be positive")
         if self.burn_in < 0:
             raise ConfigError("stats.burn_in must be nonnegative")
-        dt = self.stepper.dt
-        n_steps = round(self.stepper.t_end / dt)
+        dt, n_steps = self.stepper.dt, self.stepper.n_steps
         if n_steps != round((self.burn_in + self.window) / dt):
             raise ConfigError("stepper.t_end must equal stats.burn_in + stats.window")
-        if (n_steps - 1) * dt < self.burn_in - BURN_IN_TOL:
+        if not averaged(n_steps - 1, dt, self.burn_in):
             raise ConfigError(f"stats.burn_in leaves no step of dt = {dt} to average over")
 
 

@@ -59,20 +59,13 @@ class ForcingSpec:
             scale = max(abs(mj) for mj in m) * max(abs(aj) for aj in a)
             if scale > 0 and abs(kdota) > 1e-14 * scale:
                 raise ForcingError(f"mode {m}: k . a = {kdota} is not zero (force must be divergence-free)")
-            key = m if _is_canonical(m) else tuple(-mj for mj in m)
+            # the {m, -m} pair is keyed by its member whose first nonzero entry is positive
+            key = m if next(mj for mj in m if mj) > 0 else tuple(-mj for mj in m)
             if key in seen:
                 raise ForcingError(f"duplicate or conjugate-duplicate mode {m}")
             seen.add(key)
             norm_modes.append((m, a))
         object.__setattr__(self, "modes", tuple(norm_modes))
-
-
-def _is_canonical(m) -> bool:
-    # Canonical representative of the {m, -m} pair: first nonzero entry positive.
-    for mj in m:
-        if mj != 0:
-            return mj > 0
-    return True
 
 
 @dataclass(frozen=True)

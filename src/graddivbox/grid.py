@@ -62,10 +62,6 @@ class GridSpec:
         return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     @property
-    def num_samples(self) -> int:
-        return self.n ** self.dim
-
-    @property
     def spacing(self) -> float:
         return self.box_length / self.n
 
@@ -126,20 +122,16 @@ class Field:
 
     def __init__(self, grid: GridSpec, spec):
         spec = np.asarray(spec, dtype=complex)
-        if spec.ndim == grid.dim:
-            spec = spec[np.newaxis]
         if spec.shape[1:] != grid.spectral_shape:
-            raise ValueError(f"spectral shape {spec.shape} does not match grid {grid.spectral_shape}")
+            raise ValueError(f"spectral shape {spec.shape} is not (ncomp,) + {grid.spectral_shape}")
         self.grid = grid
         self.spec = spec
 
     @classmethod
     def from_physical(cls, grid: GridSpec, arr) -> "Field":
         arr = np.asarray(arr, dtype=float)
-        if arr.ndim == grid.dim:
-            arr = arr[np.newaxis]
         if arr.shape[1:] != grid.shape:
-            raise ValueError(f"physical shape {arr.shape} does not match grid {grid.shape}")
+            raise ValueError(f"physical shape {arr.shape} is not (ncomp,) + {grid.shape}")
         axes = tuple(range(1, grid.dim + 1))
         return cls(grid, np.fft.rfftn(arr, axes=axes, norm="forward"))
 

@@ -14,11 +14,11 @@ statistics after burn-in, and writes three artifacts into output_dir:
 
 The state stays spectral through the whole run: the checkpoint stores the
 solver's own coefficients, and the mean (k = 0) mode of a fresh run stays
-exactly 0. All
-floats in the CSV are printed with 17 significant digits, so a serial rerun
-(or a checkpoint restart) reproduces rows bitwise. A restart must start on
-the step grid and before t_end; anything else is refused before a file is
-written.
+exactly 0. Time is the step index i, reported as i * dt. All floats in the
+CSV are printed with 17 significant digits, so a serial rerun (or a
+checkpoint restart) reproduces rows bitwise. A restart must start on the
+step grid and before t_end, and resumes the step index there; anything else
+is refused before a file is written.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, SweepConfig
 from .forcing import check_divergence_free, force_stats, realize_force
 from .grid import Field, dealias, mode_numbers, project_divergence_free, volume_norm_sq
-from .solver import BlowUpError, step
+from .solver import BlowUpError, step, step_index
 from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
 
 PERTURBATION_RMS = 0.01
 PERTURBATION_MAX_MODE = 4
-
-# a restart time may miss the step grid by this fraction of dt (rounding slack)
-STEP_GRID_TOL = 1e-9
 
 CSV_HEADER = "t,kinetic_energy,eps_nu,eps_gamma,div_norm_sq,budget_residual"
 
@@ -116,8 +113,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         fstats = None
     f_field = force if force is not None else Field.zeros(grid)
 
-    dt = stepper.dt
-    n_steps = int(round(stepper.t_end / dt))
+    dt, n_steps = stepper.dt, stepper.n_steps
 
     if restart_path is not None:
         ck_grid, u, t0, ck_params = read_checkpoint(restart_path)
@@ -125,9 +121,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
             raise ValueError("checkpoint grid does not match the configured grid")
         if ck_params != params:
             raise ValueError("checkpoint flow parameters do not match the configured flow")
-        start_step = int(round(t0 / dt))
-        if abs(t0 / dt - start_step) > STEP_GRID_TOL:
-            raise ValueError(f"checkpoint time t0 = {t0} is not on the step grid of dt = {dt}")
+        start_step = step_index(t0, dt, "checkpoint time t0")
         if start_step >= n_steps:
             raise ValueError(f"checkpoint time t0 = {t0} leaves no step of dt = {dt} "
                              f"before t_end = {stepper.t_end}")
@@ -136,7 +130,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         start_step = 0
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    stats = RunningStats(burn_in=cfg.burn_in, t=start_step * dt)
+    stats = RunningStats(burn_in=cfg.burn_in, step=start_step)
     d = diagnostics(u, params)
     csv_path = os.path.join(cfg.output_dir, "timeseries.csv")
     with open(csv_path, "w") as csv:

@@ -26,7 +26,7 @@ the blow-up check reads the new spectral state without transforming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,16 +68,31 @@ class FlowParams:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
 
+STEP_GRID_TOL = 1e-9
+
+
+def step_index(t: float, dt: float, name: str) -> int:
+    """The i with t = i * dt, less STEP_GRID_TOL steps of slack; else ValueError naming `name`."""
+    i = round(t / dt)
+    if abs(t / dt - i) > STEP_GRID_TOL:
+        raise ValueError(f"{name} = {t} is not on the step grid of dt = {dt}")
+    return i
+
+
 @dataclass(frozen=True)
 class StepperConfig:
+    """Fixed step dt; t_end is n_steps whole steps, and step i starts at i * dt."""
+
     dt: float
     t_end: float
+    n_steps: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        object.__setattr__(self, "n_steps", step_index(self.t_end, self.dt, "t_end"))
 
 
 def nonlinear_term(u: Field) -> np.ndarray:
@@ -157,6 +172,7 @@ def imex_step(u_hat: np.ndarray, t: float, dt: float, params: FlowParams,
 
     `force_hat` is either a constant spectral array or a callable t -> array
     (time-dependent forcing is used by the manufactured-solution harness).
+    Raises BlowUpError, at t + dt, if the new coefficients are not finite.
     """
     g, d = _ARS_GAMMA, _ARS_DELTA
 
@@ -169,17 +185,17 @@ def imex_step(u_hat: np.ndarray, t: float, dt: float, params: FlowParams,
     e1 = explicit(u1, t + g * dt)
     lu1 = _apply_linear(u1, params, grid)
     b = u_hat + dt * (d * e0 + (1.0 - d) * e1 + (1.0 - g) * lu1)
-    return _solve_shifted(b, g * dt, params, grid)
+    u_next = _solve_shifted(b, g * dt, params, grid)
+    if not np.all(np.isfinite(u_next)):
+        raise BlowUpError(t + dt)
+    return u_next
 
 
 def step(u: Field, params: FlowParams, f: Field, cfg: StepperConfig, t: float = 0.0) -> Field:
     """Advance one time step of size cfg.dt; raises BlowUpError on non-finite output."""
     if f.grid != u.grid:
         raise ValueError("u and f live on different grids")
-    u_hat = imex_step(u.spec, t, cfg.dt, params, u.grid, f.spec)
-    if not np.all(np.isfinite(u_hat)):
-        raise BlowUpError(t + cfg.dt)
-    return Field.from_spectral(u.grid, u_hat)
+    return Field.from_spectral(u.grid, imex_step(u.spec, t, cfg.dt, params, u.grid, f.spec))
 
 
 class ManufacturedSolution:
@@ -256,11 +272,10 @@ def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig
     """
     grid = target.grid
     fhat = mms_force_hat(target, params)
-    n_steps = int(round(cfg.t_end / cfg.dt))
     u_hat = target.state(0.0).spec.copy()
     max_err = 0.0
     max_ref = np.sqrt(volume_norm_sq(target.state(0.0)))
-    for i in range(n_steps):
+    for i in range(cfg.n_steps):
         t = i * cfg.dt
         u_hat = imex_step(u_hat, t, cfg.dt, params, grid, fhat)
         exact = target.state((i + 1) * cfg.dt)
@@ -268,7 +283,7 @@ def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig
         max_err = max(max_err, np.sqrt(volume_norm_sq(diff)))
         max_ref = max(max_ref, np.sqrt(volume_norm_sq(exact)))
     return {
-        "steps": n_steps,
+        "steps": cfg.n_steps,
         "dt": cfg.dt,
         "max_l2_error": float(max_err),
         "max_rel_error": float(max_err / max_ref) if max_ref > 0 else 0.0,

@@ -6,8 +6,9 @@ Accumulates trapezoid-in-time integrals of the dissipation rate
 
 of the mean-square velocity (giving the finite-window velocity scale U_T),
 and of the mean-square divergence, read from one `diagnostics` record per
-state. Each step is also audited against the discrete energy inequality:
-the residual
+state. Time is the step index: step i starts at i * dt; `averaged` picks the
+window's steps (for the config check too) and `t_accum` sums their dt. Each
+step is also audited against the discrete energy inequality: the residual
 
     r = 1/2 ||u_next||^2 - 1/2 ||u_prev||^2
         + dt (nu ||grad u_mid||^2 + gamma ||div u_mid||^2) - dt (f, u_mid)
@@ -37,12 +38,17 @@ from .solver import FlowParams
 BURN_IN_TOL = 1e-12
 
 
+def averaged(step: int, dt: float, burn_in: float) -> bool:
+    """Whether the step that starts at step * dt lies in the averaging window."""
+    return step * dt >= burn_in - BURN_IN_TOL
+
+
 @dataclass
 class RunningStats:
-    """Single-writer accumulator for one averaging window."""
+    """Single-writer accumulator for one averaging window; `step` is the next step's index."""
 
     burn_in: float = 0.0
-    t: float = 0.0
+    step: int = 0
     t_accum: float = 0.0
     int_eps_nu: float = 0.0
     int_eps_gamma: float = 0.0
@@ -90,24 +96,23 @@ def update(stats: RunningStats, u_prev: Field, d_prev: Diagnostics, u_next: Fiel
     """Fold one solver step into the accumulator (trapezoid in time).
 
     `d_prev` and `d_next` are the diagnostics records of `u_prev` and
-    `u_next`. Steps whose start time lies inside the burn-in window are
-    excluded from the averages. The budget audit runs on every step; its
-    signed residual, positive on a violation, is left in `stats.last_residual`.
+    `u_next`; the step is number `stats.step`, averaged if it starts in the
+    window. The budget audit runs on every step; its signed residual,
+    positive on a violation, is left in `stats.last_residual`.
     """
-    t_prev = stats.t
     mid = Field.from_spectral(u_prev.grid, 0.5 * (u_prev.spec + u_next.spec))
     eps_nu_mid, eps_gamma_mid, _ = _dissipation(mid, params)
     r = (0.5 * d_next.u_sq - 0.5 * d_prev.u_sq
          + dt * (eps_nu_mid + eps_gamma_mid) - dt * inner_product(f, mid))
     stats.last_residual = r
     stats.budget_residual_max = max(stats.budget_residual_max, r)
-    if t_prev >= stats.burn_in - BURN_IN_TOL:
+    if averaged(stats.step, dt, stats.burn_in):
         stats.int_eps_nu += 0.5 * dt * (d_prev.eps_nu + d_next.eps_nu)
         stats.int_eps_gamma += 0.5 * dt * (d_prev.eps_gamma + d_next.eps_gamma)
         stats.int_u_sq += 0.5 * dt * (d_prev.u_sq + d_next.u_sq)
         stats.int_div_sq += 0.5 * dt * (d_prev.div_sq + d_next.div_sq)
         stats.t_accum += dt
-    stats.t = t_prev + dt
+    stats.step += 1
     return stats
 
 

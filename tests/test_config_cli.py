@@ -24,7 +24,7 @@ from graddivbox.forcing import ForcingSpec
 from graddivbox.grid import Field, GridSpec
 from graddivbox import checkpoint, runner, stats
 from graddivbox.runner import run_single, run_sweep
-from graddivbox.solver import FlowParams, StepperConfig
+from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
 
 from conftest import TWO_PI, random_state_field, shear_field
 
@@ -137,6 +137,24 @@ class TestWindowValidation:
         cfg = self._load(tmp_path, dt=0.01, t_end=0.2, burn_in=0.19, window=0.01)
         assert run_single(cfg)["window"] == pytest.approx(0.01)
 
+    def test_off_grid_t_end_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^stepper: t_end = 0\.105 is not on the step grid of dt = 0\.01$"):
+            self._load(tmp_path, dt=0.01, t_end=0.105, burn_in=0.0, window=0.105)
+
+    @pytest.mark.parametrize("dt, burn_in", [(0.1, 92.9), (0.004, 13.124)])
+    def test_last_step_at_burn_in_is_averaged(self, tmp_path, dt, burn_in):
+        # a clock summed step by step reads 92.899999999999 after 929 steps of 0.1
+        d = run_config_to_dict(small_run_config(tmp_path, n=4))
+        d["stepper"] = {"dt": dt}
+        d["stats"] = {"burn_in": burn_in, "window": dt}
+        path = tmp_path / "edge.yaml"
+        path.write_text(yaml.safe_dump(d))
+        cfg = load_run_config(path)
+        assert run_single(cfg)["window"] == dt
+        out = run_sweep(SweepConfig(base=cfg, gamma_values=(1.0,)))
+        assert out["failures"] == {}
+        assert json.load(open(os.path.join(cfg.output_dir, "sweep.json")))["failures"] == {}
+
     def test_bad_window_does_not_start_a_sweep(self, tmp_path):
         with pytest.raises(ConfigError, match="stats.burn_in"):
             base = small_run_config(tmp_path, dt=0.01, t_end=0.2, burn_in=0.195, window=0.005)
@@ -229,6 +247,17 @@ class TestRunSingle:
             run_single(cfg, restart_path=ck)
         assert not os.path.exists(cfg.output_dir)
 
+    @pytest.mark.parametrize("other", ["grid", "flow"])
+    def test_restart_from_other_grid_or_flow_rejected(self, tmp_path, other):
+        cfg, _ = self._checkpoint_at(tmp_path, 0.0)
+        grid = GridSpec(dim=2, n=16, box_length=TWO_PI) if other == "grid" else cfg.grid
+        params = FlowParams(nu=1.0) if other == "flow" else cfg.params
+        ck = tmp_path / "other.ckpt"
+        write_checkpoint(ck, shear_field(grid), 0.0, params)
+        with pytest.raises(ValueError, match=f"checkpoint {other} .*do(es)? not match"):
+            run_single(cfg, restart_path=str(ck))
+        assert not os.path.exists(cfg.output_dir)
+
     def test_one_diagnostics_pass_per_state(self, tmp_path, monkeypatch):
         # one record per state: the initial one and each step's; the midpoint needs none
         calls = []
@@ -272,6 +301,26 @@ class TestSweep:
         sweep_csv = open(os.path.join(base_s.output_dir, "sweep.csv")).read()
         assert sweep_csv.splitlines()[0] == (
             "gamma,eps_total,eps_nu,eps_gamma,div_norm_avg,U_T,bound,in_window_mi,in_window_md")
+
+    def test_blown_up_gamma_is_recorded_and_the_rest_written(self, tmp_path, monkeypatch, capsys):
+        real_run_single = runner.run_single
+
+        def blows_up_at_gamma_one(cfg, restart_path=None):
+            if cfg.params.gamma == 1.0:
+                raise BlowUpError(0.01)
+            return real_run_single(cfg, restart_path)
+
+        monkeypatch.setattr(runner, "run_single", blows_up_at_gamma_one)
+        base = small_run_config(tmp_path, t_end=0.02, window=0.02)
+        path = tmp_path / "sweep.yaml"
+        save_sweep_config(SweepConfig(base=base, gamma_values=(0.0, 1.0)), path)
+        assert main(["sweep", str(path)]) == 4
+        capsys.readouterr()
+        out = json.load(open(os.path.join(base.output_dir, "sweep.json")))
+        assert out["failures"] == {"1.0": "blow-up at t = 0.01"}
+        assert set(out["summaries"]) == {"0.0"}
+        rows = open(os.path.join(base.output_dir, "sweep.csv")).read().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,")
 
 
 class TestCheckpoint:
@@ -410,6 +459,17 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert len(report["levels"]) == 2
         assert report["observed_orders"][0] >= 1.9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mms_blow_up_exit_code(self, tmp_path, capsys):
+        # the dt = 2 level goes non-finite at t = 12; it used to report an order of -187
+        cfg = small_run_config(tmp_path, n=16, nu=1e-6, gamma=0.0, dt=2.0, t_end=40.0, window=40.0)
+        path = tmp_path / "mms.yaml"
+        save_run_config(cfg, path)
+        assert main(["mms", str(path), "--levels", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "blow-up at t = 12.0 with dt = 2.0" in captured.err
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         base = small_run_config(tmp_path, t_end=0.02, window=0.02)

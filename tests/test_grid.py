@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ class TestTransforms:
         back = Field.from_spectral(grid3d, u.spec.copy())
         err = np.sqrt(volume_norm_sq(Field.from_physical(grid3d, back.phys - u.phys)))
         assert err <= 1e-12 * np.sqrt(volume_norm_sq(u))
+
+    @pytest.mark.parametrize("build, shape", [
+        (Field.from_physical, lambda g: g.shape),
+        (Field.from_spectral, lambda g: g.spectral_shape),
+    ], ids=["physical", "spectral"])
+    def test_missing_component_axis_rejected(self, grid2d, build, shape):
+        expected = shape(grid2d)
+        with pytest.raises(ValueError, match=re.escape(f"{expected} is not (ncomp,) + {expected}")):
+            build(grid2d, np.zeros(expected))
 
     def test_spectral_round_trip(self, grid2d):
         u = random_state_field(grid2d, seed=5)
@@ -151,10 +162,9 @@ class TestVolumeNorm:
         assert volume_norm_sq(shear_field(grid3d)) == pytest.approx(0.5, rel=1e-13)
 
     def test_parseval(self, grid2d):
-        u = Field.from_physical(grid2d, np.random.default_rng(11).standard_normal((2,) + grid2d.shape))
-        phys_val = volume_norm_sq(u)
-        spec_val = volume_norm_sq(Field.from_spectral(grid2d, u.spec.copy()))
-        assert spec_val == pytest.approx(phys_val, rel=1e-12)
+        p = np.random.default_rng(11).standard_normal((2,) + grid2d.shape)
+        phys_val = float(np.mean(np.sum(p * p, axis=0)))
+        assert volume_norm_sq(Field.from_physical(grid2d, p)) == pytest.approx(phys_val, rel=1e-12)
 
     def test_nonnegative_and_definite(self, grid2d):
         assert volume_norm_sq(Field.zeros(grid2d)) == 0.0

@@ -63,10 +63,7 @@ class TestRhs:
         dhat = 1j * sum(kvec[j] * ud_hat[j] for j in range(2))
         dp = Field.from_spectral(grid, dhat[np.newaxis]).phys[0]
         up = Field.from_spectral(grid, ud_hat).phys
-        skew = np.stack([
-            np.fft.rfftn(dp * up[i], axes=(0, 1)) / grid.num_samples * mask
-            for i in range(2)
-        ])
+        skew = Field.from_physical(grid, dp * up).spec * mask
         assert np.max(np.abs(skew)) <= 1e-10 * max(np.max(np.abs(full)), 1.0)
 
 
@@ -151,6 +148,17 @@ class TestTransformCount:
         assert len(counted) == 4
 
 
+class TestStepGrid:
+    def test_n_steps(self):
+        assert StepperConfig(dt=1e-3, t_end=1.0).n_steps == 1000
+        assert StepperConfig(dt=0.1, t_end=93.0).n_steps == 930
+
+    def test_off_grid_t_end_rejected(self):
+        # 2.5 steps: round() alone would run 2 and stop at t = 0.2
+        with pytest.raises(ValueError, match=r"t_end = 0\.25 is not on the step grid of dt = 0\.1"):
+            StepperConfig(dt=0.1, t_end=0.25)
+
+
 class TestMms:
     def test_decaying_shear_target(self, grid2d):
         # exact solution of the model: integrator error only
@@ -182,3 +190,11 @@ class TestMms:
         ]
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_raises(self):
+        # the state is non-finite after step 4; the error must not stay at step 3's value
+        grid = GridSpec(dim=2, n=16, box_length=TWO_PI)
+        target = divergent_mms_target(grid, amplitude=5000.0)
+        with pytest.raises(BlowUpError, match=r"t = 2\.0$"):
+            run_mms(target, FlowParams(nu=1e-4, gamma=0.0), StepperConfig(dt=0.5, t_end=2.5))

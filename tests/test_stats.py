@@ -105,6 +105,13 @@ class TestUpdate:
             fold(stats, u, u, params, f, dt=0.1)
         assert stats.t_accum == pytest.approx(0.5)
 
+    def test_clock_is_the_step_index(self, grid2d):
+        # 929 additions of 0.1 give 92.899999999999, short of burn_in; 929 * 0.1 is not
+        u = shear_field(grid2d)
+        stats = RunningStats(burn_in=92.9, step=929)
+        fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), Field.zeros(grid2d), dt=0.1)
+        assert (stats.step, stats.t_accum) == (930, 0.1)
+
     def test_accumulator_split_consistent(self, grid2d):
         params = FlowParams(nu=0.3, gamma=0.9)
         f = Field.zeros(grid2d)
