@@ -8,7 +8,7 @@ Subcommands:
     mms <config> [--levels N]
 
 Exit codes: 0 success, 2 configuration error, 3 solution blow-up,
-4 partial sweep failure.
+4 partial sweep failure, 5 a valid config refused at run time.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_PARTIAL_SWEEP = 4
+EXIT_REFUSED = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,8 +89,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
-    inp = crit.CriterionInput(U=args.U, L=args.L, nu=args.nu, kappa=args.kappa,
-                              gamma=args.gamma, h=args.h)
+    try:
+        inp = crit.CriterionInput(U=args.U, L=args.L, nu=args.nu, kappa=args.kappa,
+                                  gamma=args.gamma, h=args.h)
+    except ValueError as e:
+        raise ConfigError(f"criterion: {e}") from e
     report = crit.build_report(inp)
     print(json.dumps(json_safe(dataclasses.asdict(report)), indent=2))
     return EXIT_OK
@@ -122,9 +126,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -98,7 +98,8 @@ def _check_keys(d: dict) -> None:
                 raise ConfigError(f"unknown config key: {key}.{sub}")
 
 
-def _get(d: dict, path: str, default=_REQUIRED):
+def _get(d: dict, path: str, default=_REQUIRED, kind=lambda v: v):
+    """The value at `path` converted by `kind`, or `default` when it is absent."""
     cur = d
     for part in path.split("."):
         if not isinstance(cur, dict) or part not in cur:
@@ -106,21 +107,24 @@ def _get(d: dict, path: str, default=_REQUIRED):
                 raise ConfigError(f"missing required config key: {path}")
             return default
         cur = cur[part]
-    return cur
+    try:
+        return kind(cur)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _build_run_config(d: dict) -> RunConfig:
     _check_keys(d)
     try:
         grid = GridSpec(
-            dim=int(_get(d, "grid.dim")),
-            n=int(_get(d, "grid.n")),
-            box_length=float(_get(d, "grid.box_length")),
+            dim=_get(d, "grid.dim", kind=int),
+            n=_get(d, "grid.n", kind=int),
+            box_length=_get(d, "grid.box_length", kind=float),
         )
     except ValueError as e:
         raise ConfigError(f"grid: {e}") from e
     try:
-        params = FlowParams(nu=float(_get(d, "flow.nu")), gamma=float(_get(d, "flow.gamma")))
+        params = FlowParams(nu=_get(d, "flow.nu", kind=float), gamma=_get(d, "flow.gamma", kind=float))
     except ValueError as e:
         raise ConfigError(f"flow: {e}") from e
 
@@ -139,16 +143,16 @@ def _build_run_config(d: dict) -> RunConfig:
             raise ConfigError(f"forcing.modes[{i}]: expected m and amplitude [[re, im], ...] ({e})") from e
         modes.append((m, amp))
     try:
-        forcing = ForcingSpec(grid=grid, modes=tuple(modes), n_low=int(_get(d, "forcing.n_low", 2)))
+        forcing = ForcingSpec(grid=grid, modes=tuple(modes), n_low=_get(d, "forcing.n_low", 2, int))
     except ValueError as e:
         raise ConfigError(f"forcing: {e}") from e
 
-    burn_in = float(_get(d, "stats.burn_in", 0.0))
-    window = float(_get(d, "stats.window"))
+    burn_in = _get(d, "stats.burn_in", 0.0, float)
+    window = _get(d, "stats.window", kind=float)
     try:
         stepper = StepperConfig(
-            dt=float(_get(d, "stepper.dt")),
-            t_end=float(_get(d, "stepper.t_end", burn_in + window)),
+            dt=_get(d, "stepper.dt", kind=float),
+            t_end=_get(d, "stepper.t_end", burn_in + window, float),
         )
     except ValueError as e:
         raise ConfigError(f"stepper: {e}") from e
@@ -160,8 +164,8 @@ def _build_run_config(d: dict) -> RunConfig:
         stepper=stepper,
         burn_in=burn_in,
         window=window,
-        seed=int(_get(d, "seed", 0)),
-        output_dir=str(_get(d, "output_dir", "out")),
+        seed=_get(d, "seed", 0, int),
+        output_dir=_get(d, "output_dir", "out", str),
     )
 
 
@@ -190,24 +194,24 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
-def load_run_config(path) -> RunConfig:
+def _load(path) -> dict:
     with open(path) as fh:
         d = yaml.safe_load(fh)
     if not isinstance(d, dict):
         raise ConfigError(f"config file {path} is not a mapping")
-    return _build_run_config(d)
+    return d
+
+
+def load_run_config(path) -> RunConfig:
+    return _build_run_config(_load(path))
 
 
 def load_sweep_config(path) -> SweepConfig:
-    with open(path) as fh:
-        d = yaml.safe_load(fh)
-    if not isinstance(d, dict):
-        raise ConfigError(f"config file {path} is not a mapping")
-    base = _build_run_config(d)
+    d = _load(path)
     return SweepConfig(
-        base=base,
-        gamma_values=tuple(_get(d, "sweep.gamma_values")),
-        parallel_workers=int(_get(d, "sweep.parallel_workers", 1)),
+        base=_build_run_config(d),
+        gamma_values=_get(d, "sweep.gamma_values", kind=lambda v: tuple(float(g) for g in v)),
+        parallel_workers=_get(d, "sweep.parallel_workers", 1, int),
     )
 
 

@@ -156,7 +156,10 @@ class Field:
 def k_dot(grid: GridSpec, s):
     """Per-mode k . s of spectral vector coefficients (components on the first axis)."""
     k = wavevectors(grid)
-    return sum(k[j] * s[j] for j in range(grid.dim))
+    out = 0 + k[0] * s[0]  # starting at +0 makes an all-zero sum +0, never -0
+    for j in range(1, grid.dim):
+        out += k[j] * s[j]
+    return out
 
 
 def divergence(u: Field) -> Field:
@@ -196,10 +199,19 @@ def inner_product(u: Field, v: Field) -> float:
     return float(np.sum(w * np.sum((np.conj(su) * sv).real, axis=0)))
 
 
+@lru_cache(maxsize=None)
+def _safe_wavenumber_sq(grid: GridSpec):
+    """|k|^2 with 1 in place of the 0 at k = 0, a divisor for every mode."""
+    ksq = wavenumber_sq(grid)
+    return np.where(ksq > 0, ksq, 1.0)
+
+
 def k_parallel_coef(grid: GridSpec, s):
     """Per-mode k . s / |k|^2, and 0 at k = 0: the k-parallel part of s is k_j times it."""
-    ksq = wavenumber_sq(grid)
-    return np.where(ksq > 0, k_dot(grid, s) / np.where(ksq > 0, ksq, 1.0), 0.0)
+    coef = k_dot(grid, s)
+    coef /= _safe_wavenumber_sq(grid)
+    coef[(0,) * grid.dim] = 0.0  # k = 0 is the one mode with |k|^2 = 0
+    return coef
 
 
 def project_divergence_free(u: Field) -> Field:

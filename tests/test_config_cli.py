@@ -92,6 +92,20 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=f"unknown config key: {name}$"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("name, value", [
+        ("stats.window", "abc"), ("seed", [1]), ("stats.burn_in", None), ("sweep.parallel_workers", "two"),
+        ("sweep.gamma_values", ["a"]),
+    ])
+    def test_unconvertible_value_names_offender(self, tmp_path, name, value):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d["sweep"] = {"gamma_values": [0.0, 1.0]}
+        *section, key = name.split(".")
+        (d[section[0]] if section else d)[key] = value
+        path = tmp_path / "value.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            load_sweep_config(path)
+
     def test_unknown_mode_key_names_offender(self, tmp_path):
         d = run_config_to_dict(small_run_config(tmp_path))
         d["forcing"]["modes"][1]["phase"] = 0.5
@@ -429,6 +443,31 @@ class TestCli:
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+
+    @pytest.mark.parametrize("stepper", [{"dt": 2e-3, "t_end": math.inf}, {"dt": 5e-324, "t_end": 0.1}],
+                             ids=["t_end-inf", "dt-denormal"])
+    def test_infinite_step_count_is_a_config_error(self, tmp_path, capsys, stepper):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d["stepper"] = stepper
+        path = tmp_path / "inf.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["run", str(path)]) == 2
+        assert "config error: stepper: t_end = " in capsys.readouterr().err
+
+    def test_restart_from_other_grid_is_refused_not_a_config_error(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2)
+        path = tmp_path / "ok.yaml"
+        save_run_config(cfg, path)
+        ck = tmp_path / "other-grid.ckpt"
+        other = GridSpec(dim=2, n=16, box_length=TWO_PI)
+        write_checkpoint(ck, shear_field(other), 0.0, cfg.params)
+        assert main(["run", str(path), "--restart", str(ck)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint grid does not match") and "config error" not in err
+
+    def test_criterion_out_of_range_is_a_config_error(self, capsys):
+        assert main(["criterion", "--U", "-1", "--L", "1", "--nu", "0.01", "--kappa", "1.5"]) == 2
+        assert "config error: criterion: U must be positive" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_exit_code(self, tmp_path, capsys):

@@ -158,6 +158,16 @@ class TestStepGrid:
         with pytest.raises(ValueError, match=r"t_end = 0\.25 is not on the step grid of dt = 0\.1"):
             StepperConfig(dt=0.1, t_end=0.25)
 
+    def test_t_end_of_no_step_rejected(self):
+        # t_end is within the step-grid slack of 0 steps; run_mms would report an error of 0.0
+        with pytest.raises(ValueError, match=r"^t_end = 1e-10 takes no step of dt = 1\.0$"):
+            StepperConfig(dt=1.0, t_end=1e-10)
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-3, math.inf), (5e-324, 0.5)])
+    def test_infinite_step_count_rejected(self, dt, t_end):
+        with pytest.raises(ValueError, match=r"^t_end = .* is not a finite number of steps of dt = "):
+            StepperConfig(dt=dt, t_end=t_end)
+
 
 class TestMms:
     def test_decaying_shear_target(self, grid2d):
