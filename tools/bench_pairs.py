@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -58,9 +59,17 @@ def bench(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> 
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    line = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
-            **{name: m["value"] for name, m in line["metrics"].items()}}
+    lines = proc.stdout.strip().splitlines()
+    line = json.loads(lines[-1])
+    out = {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
+           **{name: m["value"] for name, m in line["metrics"].items()}}
+    # the unscaled median and the host-speed kernel's median, from the "# times scaled" line
+    scale = next((ln for ln in lines if ln.startswith("# times scaled")), "")
+    raw = re.search(r"unscaled: ms_per_step = ([\d.]+) ms", scale)
+    kernel = re.search(r"kernel median ([\d.]+) s", scale)
+    out["raw_ms_per_step"] = float(raw.group(1)) if raw else None
+    out["kernel_s"] = float(kernel.group(1)) if kernel else None
+    return out
 
 
 def tier1(checkout: str) -> dict:
@@ -118,6 +127,8 @@ def main(argv=None) -> int:
         for metric in spec["end_to_end"]:
             runs = {s: [r[metric["name"]] for r in results[s]] for s in SIDES}
             entry["end_to_end"][metric["name"]] = summarize(runs, metric["better"])
+        entry["unscaled"] = {s: {k: [r[k] for r in results[s]] for k in ("raw_ms_per_step", "kernel_s")}
+                             for s in SIDES}
         entry["trace"] = {s: bench(dirs[s], workload, 0, seconds, 1) for s in SIDES}
         record["workloads"][workload] = entry
     record["tier1"] = {side: tier1(dirs[side]) for side in SIDES}
