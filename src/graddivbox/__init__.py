@@ -22,7 +22,7 @@ from .criterion import (
 )
 from .forcing import ForceStats, ForcingSpec, compute_F, force_stats, realize_force
 from .grid import Field, GridSpec, dealias, divergence, gradient, volume_norm_sq
-from .solver import BlowUpError, FlowParams, StepperConfig, run_mms, step
+from .solver import BlowUpError, FlowParams, StepperConfig, run_mms
 from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "nondimensional_groups",
     "realize_force",
     "run_mms",
-    "step",
     "update",
     "volume_norm_sq",
 ]

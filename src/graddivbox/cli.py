@@ -79,6 +79,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = load_sweep_config(args.config)
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sweep = dataclasses.replace(
         sweep, base=_with_output_dir(sweep.base, args.output_dir),
         parallel_workers=args.workers or sweep.parallel_workers,

@@ -18,6 +18,7 @@ stats.burn_in + stats.window, and a step must start in the window (`averaged`).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import yaml
@@ -171,11 +172,7 @@ def _build_run_config(d: dict) -> RunConfig:
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
     return {
-        "grid": {
-            "dim": cfg.grid.dim,
-            "n": cfg.grid.n,
-            "box_length": cfg.grid.box_length,
-        },
+        "grid": dataclasses.asdict(cfg.grid),
         "flow": {"nu": cfg.params.nu, "gamma": cfg.params.gamma},
         "forcing": {
             "n_low": cfg.forcing.n_low,
@@ -196,7 +193,10 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
 
 def _load(path) -> dict:
     with open(path) as fh:
-        d = yaml.safe_load(fh)
+        try:
+            d = yaml.safe_load(fh)
+        except yaml.YAMLError as e:
+            raise ConfigError(f"config file {path} is not valid YAML: {e}") from e
     if not isinstance(d, dict):
         raise ConfigError(f"config file {path} is not a mapping")
     return d

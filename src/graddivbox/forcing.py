@@ -35,7 +35,8 @@ class ForcingSpec:
     """Low-mode force: list of (integer wavevector m, complex amplitude per component).
 
     Every mode must satisfy m . a = 0 (divergence-free), m != 0 (zero mean),
-    and max|m_j| <= n_low so energy enters only at large scales.
+    max|m_j| <= n_low so energy enters only at large scales, and max|m_j| <=
+    grid.cutoff so the 2/3 rule keeps it.
     """
 
     grid: GridSpec
@@ -55,6 +56,8 @@ class ForcingSpec:
                 raise ForcingError("m = 0 mode violates the zero-mean requirement")
             if max(abs(mj) for mj in m) > self.n_low:
                 raise ForcingError(f"mode {m} exceeds the large-scale cutoff n_low = {self.n_low}")
+            if max(abs(mj) for mj in m) > self.grid.cutoff:
+                raise ForcingError(f"mode {m} of forcing.modes exceeds the 2/3-rule cutoff {self.grid.cutoff}")
             kdota = sum(mj * aj for mj, aj in zip(m, a))
             scale = max(abs(mj) for mj in m) * max(abs(aj) for aj in a)
             if scale > 0 and abs(kdota) > 1e-14 * scale:

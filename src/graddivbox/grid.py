@@ -15,6 +15,11 @@ package, applied inside the transforms by ``norm="forward"`` in
 ``mean(|u|^2) = sum_k w_k |uhat_k|^2`` with ``w_k = 2`` for modes whose
 conjugate partner is not stored and ``w_k = 1`` on the self-conjugate
 planes.
+
+A run steps a compact state, the modes the 2/3 rule keeps (|m_j| <=
+`GridSpec.cutoff`): its full axes hold m = 0..c, -c..-1 and its last axis
+m = 0..c. `solver.SpectralOperator` restricts the force and the initial or
+restart state to it, and extends the state back only for a checkpoint.
 """
 
 from __future__ import annotations
@@ -65,6 +70,11 @@ class GridSpec:
     def spacing(self) -> float:
         return self.box_length / self.n
 
+    @property
+    def cutoff(self) -> int:
+        """Largest |m_j| the 2/3 rule keeps (n is a power of two, so never a multiple of 3)."""
+        return int(DEALIAS_FRACTION * (self.n // 2))
+
 
 @lru_cache(maxsize=None)
 def mode_numbers(grid: GridSpec):
@@ -91,11 +101,10 @@ def wavenumber_sq(grid: GridSpec):
 
 @lru_cache(maxsize=None)
 def dealias_mask(grid: GridSpec):
-    """Boolean mask keeping modes with |m_j| <= DEALIAS_FRACTION * n/2 on every axis."""
-    cutoff = DEALIAS_FRACTION * (grid.n / 2) + 1e-9
+    """Boolean mask keeping modes with |m_j| <= grid.cutoff on every axis."""
     mask = np.ones(grid.spectral_shape, dtype=bool)
     for m in mode_numbers(grid):
-        mask &= np.abs(m) <= cutoff
+        mask &= np.abs(m) <= grid.cutoff
     return mask
 
 
@@ -144,27 +153,22 @@ class Field:
         return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex))
 
     @property
-    def ncomp(self) -> int:
-        return self.spec.shape[0]
-
-    @property
     def phys(self):
         axes = tuple(range(1, self.grid.dim + 1))
         return np.fft.irfftn(self.spec, s=self.grid.shape, axes=axes, norm="forward")
 
 
-def k_dot(grid: GridSpec, s):
-    """Per-mode k . s of spectral vector coefficients (components on the first axis)."""
-    k = wavevectors(grid)
+def k_dot(k, s):
+    """Per-mode k . s of spectral vector coefficients (components on the first axis) and wavevectors k."""
     out = 0 + k[0] * s[0]  # starting at +0 makes an all-zero sum +0, never -0
-    for j in range(1, grid.dim):
+    for j in range(1, len(k)):
         out += k[j] * s[j]
     return out
 
 
 def divergence(u: Field) -> Field:
     """Spectral divergence of a vector field; returns a one-component Field."""
-    d = 1j * k_dot(u.grid, u.spec)
+    d = 1j * k_dot(wavevectors(u.grid), u.spec)
     return Field.from_spectral(u.grid, d[np.newaxis])
 
 
@@ -173,8 +177,8 @@ def gradient(field: Field) -> Field:
     grid = field.grid
     k = wavevectors(grid)
     s = field.spec
-    out = np.empty((field.ncomp * grid.dim,) + grid.spectral_shape, dtype=complex)
-    for i in range(field.ncomp):
+    out = np.empty((len(s) * grid.dim,) + grid.spectral_shape, dtype=complex)
+    for i in range(len(s)):
         for j in range(grid.dim):
             out[i * grid.dim + j] = 1j * k[j] * s[i]
     return Field.from_spectral(grid, out)
@@ -199,18 +203,16 @@ def inner_product(u: Field, v: Field) -> float:
     return float(np.sum(w * np.sum((np.conj(su) * sv).real, axis=0)))
 
 
-@lru_cache(maxsize=None)
-def _safe_wavenumber_sq(grid: GridSpec):
+def safe_wavenumber_sq(ksq):
     """|k|^2 with 1 in place of the 0 at k = 0, a divisor for every mode."""
-    ksq = wavenumber_sq(grid)
     return np.where(ksq > 0, ksq, 1.0)
 
 
-def k_parallel_coef(grid: GridSpec, s):
-    """Per-mode k . s / |k|^2, and 0 at k = 0: the k-parallel part of s is k_j times it."""
-    coef = k_dot(grid, s)
-    coef /= _safe_wavenumber_sq(grid)
-    coef[(0,) * grid.dim] = 0.0  # k = 0 is the one mode with |k|^2 = 0
+def k_parallel_coef(k, safe_ksq, s):
+    """Per-mode k . s / |k|^2, 0 at k = 0 (index 0 of every axis); the k-parallel part is k_j times it."""
+    coef = k_dot(k, s)
+    coef /= safe_ksq
+    coef[(0,) * len(k)] = 0.0  # k = 0 is the one mode with |k|^2 = 0
     return coef
 
 
@@ -219,13 +221,7 @@ def project_divergence_free(u: Field) -> Field:
     grid = u.grid
     k = wavevectors(grid)
     s = u.spec.copy()
-    coef = k_parallel_coef(grid, s)
+    coef = k_parallel_coef(k, safe_wavenumber_sq(wavenumber_sq(grid)), s)
     for j in range(grid.dim):
         s[j] -= k[j] * coef
     return Field.from_spectral(grid, s)
-
-
-def zero_mean(u: Field) -> Field:
-    s = u.spec.copy()
-    s[(slice(None),) + (0,) * u.grid.dim] = 0.0
-    return Field.from_spectral(u.grid, s)

@@ -12,13 +12,16 @@ statistics after burn-in, and writes three artifacts into output_dir:
                      admissible gamma windows
     final.ckpt       restartable binary checkpoint of the end state
 
-The state stays spectral through the whole run: the checkpoint stores the
-solver's own coefficients, and the mean (k = 0) mode of a fresh run stays
-exactly 0. Time is the step index i, reported as i * dt. All floats in the
-CSV are printed with 17 significant digits, so a serial rerun (or a
-checkpoint restart) reproduces rows bitwise. A restart must start on the
-step grid and before t_end, and resumes the step index there; anything else
-is refused before a file is written.
+The state stays spectral through the whole run, on the kept modes of the
+2/3 rule (the compact layout of `grid`): the force and the initial or
+restart state are restricted to it once, and it is extended, by scatter
+into zeros, only to write a checkpoint. A restart checkpoint with a nonzero
+coefficient off the kept modes is refused, not truncated. The mean (k = 0)
+mode of a fresh run stays exactly 0. Time is the step index i, reported as
+i * dt. All floats in the CSV are printed with 17 significant digits, so a
+serial rerun (or a checkpoint restart) reproduces rows bitwise. A restart
+must start on the step grid and before t_end, and resumes the step index
+there; anything else is refused before a file is written.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from . import criterion as crit
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, SweepConfig
 from .forcing import check_divergence_free, force_stats, realize_force
-from .grid import Field, dealias, mode_numbers, project_divergence_free, volume_norm_sq
-from .solver import BlowUpError, step, step_index
+from .grid import Field, mode_numbers, project_divergence_free, volume_norm_sq
+from .solver import BlowUpError, SpectralOperator, imex_step, step_index
 from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
 
 PERTURBATION_RMS = 0.01
@@ -96,9 +99,7 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     target_rms = PERTURBATION_RMS if force is not None else 1.0
     scale = target_rms / prms if prms > 0 else 0.0
     # summed in spectral space, so the mean (k = 0) mode is exactly 0
-    u0 = Field.from_spectral(grid, base + scale * pert.spec)
-    # keep the state band-limited from the start
-    return dealias(u0)
+    return Field.from_spectral(grid, base + scale * pert.spec)
 
 
 def run_single(cfg: RunConfig, restart_path=None) -> dict:
@@ -111,12 +112,12 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
     else:
         force = None
         fstats = None
-    f_field = force if force is not None else Field.zeros(grid)
-
     dt, n_steps = stepper.dt, stepper.n_steps
+    op = SpectralOperator(grid, params, dt)
+    f = op.restrict((force if force is not None else Field.zeros(grid)).spec)
 
     if restart_path is not None:
-        ck_grid, u, t0, ck_params = read_checkpoint(restart_path)
+        ck_grid, u_ck, t0, ck_params = read_checkpoint(restart_path)
         if ck_grid != grid:
             raise ValueError("checkpoint grid does not match the configured grid")
         if ck_params != params:
@@ -125,13 +126,16 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         if start_step >= n_steps:
             raise ValueError(f"checkpoint time t0 = {t0} leaves no step of dt = {dt} "
                              f"before t_end = {stepper.t_end}")
+        u = op.restrict(u_ck.spec)
+        if not np.array_equal(op.extend(u), u_ck.spec, equal_nan=True):
+            raise ValueError(f"checkpoint has a nonzero coefficient above the 2/3-rule cutoff {grid.cutoff}")
     else:
-        u = initial_condition(cfg, force)
+        u = op.restrict(initial_condition(cfg, force).spec)
         start_step = 0
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     stats = RunningStats(burn_in=cfg.burn_in, step=start_step)
-    d = diagnostics(u, params)
+    d = diagnostics(u, op)
     csv_path = os.path.join(cfg.output_dir, "timeseries.csv")
     with open(csv_path, "w") as csv:
         csv.write(CSV_HEADER + "\n")
@@ -140,16 +144,16 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         for i in range(start_step, n_steps):
             t = i * dt
             try:
-                u_next = step(u, params, f_field, stepper, t)
+                u_next = imex_step(u, t, op, f)
             except BlowUpError:
-                write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), u, t, params)
+                write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), Field(grid, op.extend(u)), t, params)
                 raise
-            d_next = diagnostics(u_next, params)
-            update(stats, u, d, u_next, d_next, params, f_field, dt)
+            d_next = diagnostics(u_next, op)
+            update(stats, u, d, u_next, d_next, op, f)
             csv.write(_csv_row((i + 1) * dt, d_next, stats.last_residual))
             u, d = u_next, d_next
 
-    write_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"), u, n_steps * dt, params)
+    write_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"), Field(grid, op.extend(u)), n_steps * dt, params)
 
     summary = _summarize(cfg, fstats, stats)
     with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
@@ -167,11 +171,12 @@ def _summarize(cfg: RunConfig, fstats, stats: RunningStats) -> dict:
             kappa=max(fstats.kappa, 1.0), gamma=cfg.params.gamma, h=cfg.grid.spacing,
         )
         report = crit.build_report(inp, measured_eps_avg=averages["eps_avg"])
+
+    def pick(obj, *names):  # obj's attributes, or None for each when obj is None
+        return {name: getattr(obj, name, None) for name in names}
+
     return {
-        "F": fstats.F if fstats else None,
-        "L": fstats.L if fstats else None,
-        "L_branch": fstats.L_branch if fstats else None,
-        "kappa": fstats.kappa if fstats else None,
+        **pick(fstats, "F", "L", "L_branch", "kappa"),
         "nu": cfg.params.nu,
         "gamma": cfg.params.gamma,
         "dt": cfg.stepper.dt,
@@ -180,23 +185,17 @@ def _summarize(cfg: RunConfig, fstats, stats: RunningStats) -> dict:
         "window": averages["window"],
         "seed": cfg.seed,
         "U_T": u_t,
-        "Re": report.Re if report else None,
-        "R_gamma": report.R_gamma if report else None,
+        **pick(report, "Re", "R_gamma"),
         "eps_avg": averages["eps_avg"],
         "eps_nu_avg": averages["eps_nu_avg"],
         "eps_gamma_avg": averages["eps_gamma_avg"],
         "eps_normalized": averages.get("eps_normalized"),
-        "eps_bound": report.eps_bound if report else None,
-        "eps_bound_viscous": report.eps_bound_viscous if report else None,
-        "bound_satisfied": report.bound_satisfied if report else None,
+        **pick(report, "eps_bound", "eps_bound_viscous", "bound_satisfied"),
         "div_norm_sq_avg": averages["div_norm_sq_avg"],
         "budget_residual_max": averages["budget_residual_max"],
-        "gamma_lo": report.gamma_lo if report else None,
-        "gamma_hi_mesh_independent": report.gamma_hi_mesh_independent if report else None,
-        "gamma_hi_mesh_dependent": report.gamma_hi_mesh_dependent if report else None,
-        "in_window_mesh_independent": report.in_window_mesh_independent if report else None,
-        "in_window_mesh_dependent": report.in_window_mesh_dependent if report else None,
-        "kolmogorov_eta": report.eta if report else None,
+        **pick(report, "gamma_lo", "gamma_hi_mesh_independent", "gamma_hi_mesh_dependent",
+               "in_window_mesh_independent", "in_window_mesh_dependent"),
+        "kolmogorov_eta": getattr(report, "eta", None),
     }
 
 

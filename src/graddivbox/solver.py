@@ -23,29 +23,30 @@ k-perpendicular parts. The scheme is single-step and works on the spectral
 coefficients alone, so a (u_hat, t) checkpoint restarts a run bitwise, and
 the blow-up check reads the new spectral state without transforming it.
 
-Work buffers: each grid has one set of scratch arrays (`_work_buffers`),
-which `nonlinear_term` and `_solve_shifted` overwrite on every call. No
-returned array aliases them, so a result stays valid across later calls
-(the MMS force calls `nonlinear_term` inside a stage). They are not
-thread-safe: two threads must not step on one grid at once. Building them
-also asks the C allocator to keep freed memory (`_retain_freed_heap`).
+Run state: the state, the force and every stage hold only the modes the
+2/3 rule keeps (the compact layout of `grid`). One `SpectralOperator`,
+built from (grid, params, dt), holds that layout's constants and work
+buffers, and `restrict`/`extend` move arrays to and from the half-spectrum
+at the run's boundary. The buffers are overwritten on every call and no
+result aliases them (the MMS force calls `nonlinear_term` inside a stage);
+two threads must not step with one operator at once.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .grid import (
     Field,
     GridSpec,
-    dealias_mask,
     k_dot,
     k_parallel_coef,
-    volume_norm_sq,
+    parseval_weights,
+    safe_wavenumber_sq,
     wavenumber_sq,
     wavevectors,
 )
@@ -126,43 +127,86 @@ def _retain_freed_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-@lru_cache(maxsize=None)
-def _work_buffers(grid: GridSpec):
-    """Scratch of one grid: the [u, omega, div u] and product stacks, a real and a complex array."""
-    ncurl = 1 if grid.dim == 2 else 3
-    buffers = (np.empty((grid.dim + ncurl + 1,) + grid.spectral_shape, dtype=complex),
-               np.empty((grid.dim + 1,) + grid.shape),
-               np.empty(grid.shape),
-               np.empty(grid.spectral_shape, dtype=complex))
-    _retain_freed_heap()  # set before the buffers were allocated, it raised peak RSS by 0.3 MB
-    return buffers
+class SpectralOperator:
+    """The frozen per-run constants of the step on the compact layout, and its work buffers.
+
+    `blocks` pairs basic slices of the half-spectrum and of the compact layout, one pair per
+    sign pattern of the dim - 1 full axes. The ARS divisors are arrays, not reciprocals:
+    x / d and x * (1 / d) differ in the last bit.
+    """
+
+    def __init__(self, grid: GridSpec, params: FlowParams, dt: float):
+        self.grid, self.params, self.dt = grid, params, dt
+        c, n, dim = grid.cutoff, grid.n, grid.dim
+        self.shape = (2 * c + 1,) * (dim - 1) + (c + 1,)
+        halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1)))
+        self.blocks = tuple(
+            ((Ellipsis,) + tuple(h[0] for h in hs) + (slice(0, c + 1),),
+             (Ellipsis,) + tuple(h[1] for h in hs) + (slice(0, c + 1),))
+            for hs in itertools.product(halves, repeat=dim - 1))
+        self.k = tuple(self.restrict(kj) for kj in wavevectors(grid))
+        ksq = self.restrict(wavenumber_sq(grid))
+        self.safe_ksq = safe_wavenumber_sq(ksq)
+        self.weights = self.restrict(parseval_weights(grid))
+        self.weighted_ksq = self.weights * ksq
+        self.neg_nu_ksq = -params.nu * ksq
+        c_ars = _ARS_GAMMA * dt
+        self.denom_perp = 1.0 + c_ars * params.nu * ksq
+        self.denom_par = 1.0 + c_ars * (params.nu + params.gamma) * ksq
+        ncurl = 1 if dim == 2 else 3
+        self.stack = np.empty((dim + ncurl + 1,) + self.shape, dtype=complex)  # [u, omega, div u]
+        self.padded = np.zeros((dim + ncurl + 1,) + grid.spectral_shape, dtype=complex)
+        self.products = np.empty((dim + 1,) + grid.shape)
+        self.rtmp = np.empty(grid.shape)
+        self.ctmp = np.empty(self.shape, dtype=complex)
+        _retain_freed_heap()  # set before the buffers were allocated, it raised peak RSS by 0.3 MB
+
+    def restrict(self, full: np.ndarray) -> np.ndarray:
+        """The kept modes of a half-spectrum array (any leading axes), as a new compact array."""
+        out = np.empty(full.shape[:-self.grid.dim] + self.shape, dtype=full.dtype)
+        for f, c in self.blocks:
+            out[c] = full[f]
+        return out
+
+    def extend(self, compact: np.ndarray) -> np.ndarray:
+        """The half-spectrum array that holds `compact` on the kept modes and +0 elsewhere."""
+        out = np.zeros(compact.shape[:-self.grid.dim] + self.grid.spectral_shape, dtype=compact.dtype)
+        for f, c in self.blocks:
+            out[f] = compact[c]
+        return out
+
+    def norm_sq(self, s: np.ndarray) -> float:
+        """Volume mean of |s|^2 for compact vector coefficients, by Parseval."""
+        return float(np.sum(self.weights * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
 
 
-def nonlinear_term(u: Field) -> np.ndarray:
-    """Spectral coefficients of N(u) = div(u x u) - (1/2)(div u) u.
+def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
+    """Compact spectral coefficients of N(u) = div(u x u) - (1/2)(div u) u.
 
     N is assembled as omega x u + grad(|u|^2 / 2) + (1/2)(div u) u. In 2d
     omega is the scalar d_x u_y - d_y u_x and omega x u = (-omega u_y,
-    omega u_x). The input is dealiased before the physical-space products
-    and the products are dealiased again, so only alias-free Galerkin modes
-    survive; the mean (k = 0) mode is exactly 0.
+    omega u_x). The compact input holds only the kept modes, so the padded
+    transform input is dealiased by construction, and gathering the kept
+    modes of the products dealiases them again: only alias-free Galerkin
+    modes survive. The mean (k = 0) mode is exactly 0.
     """
-    grid = u.grid
-    dim = grid.dim
-    mask = dealias_mask(grid)
-    k = wavevectors(grid)
+    dim = op.grid.dim
+    k = op.k
     ncurl = 1 if dim == 2 else 3
-    lhs, rhs, rtmp, ctmp = _work_buffers(grid)
+    s, padded, rhs, rtmp, ctmp = op.stack, op.padded, op.products, op.rtmp, op.ctmp
+    axes = tuple(range(1, dim + 1))
 
-    # spectral [u, omega, div u] of the dealiased input
-    s = np.multiply(u.spec, mask, out=lhs[:dim])
+    # spectral [u, omega, div u] on the kept modes, scattered into the zero padding
+    s[:dim] = u
     for i in range(ncurl):
         a, b = (0, 1) if dim == 2 else ((i + 1) % 3, (i + 2) % 3)
-        w_hat = np.multiply(k[a], s[b], out=lhs[dim + i])
-        w_hat -= np.multiply(k[b], s[a], out=ctmp)
+        w_hat = np.multiply(k[a], u[b], out=s[dim + i])
+        w_hat -= np.multiply(k[b], u[a], out=ctmp)
         np.multiply(1j, w_hat, out=w_hat)
-    np.multiply(1j, k_dot(grid, s), out=lhs[-1])
-    phys = Field.from_spectral(grid, lhs).phys
+    np.multiply(1j, k_dot(k, u), out=s[-1])
+    for f, c in op.blocks:
+        padded[f] = s[c]
+    phys = np.fft.irfftn(padded, s=op.grid.shape, axes=axes, norm="forward")
     up, w, div = phys[:dim], phys[dim:-1], phys[-1]
 
     # physical [omega x u + (1/2)(div u) u, |u|^2 / 2]; |u|^2 first, while rhs[:dim] is free
@@ -177,81 +221,59 @@ def nonlinear_term(u: Field) -> np.ndarray:
             np.multiply(w[a], up[b], out=rhs[i])
             rhs[i] -= np.multiply(w[b], up[a], out=rtmp)
     rhs[:dim] += np.multiply(np.multiply(0.5, div, out=rtmp), up, out=up)
-    p_hat = Field.from_physical(grid, rhs).spec
+    p_hat = op.restrict(np.fft.rfftn(rhs, axes=axes, norm="forward"))
 
     out = p_hat[:dim]
     for j in range(dim):
         out[j] += np.multiply(np.multiply(1j, k[j], out=ctmp), p_hat[dim], out=ctmp)
-    out *= mask
     out[(slice(None),) + (0,) * dim] = 0.0
     return out
 
 
-@lru_cache(maxsize=4)  # a sweep worker runs one gamma after another; old entries are dropped
-def _implicit_denominators(grid: GridSpec, params: FlowParams, c: float):
-    """Per-mode 1 + c nu |k|^2 (k-perpendicular part) and 1 + c (nu + gamma) |k|^2 (k-parallel part).
-
-    The divisors themselves, not their reciprocals: x / d and x * (1 / d) differ in the last bit.
-    """
-    ksq = wavenumber_sq(grid)
-    return 1.0 + c * params.nu * ksq, 1.0 + c * (params.nu + params.gamma) * ksq
-
-
-def _solve_shifted(b_hat: np.ndarray, c: float, params: FlowParams, grid: GridSpec):
-    """Closed-form solve of (I + c (nu |k|^2 I + gamma k k^T)) x = b per mode."""
-    k = wavevectors(grid)
-    coef = k_parallel_coef(grid, b_hat)
-    denom_perp, denom_par = _implicit_denominators(grid, params, c)
-    scratch = _work_buffers(grid)[3]
+def _solve_shifted(b_hat: np.ndarray, op: SpectralOperator) -> np.ndarray:
+    """Closed-form solve of (I + c (nu |k|^2 I + gamma k k^T)) x = b per mode, c = ARS gamma * dt."""
+    k = op.k
+    coef = k_parallel_coef(k, op.safe_ksq, b_hat)
     out = np.empty_like(b_hat)
-    for j in range(grid.dim):
-        b_par = np.multiply(k[j], coef, out=scratch)
-        np.divide(np.subtract(b_hat[j], b_par, out=out[j]), denom_perp, out=out[j])
-        out[j] += np.divide(b_par, denom_par, out=b_par)
+    for j in range(len(k)):
+        b_par = np.multiply(k[j], coef, out=op.ctmp)
+        np.divide(np.subtract(b_hat[j], b_par, out=out[j]), op.denom_perp, out=out[j])
+        out[j] += np.divide(b_par, op.denom_par, out=b_par)
     return out
 
 
-def _apply_linear(v_hat: np.ndarray, params: FlowParams, grid: GridSpec):
-    """Apply nu lap + gamma grad div in spectral space."""
-    k = wavevectors(grid)
-    nu_ksq = -params.nu * wavenumber_sq(grid)
-    kdotv = k_dot(grid, v_hat)
+def _apply_linear(v_hat: np.ndarray, op: SpectralOperator) -> np.ndarray:
+    """Apply nu lap + gamma grad div to compact spectral coefficients."""
+    k = op.k
+    kdotv = k_dot(k, v_hat)
     out = np.empty_like(v_hat)
-    for j in range(grid.dim):
-        out[j] = nu_ksq * v_hat[j] - params.gamma * k[j] * kdotv
+    for j in range(len(k)):
+        out[j] = op.neg_nu_ksq * v_hat[j] - op.params.gamma * k[j] * kdotv
     return out
 
 
-def imex_step(u_hat: np.ndarray, t: float, dt: float, params: FlowParams,
-              grid: GridSpec, force_hat) -> np.ndarray:
-    """One ARS(2,2,2) step on spectral coefficients.
+def imex_step(u_hat: np.ndarray, t: float, op: SpectralOperator, force_hat) -> np.ndarray:
+    """One ARS(2,2,2) step of size op.dt on compact spectral coefficients.
 
-    `force_hat` is either a constant spectral array or a callable t -> array
+    `force_hat` is either a constant compact array or a callable t -> array
     (time-dependent forcing is used by the manufactured-solution harness).
     Raises BlowUpError, at t + dt, if the new coefficients are not finite.
     """
-    g, d = _ARS_GAMMA, _ARS_DELTA
+    g, d, dt = _ARS_GAMMA, _ARS_DELTA, op.dt
 
     def explicit(v_hat, tv):
         fh = force_hat(tv) if callable(force_hat) else force_hat
-        return fh - nonlinear_term(Field.from_spectral(grid, v_hat))
+        return fh - nonlinear_term(v_hat, op)
 
     e0 = explicit(u_hat, t)
-    u1 = _solve_shifted(u_hat + dt * g * e0, g * dt, params, grid)
+    u1 = _solve_shifted(u_hat + dt * g * e0, op)
     e1 = explicit(u1, t + g * dt)
-    lu1 = _apply_linear(u1, params, grid)
+    lu1 = _apply_linear(u1, op)
     b = u_hat + dt * (d * e0 + (1.0 - d) * e1 + (1.0 - g) * lu1)
-    u_next = _solve_shifted(b, g * dt, params, grid)
+    u_next = _solve_shifted(b, op)
     if not np.all(np.isfinite(u_next)):
         raise BlowUpError(t + dt)
     return u_next
-
-
-def step(u: Field, params: FlowParams, f: Field, cfg: StepperConfig, t: float = 0.0) -> Field:
-    """Advance one time step of size cfg.dt; raises BlowUpError on non-finite output."""
-    if f.grid != u.grid:
-        raise ValueError("u and f live on different grids")
-    return Field.from_spectral(u.grid, imex_step(u.spec, t, cfg.dt, params, u.grid, f.spec))
 
 
 class ManufacturedSolution:
@@ -268,15 +290,11 @@ class ManufacturedSolution:
     def __init__(self, grid: GridSpec, shape_phys: np.ndarray, amp, amp_dot):
         self.grid = grid
         self.shape_phys = np.asarray(shape_phys, dtype=float)
-        self.shape_hat = Field.from_physical(grid, self.shape_phys).spec
         self.amp = amp
         self.amp_dot = amp_dot
 
     def state(self, t: float) -> Field:
         return Field.from_physical(self.grid, self.amp(t) * self.shape_phys)
-
-    def state_dot_hat(self, t: float) -> np.ndarray:
-        return self.amp_dot(t) * self.shape_hat
 
 
 def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 0.5):
@@ -286,17 +304,10 @@ def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 
     div w = 2 (2 pi / L) cos x' cos y' != 0; a(t) = amplitude * cos(omega t).
     """
     n, L = grid.n, grid.box_length
-    x = np.arange(n) * (L / n)
+    X, Y = np.meshgrid(*[np.arange(n) * (L / n)] * grid.dim, indexing="ij")[:2]
     scale = 2.0 * np.pi / L
-    if grid.dim == 2:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        w = np.stack([np.sin(scale * X) * np.cos(scale * Y),
-                      np.cos(scale * X) * np.sin(scale * Y)])
-    else:
-        X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-        w = np.stack([np.sin(scale * X) * np.cos(scale * Y),
-                      np.cos(scale * X) * np.sin(scale * Y),
-                      np.zeros_like(X)])
+    w = np.stack([np.sin(scale * X) * np.cos(scale * Y), np.cos(scale * X) * np.sin(scale * Y)]
+                 + [np.zeros(grid.shape)] * (grid.dim - 2))
     return ManufacturedSolution(
         grid, w,
         amp=lambda t: amplitude * np.cos(omega * t),
@@ -304,18 +315,18 @@ def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 
     )
 
 
-def mms_force_hat(target: ManufacturedSolution, params: FlowParams):
-    """Spectral forcing that makes `target` an exact solution of the discrete model.
+def mms_force_hat(target: ManufacturedSolution, op: SpectralOperator):
+    """Compact spectral forcing that makes `target` an exact solution of the discrete model.
 
     f = u*_t + N(u*) - nu lap u* - gamma grad div u*. This force is in
     general not divergence-free; that restriction is deliberately waived
-    for verification runs.
+    for verification runs. The target's spectrum is restricted once, here.
     """
-    grid = target.grid
+    shape_hat = op.restrict(Field.from_physical(target.grid, target.shape_phys).spec)
 
     def fhat(t):
-        u = target.state(t)
-        return target.state_dot_hat(t) + nonlinear_term(u) - _apply_linear(u.spec, params, grid)
+        u = op.restrict(target.state(t).spec)
+        return target.amp_dot(t) * shape_hat + nonlinear_term(u, op) - _apply_linear(u, op)
 
     return fhat
 
@@ -324,20 +335,20 @@ def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig
     """Integrate against the manufactured force; report the worst-in-time error.
 
     Returns a dict with the max volume-normalized L2 error, the number of
-    steps, and the error normalized by the target's peak norm.
+    steps, and the error normalized by the target's peak norm, all over
+    the kept modes.
     """
-    grid = target.grid
-    fhat = mms_force_hat(target, params)
-    u_hat = target.state(0.0).spec.copy()
+    op = SpectralOperator(target.grid, params, cfg.dt)
+    fhat = mms_force_hat(target, op)
+    u_hat = op.restrict(target.state(0.0).spec)
     max_err = 0.0
-    max_ref = np.sqrt(volume_norm_sq(target.state(0.0)))
+    max_ref = np.sqrt(op.norm_sq(u_hat))
     for i in range(cfg.n_steps):
         t = i * cfg.dt
-        u_hat = imex_step(u_hat, t, cfg.dt, params, grid, fhat)
-        exact = target.state((i + 1) * cfg.dt)
-        diff = Field.from_spectral(grid, u_hat - exact.spec)
-        max_err = max(max_err, np.sqrt(volume_norm_sq(diff)))
-        max_ref = max(max_ref, np.sqrt(volume_norm_sq(exact)))
+        u_hat = imex_step(u_hat, t, op, fhat)
+        exact = op.restrict(target.state((i + 1) * cfg.dt).spec)
+        max_err = max(max_err, np.sqrt(op.norm_sq(u_hat - exact)))
+        max_ref = max(max_ref, np.sqrt(op.norm_sq(exact)))
     return {
         "steps": cfg.n_steps,
         "dt": cfg.dt,

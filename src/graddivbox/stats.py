@@ -6,7 +6,8 @@ Accumulates trapezoid-in-time integrals of the dissipation rate
 
 of the mean-square velocity (giving the finite-window velocity scale U_T),
 and of the mean-square divergence, read from one `diagnostics` record per
-state. Time is the step index: step i starts at i * dt; `averaged` picks the
+state, all Parseval sums over the kept modes of the compact run state.
+Time is the step index: step i starts at i * dt; `averaged` picks the
 window's steps (for the config check too) and `t_accum` sums their dt. Each
 step is also audited against the discrete energy inequality: the residual
 
@@ -21,20 +22,14 @@ of the inequality direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .grid import (
-    Field,
-    GridSpec,
-    inner_product,
     k_dot,
-    parseval_weights,
     volume_norm_sq,  # noqa: F401  (kept as stats.volume_norm_sq, which the benchmark's tracer test reads)
-    wavenumber_sq,
 )
-from .solver import FlowParams
+from .solver import SpectralOperator
 
 # a step is averaged when it starts at or after burn_in, less this rounding slack
 BURN_IN_TOL = 1e-12
@@ -70,47 +65,42 @@ class Diagnostics:
     div_sq: float
 
 
-@lru_cache(maxsize=None)
-def _parseval_wavenumber_sq(grid: GridSpec):
-    """Per-mode Parseval weight times |k|^2."""
-    return parseval_weights(grid) * wavenumber_sq(grid)
-
-
-def _dissipation(u: Field, params: FlowParams) -> tuple:
-    """(per-mode |uhat|^2, eps_nu, eps_gamma, div_sq) of `u` from Parseval.
+def _dissipation(u: np.ndarray, op: SpectralOperator) -> tuple:
+    """(per-mode |uhat|^2, eps_nu, eps_gamma, div_sq) of compact coefficients `u` from Parseval.
 
     eps_nu is nu times the volume mean of the squared Frobenius norm of
     grad u, which per mode is |k|^2 |uhat|^2; eps_gamma is gamma times the
     volume mean of (div u)^2, per mode |k . uhat|^2.
     """
-    grid = u.grid
-    s = u.spec
-    energy = np.sum(s.real ** 2 + s.imag ** 2, axis=0)
-    grad_sq = float(np.sum(_parseval_wavenumber_sq(grid) * energy))
-    kdotu = k_dot(grid, s)
-    div_sq = float(np.sum(parseval_weights(grid) * (kdotu.real ** 2 + kdotu.imag ** 2)))
-    return energy, params.nu * grad_sq, params.gamma * div_sq, div_sq
+    energy = np.sum(u.real ** 2 + u.imag ** 2, axis=0)
+    grad_sq = float(np.sum(op.weighted_ksq * energy))
+    kdotu = k_dot(op.k, u)
+    div_sq = float(np.sum(op.weights * (kdotu.real ** 2 + kdotu.imag ** 2)))
+    return energy, op.params.nu * grad_sq, op.params.gamma * div_sq, div_sq
 
 
-def diagnostics(u: Field, params: FlowParams) -> Diagnostics:
-    """The diagnostics record of `u`, all from Parseval and one |uhat|^2 pass."""
-    energy, eps_nu, eps_gamma, div_sq = _dissipation(u, params)
-    return Diagnostics(float(np.sum(parseval_weights(u.grid) * energy)), eps_nu, eps_gamma, div_sq)
+def diagnostics(u: np.ndarray, op: SpectralOperator) -> Diagnostics:
+    """The diagnostics record of compact coefficients `u`, all from Parseval and one |uhat|^2 pass."""
+    energy, eps_nu, eps_gamma, div_sq = _dissipation(u, op)
+    return Diagnostics(float(np.sum(op.weights * energy)), eps_nu, eps_gamma, div_sq)
 
 
-def update(stats: RunningStats, u_prev: Field, d_prev: Diagnostics, u_next: Field,
-           d_next: Diagnostics, params: FlowParams, f: Field, dt: float) -> RunningStats:
-    """Fold one solver step into the accumulator (trapezoid in time).
+def update(stats: RunningStats, u_prev: np.ndarray, d_prev: Diagnostics, u_next: np.ndarray,
+           d_next: Diagnostics, op: SpectralOperator, f: np.ndarray) -> RunningStats:
+    """Fold one solver step of size op.dt into the accumulator (trapezoid in time).
 
-    `d_prev` and `d_next` are the diagnostics records of `u_prev` and
-    `u_next`; the step is number `stats.step`, averaged if it starts in the
-    window. The budget audit runs on every step; its signed residual,
-    positive on a violation, is left in `stats.last_residual`.
+    `u_prev`, `u_next` and the force `f` are compact coefficients; `d_prev`
+    and `d_next` are the diagnostics records of `u_prev` and `u_next`. The
+    step is number `stats.step`, averaged if it starts in the window. The
+    budget audit runs on every step; its signed residual, positive on a
+    violation, is left in `stats.last_residual`.
     """
-    mid = Field.from_spectral(u_prev.grid, 0.5 * (u_prev.spec + u_next.spec))
-    _, eps_nu_mid, eps_gamma_mid, _ = _dissipation(mid, params)
+    dt = op.dt
+    mid = 0.5 * (u_prev + u_next)
+    _, eps_nu_mid, eps_gamma_mid, _ = _dissipation(mid, op)
+    f_dot_mid = float(np.sum(op.weights * np.sum((np.conj(f) * mid).real, axis=0)))
     r = (0.5 * d_next.u_sq - 0.5 * d_prev.u_sq
-         + dt * (eps_nu_mid + eps_gamma_mid) - dt * inner_product(f, mid))
+         + dt * (eps_nu_mid + eps_gamma_mid) - dt * f_dot_mid)
     stats.last_residual = r
     stats.budget_residual_max = max(stats.budget_residual_max, r)
     if averaged(stats.step, dt, stats.burn_in):

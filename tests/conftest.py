@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
-from graddivbox.grid import Field, GridSpec, dealias, zero_mean
+from graddivbox.grid import Field, GridSpec, dealias
+from graddivbox.solver import FlowParams, SpectralOperator, imex_step, nonlinear_term
+from graddivbox.stats import diagnostics
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,6 +37,13 @@ def coords(grid):
     return np.meshgrid(*([x] * grid.dim), indexing="ij")
 
 
+def zero_mean(u):
+    """u with its mean (k = 0) mode set to 0."""
+    s = u.spec.copy()
+    s[(slice(None),) + (0,) * u.grid.dim] = 0.0
+    return Field(u.grid, s)
+
+
 def random_state_field(grid, seed=0):
     """Zero-mean, dealiased random vector field (the model's state space)."""
     rng = np.random.default_rng(seed)
@@ -46,3 +57,27 @@ def shear_field(grid, amplitude=1.0):
     scale = TWO_PI / grid.box_length
     comps = [amplitude * np.sin(scale * xs[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
     return Field.from_physical(grid, np.stack(comps))
+
+
+@functools.lru_cache(maxsize=None)
+def operator(grid, params=FlowParams(nu=1.0), dt=1.0):
+    """The run operator of (grid, params, dt); the nonlinear term depends on the grid alone."""
+    return SpectralOperator(grid, params, dt)
+
+
+def step(u, params, f, cfg, t=0.0):
+    """One imex_step of the Field u under the Field force f, through the compact run state."""
+    op = operator(u.grid, params, cfg.dt)
+    return Field(u.grid, op.extend(imex_step(op.restrict(u.spec), t, op, op.restrict(f.spec))))
+
+
+def nonlinear_field(u):
+    """The nonlinear term of the Field u as a Field."""
+    op = operator(u.grid)
+    return Field(u.grid, op.extend(nonlinear_term(op.restrict(u.spec), op)))
+
+
+def field_diagnostics(u, params):
+    """The diagnostics record of the Field u (its kept modes)."""
+    op = operator(u.grid, params)
+    return diagnostics(op.restrict(u.spec), op)

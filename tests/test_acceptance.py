@@ -30,16 +30,13 @@ from graddivbox.grid import (
     dealias,
     inner_product,
     volume_norm_sq,
-    zero_mean,
 )
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import (
     FlowParams,
     StepperConfig,
     divergent_mms_target,
-    nonlinear_term,
     run_mms,
-    step,
 )
 
 import conftest
@@ -89,9 +86,9 @@ def test_criterion_1_skew_symmetry():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        u = dealias(zero_mean(Field.from_physical(
+        u = dealias(conftest.zero_mean(Field.from_physical(
             grid, rng.standard_normal((3,) + grid.shape))))
-        n = Field.from_spectral(grid, nonlinear_term(u))
+        n = conftest.nonlinear_field(u)
         rel = abs(inner_product(n, u)) / math.sqrt(
             volume_norm_sq(n) * volume_norm_sq(u))
         worst = max(worst, rel)
@@ -121,7 +118,7 @@ def test_criterion_3_shear_decay():
         cfg = StepperConfig(dt=dt, t_end=1.0)
         f = Field.zeros(grid)
         for i in range(1000):
-            u = step(u, params, f, cfg, t=i * dt)
+            u = conftest.step(u, params, f, cfg, t=i * dt)
         err = math.sqrt(volume_norm_sq(Field.from_physical(
             grid, u.phys - math.exp(-nu) * u0)))
         worst = max(worst, err)

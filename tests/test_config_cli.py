@@ -21,7 +21,7 @@ from graddivbox.config import (
     save_sweep_config,
 )
 from graddivbox.forcing import ForcingSpec
-from graddivbox.grid import Field, GridSpec
+from graddivbox.grid import Field, GridSpec, dealias
 from graddivbox import checkpoint, runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
@@ -202,7 +202,8 @@ class TestRunSingle:
             burn_in=0.0, window=1.0, seed=0, output_dir=str(tmp_path / "decay"),
         )
         ck = tmp_path / "ic.ckpt"
-        write_checkpoint(ck, shear_field(grid), 0.0, cfg.params)
+        # band-limited: a restart state holds no coefficient above the 2/3-rule cutoff
+        write_checkpoint(ck, dealias(shear_field(grid)), 0.0, cfg.params)
         summary = run_single(cfg, restart_path=str(ck))
         expected = 0.25 * (1.0 - math.exp(-2 * nu))
         assert summary["eps_avg"] == pytest.approx(expected, rel=1e-4)
@@ -453,6 +454,45 @@ class TestCli:
         path.write_text(yaml.safe_dump(d))
         assert main(["run", str(path)]) == 2
         assert "config error: stepper: t_end = " in capsys.readouterr().err
+
+    def test_forcing_mode_above_the_dealias_cutoff_is_a_config_error(self, tmp_path, capsys):
+        # n = 8 keeps |m_j| <= 2: all of this force's energy would sit on removed modes
+        d = run_config_to_dict(small_run_config(tmp_path, n=8))
+        d["forcing"] = {"n_low": 3, "modes": [{"m": [0, 3], "amplitude": [[0.5, 0.0], [0.0, 0.0]]}]}
+        path = tmp_path / "high.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=r"forcing: mode \(0, 3\) of forcing\.modes exceeds the 2/3-rule cutoff 2$"):
+            load_run_config(path)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: forcing: mode (0, 3) of forcing.modes")
+
+    def test_invalid_yaml_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("grid: {dim: 2, n: 16\nflow: [\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config file {path} is not valid YAML")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_option_is_a_config_error(self, tmp_path, capsys, workers):
+        path = tmp_path / "sweep.yaml"
+        save_sweep_config(SweepConfig(base=small_run_config(tmp_path), gamma_values=(0.0,)), path)
+        assert main(["sweep", str(path), "--workers", workers]) == 2
+        assert capsys.readouterr().err == f"config error: --workers must be >= 1, got {workers}\n"
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_restart_with_a_coefficient_above_the_cutoff_is_refused(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2)
+        path = tmp_path / "ok.yaml"
+        save_run_config(cfg, path)
+        u = dealias(shear_field(cfg.grid))
+        u.spec[0, 11, 0] = 1e-3  # m = (11, 0); n = 32 keeps |m_j| <= 10
+        ck = tmp_path / "high.ckpt"
+        write_checkpoint(ck, u, 0.0, cfg.params)
+        with pytest.raises(ValueError, match=r"^checkpoint has a nonzero coefficient above the 2/3-rule cutoff"):
+            run_single(cfg, restart_path=str(ck))
+        assert not os.path.exists(cfg.output_dir)
+        assert main(["run", str(path), "--restart", str(ck)]) == 5
+        assert capsys.readouterr().err.startswith("error: checkpoint has a nonzero coefficient")
 
     def test_restart_from_other_grid_is_refused_not_a_config_error(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2)

@@ -17,7 +17,7 @@ from graddivbox.grid import (
 )
 from graddivbox.solver import FlowParams, _apply_linear
 
-from conftest import TWO_PI, coords, random_state_field, shear_field
+from conftest import TWO_PI, coords, operator, random_state_field, shear_field
 
 
 class TestGridSpec:
@@ -104,7 +104,8 @@ class TestLinearOperators:
         for c in range(3):
             s[c][m] = amp[c]
         k = np.array([kk[m] for kk in wavevectors(grid3d)])
-        got = _apply_linear(s, FlowParams(nu=0.3, gamma=1.7), grid3d)
+        op = operator(grid3d, FlowParams(nu=0.3, gamma=1.7))
+        got = op.extend(_apply_linear(op.restrict(s), op))
         expected = -0.3 * (k @ k) * amp - 1.7 * k * (k @ amp)
         np.testing.assert_allclose([got[c][m] for c in range(3)], expected, atol=1e-13)
         assert np.count_nonzero(got) == np.count_nonzero(s)
@@ -116,7 +117,8 @@ class TestLinearOperators:
         params = FlowParams(nu=0.3, gamma=1.7)
 
         def linear(f):
-            return Field.from_spectral(grid2d, _apply_linear(f.spec, params, grid2d))
+            op = operator(grid2d, params)
+            return Field.from_spectral(grid2d, op.extend(_apply_linear(op.restrict(f.spec), op)))
 
         for op in (linear, divergence, dealias):
             lhs = op(combo).spec

@@ -3,24 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from graddivbox.grid import Field, dealias, gradient, volume_norm_sq, zero_mean
-from graddivbox.solver import FlowParams, StepperConfig, step
+from graddivbox.grid import Field, dealias, gradient, volume_norm_sq
+from graddivbox.solver import FlowParams, StepperConfig
 from graddivbox.stats import Diagnostics, RunningStats, diagnostics, finalize, update
 from graddivbox.forcing import ForceStats
 
-from conftest import coords, random_state_field, shear_field
+from conftest import coords, field_diagnostics, operator, random_state_field, shear_field, step
 
 
 def fold(stats, u_prev, u_next, params, f, dt):
     """update() with the diagnostics records a run would carry for both states."""
-    return update(stats, u_prev, diagnostics(u_prev, params), u_next,
-                  diagnostics(u_next, params), params, f, dt)
+    op = operator(u_prev.grid, params, dt)
+    up, un = op.restrict(u_prev.spec), op.restrict(u_next.spec)
+    return update(stats, up, diagnostics(up, op), un, diagnostics(un, op), op, op.restrict(f.spec))
 
 
 class TestDissipationRate:
     def test_shear(self, grid3d):
         # |grad u|^2 has volume mean 1/2 for unit shear; div-free kills the gamma channel
-        d = diagnostics(shear_field(grid3d), FlowParams(nu=1.0, gamma=7.0))
+        d = field_diagnostics(shear_field(grid3d), FlowParams(nu=1.0, gamma=7.0))
         assert d.eps_nu == pytest.approx(0.5, rel=1e-12)
         assert d.eps_gamma == pytest.approx(0.0, abs=1e-24)
         assert d.div_sq == pytest.approx(0.0, abs=1e-24)
@@ -30,18 +31,18 @@ class TestDissipationRate:
         xs = coords(grid2d)
         # u = grad(sin x) = (cos x, 0): div u = -sin x, mean square 1/2
         u = Field.from_physical(grid2d, np.stack([np.cos(xs[0]), np.zeros(grid2d.shape)]))
-        d = diagnostics(u, FlowParams(nu=1e-30, gamma=2.0))
+        d = field_diagnostics(u, FlowParams(nu=1e-30, gamma=2.0))
         assert d.div_sq == pytest.approx(0.5, rel=1e-12)
         assert d.eps_gamma == pytest.approx(1.0, rel=1e-12)
         assert d.eps_nu <= 1e-29
 
     def test_zero_field(self, grid2d):
-        d = diagnostics(Field.zeros(grid2d), FlowParams(nu=1.0, gamma=1.0))
+        d = field_diagnostics(Field.zeros(grid2d), FlowParams(nu=1.0, gamma=1.0))
         assert (d.u_sq, d.eps_nu, d.eps_gamma, d.div_sq) == (0.0, 0.0, 0.0, 0.0)
 
     def test_gamma_zero_kills_channel(self, grid2d):
         u = random_state_field(grid2d, seed=2)
-        d = diagnostics(u, FlowParams(nu=0.1, gamma=0.0))
+        d = field_diagnostics(u, FlowParams(nu=0.1, gamma=0.0))
         assert d.eps_gamma == 0.0
         assert d.div_sq > 0.0
 
@@ -49,7 +50,7 @@ class TestDissipationRate:
         # spectral dissipation equals physical-space quadrature of nu |grad u|^2 + gamma (div u)^2
         u = random_state_field(grid2d, seed=31)
         params = FlowParams(nu=0.7, gamma=1.3)
-        rec = diagnostics(u, params)
+        rec = field_diagnostics(u, params)
         g = gradient(u).phys
         from graddivbox.grid import divergence
         d = divergence(u).phys[0]
@@ -73,10 +74,10 @@ class TestUpdate:
 
     def test_trapezoid_sums_read_the_records(self, grid2d):
         # the integrands come from the records passed in; only the midpoint is recomputed
-        u = shear_field(grid2d)
+        op = operator(grid2d, FlowParams(nu=1.0, gamma=0.0), 0.5)
+        u = op.restrict(shear_field(grid2d).spec)
         stats = update(RunningStats(), u, Diagnostics(1.0, 2.0, 3.0, 4.0), u,
-                       Diagnostics(5.0, 6.0, 7.0, 8.0), FlowParams(nu=1.0, gamma=0.0),
-                       Field.zeros(grid2d), dt=0.5)
+                       Diagnostics(5.0, 6.0, 7.0, 8.0), op, np.zeros_like(u))
         assert (stats.int_u_sq, stats.int_eps_nu, stats.int_eps_gamma, stats.int_div_sq) == (1.5, 2.0, 2.5, 3.0)
         # 1/2 (5 - 1) + dt eps(mid), with eps(mid) = 1/2 for unit shear at nu = 1
         assert stats.last_residual == pytest.approx(2.25, rel=1e-12)

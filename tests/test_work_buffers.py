@@ -1,9 +1,10 @@
-"""The per-grid work buffers and cached spectral constants of the step and the diagnostics.
+"""The compact run state: its layout, the operator's constants and work buffers.
 
-The reference functions below evaluate the same expressions in the same
-order with a fresh array for every intermediate. The solver must match them
-bit for bit (signed zeros included), and no array it returns may share
-memory with a work buffer.
+The reference functions below are the half-spectrum step the compact state
+replaced: the same expressions in the same order, with the dealias-mask
+multiplies and a fresh array for every intermediate. On the kept modes the
+compact step must match them bit for bit (signed zeros included), and no
+array it returns may share memory with a work buffer.
 """
 
 import platform
@@ -16,28 +17,26 @@ from graddivbox import solver
 from graddivbox.grid import (
     Field,
     GridSpec,
-    _safe_wavenumber_sq,
     dealias_mask,
     k_dot,
     k_parallel_coef,
     parseval_weights,
-    volume_norm_sq,
+    safe_wavenumber_sq,
     wavenumber_sq,
     wavevectors,
 )
 from graddivbox.solver import (
     FlowParams,
+    SpectralOperator,
     StepperConfig,
-    _implicit_denominators,
     _solve_shifted,
-    _work_buffers,
     divergent_mms_target,
     imex_step,
     mms_force_hat,
     nonlinear_term,
     run_mms,
 )
-from graddivbox.stats import _parseval_wavenumber_sq, diagnostics
+from graddivbox.stats import diagnostics
 
 from conftest import TWO_PI, random_state_field
 
@@ -125,8 +124,22 @@ def ref_imex_step(u_hat, t, dt, params, grid, force_hat):
 def ref_mms_force_hat(target, params):
     def fhat(t):
         u = target.state(t)
-        return target.state_dot_hat(t) + ref_nonlinear_term(u) - ref_apply_linear(u.spec, params, target.grid)
+        shape_hat = Field.from_physical(target.grid, target.shape_phys).spec
+        return (target.amp_dot(t) * shape_hat + ref_nonlinear_term(u)
+                - ref_apply_linear(u.spec, params, target.grid))
     return fhat
+
+
+def ref_run_mms(target, params, cfg):
+    grid = target.grid
+    fhat = ref_mms_force_hat(target, params)
+    u_hat = target.state(0.0).spec.copy()
+    max_err = 0.0
+    for i in range(cfg.n_steps):
+        u_hat = ref_imex_step(u_hat, i * cfg.dt, cfg.dt, params, grid, fhat)
+        diff = u_hat - target.state((i + 1) * cfg.dt).spec
+        max_err = max(max_err, np.sqrt(np.sum(parseval_weights(grid) * np.sum(np.abs(diff) ** 2, axis=0))))
+    return max_err
 
 
 def same_bits(a, b):
@@ -134,8 +147,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def aliases_a_buffer(arr, grid):
-    return any(np.shares_memory(arr, buf) for buf in _work_buffers(grid))
+def aliases_a_buffer(arr, op):
+    return any(np.shares_memory(arr, buf) for buf in (op.stack, op.padded, op.products, op.rtmp, op.ctmp))
+
+
+def band_limited(op, seed):
+    """A zero-mean random half-spectrum state with +0 on every mode the 2/3 rule removes."""
+    return op.extend(op.restrict(random_state_field(op.grid, seed=seed).spec))
 
 
 @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
@@ -143,100 +161,166 @@ def grid(request):
     return GridSpec(dim=request.param, n=16, box_length=TWO_PI)
 
 
+@pytest.fixture
+def op(grid):
+    return SpectralOperator(grid, PARAMS, DT)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 32, 64])
+    def test_blocks_cover_exactly_the_kept_modes(self, dim, n):
+        g = GridSpec(dim=dim, n=n, box_length=TWO_PI)
+        op = SpectralOperator(g, PARAMS, DT)
+        assert len(op.blocks) == 2 ** (dim - 1)
+        assert all(isinstance(sl, slice) for blk in op.blocks for side in blk for sl in side[1:])
+        cover = np.zeros(g.spectral_shape, dtype=int)
+        for full, _ in op.blocks:
+            cover[full] += 1
+        assert np.array_equal(cover, dealias_mask(g).astype(int))
+        assert np.prod(op.shape) == np.count_nonzero(dealias_mask(g))
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 64])
+    def test_restrict_extend_round_trip(self, n):
+        g = GridSpec(dim=3, n=n, box_length=TWO_PI)
+        op = SpectralOperator(g, PARAMS, DT)
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal((3,) + op.shape) + 1j * rng.standard_normal((3,) + op.shape)
+        assert same_bits(op.restrict(op.extend(c)), c)
+        full = rng.standard_normal((3,) + g.spectral_shape) + 0j
+        assert np.array_equal(op.extend(op.restrict(full)), full * dealias_mask(g))
+        assert not np.any(np.signbit(op.extend(c).view(float)) & (op.extend(c).view(float) == 0))
+
+    def test_compact_axes_hold_the_mode_numbers_in_order(self):
+        g = GridSpec(dim=2, n=8, box_length=TWO_PI)
+        op = SpectralOperator(g, PARAMS, DT)
+        m = [kj / (TWO_PI / g.box_length) for kj in op.k]
+        assert m[0][:, 0].tolist() == [0, 1, 2, -2, -1]
+        assert m[1][0].tolist() == [0, 1, 2]
+
+
 class TestNoAliasing:
-    def test_nonlinear_term_result_survives_the_next_call(self, grid):
-        first = nonlinear_term(random_state_field(grid, seed=1))
+    def test_nonlinear_term_result_survives_the_next_call(self, op):
+        first = nonlinear_term(op.restrict(random_state_field(op.grid, seed=1).spec), op)
         kept = first.copy()
-        nonlinear_term(random_state_field(grid, seed=2))
+        nonlinear_term(op.restrict(random_state_field(op.grid, seed=2).spec), op)
         assert same_bits(first, kept)
-        assert not aliases_a_buffer(first, grid)
+        assert not aliases_a_buffer(first, op)
 
-    def test_imex_step_result_survives_the_next_call(self, grid):
-        f = random_state_field(grid, seed=3).spec
-        first = imex_step(random_state_field(grid, seed=1).spec, 0.0, DT, PARAMS, grid, f)
+    def test_imex_step_result_survives_the_next_call(self, op):
+        f = op.restrict(random_state_field(op.grid, seed=3).spec)
+        first = imex_step(op.restrict(random_state_field(op.grid, seed=1).spec), 0.0, op, f)
         kept = first.copy()
-        imex_step(random_state_field(grid, seed=2).spec, 0.0, DT, PARAMS, grid, f)
+        imex_step(op.restrict(random_state_field(op.grid, seed=2).spec), 0.0, op, f)
         assert same_bits(first, kept)
-        assert not aliases_a_buffer(first, grid)
+        assert not aliases_a_buffer(first, op)
 
-    def test_solve_result_is_a_new_array(self, grid):
-        b = random_state_field(grid, seed=4).spec
-        assert not aliases_a_buffer(_solve_shifted(b, DT, PARAMS, grid), grid)
+    def test_solve_result_is_a_new_array(self, op):
+        b = op.restrict(random_state_field(op.grid, seed=4).spec)
+        assert not aliases_a_buffer(_solve_shifted(b, op), op)
 
 
 class TestSameBitsAsReference:
-    def test_nonlinear_term(self, grid):
-        u = random_state_field(grid, seed=5)
-        assert same_bits(nonlinear_term(u), ref_nonlinear_term(u))
+    def test_nonlinear_term(self, op):
+        u = band_limited(op, seed=5)
+        got = nonlinear_term(op.restrict(u), op)
+        ref = ref_nonlinear_term(Field(op.grid, u))
+        assert same_bits(got, op.restrict(ref))
+        assert np.array_equal(op.extend(got), ref)  # the reference is zero off the kept modes
 
-    def test_step_with_constant_force(self, grid):
-        u, f = random_state_field(grid, seed=6).spec, random_state_field(grid, seed=7).spec
-        assert same_bits(imex_step(u, 0.3, DT, PARAMS, grid, f), ref_imex_step(u, 0.3, DT, PARAMS, grid, f))
+    def test_solve_shifted(self, op):
+        b = band_limited(op, seed=14)
+        ref = ref_solve_shifted(b, solver._ARS_GAMMA * DT, PARAMS, op.grid)
+        assert same_bits(op.extend(_solve_shifted(op.restrict(b), op)), ref)
 
-    def test_step_with_mms_force(self, grid):
-        # the force calls nonlinear_term inside each stage, between the stage's own calls
-        target = divergent_mms_target(grid)
+    def test_step_with_constant_force(self, op):
+        u, f = band_limited(op, seed=6), band_limited(op, seed=7)
+        got = op.extend(imex_step(op.restrict(u), 0.3, op, op.restrict(f)))
+        assert same_bits(got, ref_imex_step(u, 0.3, DT, PARAMS, op.grid, f))
+
+    def test_step_with_mms_force(self, op):
+        # the force calls nonlinear_term inside each stage, between the stage's own calls;
+        # the reference carries the transform's roundoff on the removed modes, where it stays
+        target = divergent_mms_target(op.grid)
         u = target.state(0.1).spec
-        got = imex_step(u, 0.1, DT, PARAMS, grid, mms_force_hat(target, PARAMS))
-        assert same_bits(got, ref_imex_step(u, 0.1, DT, PARAMS, grid, ref_mms_force_hat(target, PARAMS)))
+        got = imex_step(op.restrict(u), 0.1, op, mms_force_hat(target, op))
+        ref = ref_imex_step(u, 0.1, DT, PARAMS, op.grid, ref_mms_force_hat(target, PARAMS))
+        assert same_bits(got, op.restrict(ref))
 
-    def test_run_mms(self, monkeypatch):
+    def test_run_mms(self):
+        # every state of the run matches the reference bitwise; the error sums run over the
+        # kept modes only, so they move at roundoff against the half-spectrum sums
         grid2 = GridSpec(dim=2, n=16, box_length=TWO_PI)
         target = divergent_mms_target(grid2)
         cfg = StepperConfig(dt=4e-3, t_end=0.04)
-        got = run_mms(target, PARAMS, cfg)
-        monkeypatch.setattr(solver, "imex_step", ref_imex_step)
-        monkeypatch.setattr(solver, "mms_force_hat", ref_mms_force_hat)
-        ref = run_mms(target, PARAMS, cfg)
-        assert [v.hex() for v in (got["max_l2_error"], got["max_rel_error"])] == \
-            [v.hex() for v in (ref["max_l2_error"], ref["max_rel_error"])]
+        op = SpectralOperator(grid2, PARAMS, cfg.dt)
+        f, f_ref = mms_force_hat(target, op), ref_mms_force_hat(target, PARAMS)
+        u_ref = target.state(0.0).spec.copy()
+        u = op.restrict(u_ref)
+        for i in range(cfg.n_steps):
+            u = imex_step(u, i * cfg.dt, op, f)
+            u_ref = ref_imex_step(u_ref, i * cfg.dt, cfg.dt, PARAMS, grid2, f_ref)
+            assert same_bits(u, op.restrict(u_ref))
+        got = run_mms(target, PARAMS, cfg)["max_l2_error"]
+        assert got == pytest.approx(ref_run_mms(target, PARAMS, cfg), rel=1e-12, abs=0.0)
 
     def test_k_dot_keeps_the_sign_of_zero(self, grid):
         # an all -0.0 input: the sum starts at +0, so every mode is +0 + 0j
+        k = wavevectors(grid)
         s = np.full((grid.dim,) + grid.spectral_shape, complex(-0.0, -0.0))
-        assert same_bits(k_dot(grid, s), ref_k_dot(grid, s))
+        assert same_bits(k_dot(k, s), ref_k_dot(grid, s))
         u = random_state_field(grid, seed=8).spec
-        assert same_bits(k_dot(grid, u), ref_k_dot(grid, u))
-        assert same_bits(k_parallel_coef(grid, u), ref_k_parallel_coef(grid, u))
+        assert same_bits(k_dot(k, u), ref_k_dot(grid, u))
+        safe = safe_wavenumber_sq(wavenumber_sq(grid))
+        assert same_bits(k_parallel_coef(k, safe, u), ref_k_parallel_coef(grid, u))
 
-    def test_diagnostics(self, grid):
-        u = random_state_field(grid, seed=9)
-        w, ksq, s = parseval_weights(grid), wavenumber_sq(grid), u.spec
-        kdotu = ref_k_dot(grid, s)
-        d = diagnostics(u, PARAMS)
-        assert d.u_sq == volume_norm_sq(u)
-        assert d.eps_nu == PARAMS.nu * float(np.sum(w * ksq * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
+    def test_diagnostics(self, op):
+        s = op.restrict(random_state_field(op.grid, seed=9).spec)
+        w, ksq = op.restrict(parseval_weights(op.grid)), op.restrict(wavenumber_sq(op.grid))
+        kdotu = sum(op.k[j] * s[j] for j in range(op.grid.dim))
+        d = diagnostics(s, op)
+        energy = np.sum(s.real ** 2 + s.imag ** 2, axis=0)
+        assert d.u_sq == op.norm_sq(s) == float(np.sum(w * energy))
+        assert d.eps_nu == PARAMS.nu * float(np.sum(w * ksq * energy))
         assert d.div_sq == float(np.sum(w * (kdotu.real ** 2 + kdotu.imag ** 2)))
         assert d.eps_gamma == PARAMS.gamma * d.div_sq
 
 
 class TestCachedConstants:
-    def test_equal_to_the_inline_expressions(self, grid):
-        ksq = wavenumber_sq(grid)
-        assert np.array_equal(_safe_wavenumber_sq(grid), np.where(ksq > 0, ksq, 1.0))
-        assert np.array_equal(_parseval_wavenumber_sq(grid), parseval_weights(grid) * ksq)
+    def test_equal_to_the_inline_expressions(self, op):
+        grid = op.grid
+        ksq = op.restrict(wavenumber_sq(grid))
+        assert all(np.array_equal(kc, op.restrict(kf)) for kc, kf in zip(op.k, wavevectors(grid)))
+        assert np.array_equal(op.safe_ksq, np.where(ksq > 0, ksq, 1.0))
+        assert np.array_equal(op.weights, op.restrict(parseval_weights(grid)))
+        assert np.array_equal(op.weighted_ksq, op.restrict(parseval_weights(grid) * wavenumber_sq(grid)))
+        assert np.array_equal(op.neg_nu_ksq, -PARAMS.nu * ksq)
         c = solver._ARS_GAMMA * DT
-        perp, par = _implicit_denominators(grid, PARAMS, c)
-        assert np.array_equal(perp, 1.0 + c * PARAMS.nu * ksq)
-        assert np.array_equal(par, 1.0 + c * (PARAMS.nu + PARAMS.gamma) * ksq)
+        assert np.array_equal(op.denom_perp, 1.0 + c * PARAMS.nu * ksq)
+        assert np.array_equal(op.denom_par, 1.0 + c * (PARAMS.nu + PARAMS.gamma) * ksq)
 
-    def test_denominators_keep_few_entries(self, grid):
-        # a sweep worker steps one gamma after another; old gammas are dropped
-        b = random_state_field(grid, seed=10).spec
-        for gamma in range(10):
-            _solve_shifted(b, DT, FlowParams(nu=0.05, gamma=float(gamma)), grid)
-        assert _implicit_denominators.cache_info().currsize <= 4
+    def test_padding_stays_zero(self, op):
+        u = op.restrict(random_state_field(op.grid, seed=10).spec)
+        for _ in range(3):
+            u = imex_step(u, 0.0, op, np.zeros_like(u))
+        kept = np.zeros(op.grid.spectral_shape, dtype=bool)
+        for full, _ in op.blocks:
+            kept[full] = True
+        padding = op.padded[:, ~kept]
+        assert np.all(padding == 0) and not np.any(np.signbit(padding.real) | np.signbit(padding.imag))
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the freed-memory setting is glibc's mallopt")
 def test_steady_steps_fault_in_no_fresh_pages():
     # numpy's transforms allocate intermediates on every call; kept freed memory serves them
     grid3 = GridSpec(dim=3, n=32, box_length=TWO_PI)
-    u, f = random_state_field(grid3, seed=11).spec, random_state_field(grid3, seed=12).spec
+    op = SpectralOperator(grid3, PARAMS, DT)
+    u = op.restrict(random_state_field(grid3, seed=11).spec)
+    f = op.restrict(random_state_field(grid3, seed=12).spec)
     for _ in range(3):
-        u = imex_step(u, 0.0, DT, PARAMS, grid3, f)
+        u = imex_step(u, 0.0, op, f)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(5):
-        u = imex_step(u, 0.0, DT, PARAMS, grid3, f)
+        u = imex_step(u, 0.0, op, f)
     # the default allocator settings fault in about 1700 pages per step here
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 5 * 100

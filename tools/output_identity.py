@@ -1,6 +1,7 @@
-"""Write the outputs of the benchmark configs, so two commits compare with one `diff -r`.
+"""Write the outputs of the benchmark configs, and compare two such output trees.
 
     python3 tools/output_identity.py OUT_DIR [--root CHECKOUT] [--seeds 0 3]
+    python3 tools/output_identity.py --compare OUT_PARENT OUT_CHANGE
 
 For each seed it writes, under OUT_DIR/seed_<n>/:
 
@@ -15,12 +16,18 @@ CHECKOUT (default: the checkout holding this script) together with its
 
     diff -r OUT_PARENT OUT_CHANGE
 
-prints nothing when the two commits write byte-identical outputs.
+prints nothing when the two commits write byte-identical outputs. Where
+they differ, `--compare` lists every file as byte-equal or not and gives,
+for the files that differ, the largest relative and absolute difference
+per CSV column, per float of `summary.json`/`sweep.json` (keyed by its
+path, list indices dropped) and per MMS error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 
@@ -29,12 +36,76 @@ import yaml
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
+def _floats(path: str) -> dict:
+    """{key: [floats]} of one output file: CSV columns, JSON floats by key path, MMS errors."""
+    out = {}
+    if path.endswith(".csv"):
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            for line in fh:
+                for name, cell in zip(header, line.strip().split(",")):
+                    try:
+                        out.setdefault(name, []).append(float(cell))
+                    except ValueError:
+                        pass
+    elif path.endswith(".json"):
+        def walk(obj, key):
+            if isinstance(obj, dict):
+                for k, v in obj.items():
+                    walk(v, f"{key}.{k}" if key else k)
+            elif isinstance(obj, list):
+                for v in obj:
+                    walk(v, key)
+            elif isinstance(obj, float):
+                out.setdefault(key, []).append(obj)
+        with open(path) as fh:
+            walk(json.load(fh), "")
+    elif path.endswith(".txt"):
+        with open(path) as fh:
+            out["error"] = [float.fromhex(line) for line in fh]
+    return out
+
+
+def compare(a_dir: str, b_dir: str) -> int:
+    """Print, per file, whether it is byte-equal, and the largest float differences where not."""
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
+
+    names_a, names_b = files(a_dir), files(b_dir)
+    for name in sorted(names_a | names_b):
+        if name not in names_a or name not in names_b:
+            print(f"{name}: only in {a_dir if name in names_a else b_dir}")
+            continue
+        with open(os.path.join(a_dir, name), "rb") as fa, open(os.path.join(b_dir, name), "rb") as fb:
+            if fa.read() == fb.read():
+                print(f"{name}: byte-equal")
+                continue
+        print(f"{name}: differs")
+        fa, fb = _floats(os.path.join(a_dir, name)), _floats(os.path.join(b_dir, name))
+        for key in sorted(set(fa) | set(fb)):
+            xs, ys = fa.get(key, []), fb.get(key, [])
+            if len(xs) != len(ys):
+                print(f"  {key}: {len(xs)} values against {len(ys)}")
+                continue
+            pairs = [(x, y) for x, y in zip(xs, ys) if x != y and not (math.isnan(x) and math.isnan(y))]
+            if pairs:
+                rel = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
+                absolute = max(abs(x - y) for x, y in pairs)
+                print(f"  {key}: max rel {rel:.3g}, max abs {absolute:.3g} ({len(pairs)} of {len(xs)} differ)")
+    return 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("out_dir")
+    p.add_argument("out_dir", nargs="?")
     p.add_argument("--root", default=os.path.dirname(HERE), help="checkout whose src/ and bench/ are used")
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
+    p.add_argument("--compare", nargs=2, metavar=("OUT_A", "OUT_B"), help="compare two output trees")
     args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out_dir is None:
+        p.error("OUT_DIR is required unless --compare is given")
 
     root = os.path.abspath(args.root)
     sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout's bench/
