@@ -277,9 +277,9 @@ class TestRunSingle:
         # one record per state: the initial one and each step's; the midpoint needs none
         calls = []
 
-        def counted(u, params):
+        def counted(u, op):
             calls.append(u)
-            return stats_diagnostics(u, params)
+            return stats_diagnostics(u, op)
 
         stats_diagnostics = stats.diagnostics
         monkeypatch.setattr(stats, "diagnostics", counted)
