@@ -79,10 +79,10 @@ def json_safe(obj):
 def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     """Force shape at unit rms plus a seeded divergence-free perturbation.
 
-    The perturbation lives on modes with |m_j| <= 4, has zero mean, and is
-    scaled to rms PERTURBATION_RMS; the whole construction is a pure
-    function of the seed, so runs are reproducible. For unforced runs the
-    perturbation alone, scaled to unit rms, is the initial state.
+    The perturbation lives on the 2/3-rule modes with |m_j| <= 4, has zero
+    mean, and is scaled to rms PERTURBATION_RMS; the whole construction is a
+    pure function of the seed, so runs are reproducible. For unforced runs
+    the perturbation alone, scaled to unit rms, is the initial state.
     """
     grid = cfg.grid
     if force is not None:
@@ -92,7 +92,7 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     rng = np.random.default_rng(cfg.seed)
     s = Field.from_physical(grid, rng.standard_normal((grid.dim,) + grid.shape)).spec
     for m in mode_numbers(grid):
-        s[:, np.abs(m) > PERTURBATION_MAX_MODE] = 0.0
+        s[:, np.abs(m) > min(PERTURBATION_MAX_MODE, grid.cutoff)] = 0.0
     s[(slice(None),) + (0,) * grid.dim] = 0.0
     pert = project_divergence_free(Field.from_spectral(grid, s))
     prms = np.sqrt(volume_norm_sq(pert))

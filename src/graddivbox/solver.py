@@ -11,9 +11,9 @@ rotational form omega x u + grad(|u|^2 / 2) + (1/2)(div u) u, omega = curl u,
 with 2/3-rule dealiasing before and after products. Every product is
 quadratic, so under the 2/3 rule (Orszag 1971) the two forms agree on every
 retained mode, and the energy inner product of the term with u vanishes to
-roundoff even when div u != 0. One evaluation makes one batched inverse
-transform of [u, omega, div u] and one batched forward transform of
-[omega x u + (1/2)(div u) u, |u|^2 / 2].
+roundoff even when div u != 0. One evaluation transforms [u, omega, div u]
+and [omega x u + (1/2)(div u) u, |u|^2 / 2] in one 1-D pass per axis that
+skips the lines of the 2/3 rule's zero padding, bitwise as irfftn/rfftn.
 
 Time stepping is the L-stable two-stage second-order IMEX Runge-Kutta
 scheme ARS(2,2,2): advection explicit, nu*lap + gamma*grad div implicit.
@@ -37,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +131,7 @@ def _retain_freed_heap() -> None:
 class SpectralOperator:
     """The frozen per-run constants of the step on the compact layout, and its work buffers.
 
+    `halves` pairs the slices of m = 0..c and -c..-1 on a full axis and on a compact one;
     `blocks` pairs basic slices of the half-spectrum and of the compact layout, one pair per
     sign pattern of the dim - 1 full axes. The ARS divisors are arrays, not reciprocals:
     x / d and x * (1 / d) differ in the last bit.
@@ -139,11 +141,11 @@ class SpectralOperator:
         self.grid, self.params, self.dt = grid, params, dt
         c, n, dim = grid.cutoff, grid.n, grid.dim
         self.shape = (2 * c + 1,) * (dim - 1) + (c + 1,)
-        halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1)))
+        self.halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1)))
         self.blocks = tuple(
             ((Ellipsis,) + tuple(h[0] for h in hs) + (slice(0, c + 1),),
              (Ellipsis,) + tuple(h[1] for h in hs) + (slice(0, c + 1),))
-            for hs in itertools.product(halves, repeat=dim - 1))
+            for hs in itertools.product(self.halves, repeat=dim - 1))
         self.k = tuple(self.restrict(kj) for kj in wavevectors(grid))
         ksq = self.restrict(wavenumber_sq(grid))
         self.safe_ksq = safe_wavenumber_sq(ksq)
@@ -155,7 +157,9 @@ class SpectralOperator:
         self.denom_par = 1.0 + c_ars * (params.nu + params.gamma) * ksq
         ncurl = 1 if dim == 2 else 3
         self.stack = np.empty((dim + ncurl + 1,) + self.shape, dtype=complex)  # [u, omega, div u]
-        self.padded = np.zeros((dim + ncurl + 1,) + grid.spectral_shape, dtype=complex)
+        # pass j pads full axis j of the stack to n; only its kept blocks are ever written
+        self.passes = [np.zeros(self.stack.shape[:1] + (n,) * j + self.shape[j:], dtype=complex)
+                       for j in range(1, dim)]
         self.products = np.empty((dim + 1,) + grid.shape)
         self.rtmp = np.empty(grid.shape)
         self.ctmp = np.empty(self.shape, dtype=complex)
@@ -175,6 +179,28 @@ class SpectralOperator:
             out[f] = compact[c]
         return out
 
+    def to_physical(self, stack: np.ndarray) -> np.ndarray:
+        """Samples of the compact [u, omega, div u] stack: irfftn(extend(stack))'s passes, bitwise.
+
+        Each full axis is padded to n in its pass buffer; irfft zero-pads the last axis itself.
+        """
+        x = stack
+        for j, buf in enumerate(self.passes, start=1):
+            pre = (slice(None),) * j
+            for f, c in self.halves:
+                buf[pre + (f,)] = x[pre + (c,)]
+            x = np.fft.ifft(buf, axis=j, norm="forward")
+        return np.fft.irfft(x, self.grid.n, axis=self.grid.dim, norm="forward")
+
+    def to_compact(self, phys: np.ndarray) -> np.ndarray:
+        """The kept coefficients of samples (components first): restrict(rfftn(phys))'s passes, bitwise."""
+        dim = self.grid.dim
+        x = np.fft.rfft(phys, axis=dim, norm="forward")[..., :self.grid.cutoff + 1]
+        for j in range(dim - 1, 0, -1):
+            x = np.fft.fft(x, axis=j, norm="forward")
+            x = np.concatenate([x[(slice(None),) * j + (f,)] for f, _ in self.halves], axis=j)
+        return x
+
     def norm_sq(self, s: np.ndarray) -> float:
         """Volume mean of |s|^2 for compact vector coefficients, by Parseval."""
         return float(np.sum(self.weights * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
@@ -185,18 +211,17 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
 
     N is assembled as omega x u + grad(|u|^2 / 2) + (1/2)(div u) u. In 2d
     omega is the scalar d_x u_y - d_y u_x and omega x u = (-omega u_y,
-    omega u_x). The compact input holds only the kept modes, so the padded
-    transform input is dealiased by construction, and gathering the kept
-    modes of the products dealiases them again: only alias-free Galerkin
-    modes survive. The mean (k = 0) mode is exactly 0.
+    omega u_x). The compact input holds only the kept modes, so `to_physical`
+    sees a dealiased input by construction, and `to_compact` keeps only the
+    kept modes of the products, dealiasing them again: only alias-free
+    Galerkin modes survive. The mean (k = 0) mode is exactly 0.
     """
     dim = op.grid.dim
     k = op.k
     ncurl = 1 if dim == 2 else 3
-    s, padded, rhs, rtmp, ctmp = op.stack, op.padded, op.products, op.rtmp, op.ctmp
-    axes = tuple(range(1, dim + 1))
+    s, rhs, rtmp, ctmp = op.stack, op.products, op.rtmp, op.ctmp
 
-    # spectral [u, omega, div u] on the kept modes, scattered into the zero padding
+    # spectral [u, omega, div u] on the kept modes
     s[:dim] = u
     for i in range(ncurl):
         a, b = (0, 1) if dim == 2 else ((i + 1) % 3, (i + 2) % 3)
@@ -204,9 +229,7 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
         w_hat -= np.multiply(k[b], u[a], out=ctmp)
         np.multiply(1j, w_hat, out=w_hat)
     np.multiply(1j, k_dot(k, u), out=s[-1])
-    for f, c in op.blocks:
-        padded[f] = s[c]
-    phys = np.fft.irfftn(padded, s=op.grid.shape, axes=axes, norm="forward")
+    phys = op.to_physical(s)
     up, w, div = phys[:dim], phys[dim:-1], phys[-1]
 
     # physical [omega x u + (1/2)(div u) u, |u|^2 / 2]; |u|^2 first, while rhs[:dim] is free
@@ -221,7 +244,7 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
             np.multiply(w[a], up[b], out=rhs[i])
             rhs[i] -= np.multiply(w[b], up[a], out=rtmp)
     rhs[:dim] += np.multiply(np.multiply(0.5, div, out=rtmp), up, out=up)
-    p_hat = op.restrict(np.fft.rfftn(rhs, axes=axes, norm="forward"))
+    p_hat = op.to_compact(rhs)
 
     out = p_hat[:dim]
     for j in range(dim):
@@ -315,17 +338,22 @@ def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 
     )
 
 
-def mms_force_hat(target: ManufacturedSolution, op: SpectralOperator):
+def mms_states(target: ManufacturedSolution, op: SpectralOperator):
+    """t -> compact a(t) w; step i's end state is step i + 1's first stage, so it is kept once."""
+    return lru_cache(maxsize=1)(lambda t: op.to_compact(target.amp(t) * target.shape_phys))
+
+
+def mms_force_hat(target: ManufacturedSolution, op: SpectralOperator, state):
     """Compact spectral forcing that makes `target` an exact solution of the discrete model.
 
-    f = u*_t + N(u*) - nu lap u* - gamma grad div u*. This force is in
-    general not divergence-free; that restriction is deliberately waived
-    for verification runs. The target's spectrum is restricted once, here.
+    f = u*_t + N(u*) - nu lap u* - gamma grad div u*, with u*(t) read from
+    `state` (`mms_states`). This force is in general not divergence-free;
+    that restriction is deliberately waived for verification runs.
     """
-    shape_hat = op.restrict(Field.from_physical(target.grid, target.shape_phys).spec)
+    shape_hat = op.to_compact(target.shape_phys)
 
     def fhat(t):
-        u = op.restrict(target.state(t).spec)
+        u = state(t)
         return target.amp_dot(t) * shape_hat + nonlinear_term(u, op) - _apply_linear(u, op)
 
     return fhat
@@ -339,14 +367,15 @@ def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig
     the kept modes.
     """
     op = SpectralOperator(target.grid, params, cfg.dt)
-    fhat = mms_force_hat(target, op)
-    u_hat = op.restrict(target.state(0.0).spec)
+    state = mms_states(target, op)
+    fhat = mms_force_hat(target, op, state)
+    u_hat = state(0.0)
     max_err = 0.0
     max_ref = np.sqrt(op.norm_sq(u_hat))
     for i in range(cfg.n_steps):
         t = i * cfg.dt
         u_hat = imex_step(u_hat, t, op, fhat)
-        exact = op.restrict(target.state((i + 1) * cfg.dt).spec)
+        exact = state((i + 1) * cfg.dt)
         max_err = max(max_err, np.sqrt(op.norm_sq(u_hat - exact)))
         max_ref = max(max_ref, np.sqrt(op.norm_sq(exact)))
     return {

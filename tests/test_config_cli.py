@@ -24,7 +24,7 @@ from graddivbox.forcing import ForcingSpec
 from graddivbox.grid import Field, GridSpec, dealias
 from graddivbox import checkpoint, runner, stats
 from graddivbox.runner import run_single, run_sweep
-from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
+from graddivbox.solver import BlowUpError, FlowParams, SpectralOperator, StepperConfig
 
 from conftest import TWO_PI, random_state_field, shear_field
 
@@ -288,6 +288,14 @@ class TestRunSingle:
         run_single(cfg)
         n_steps = 5
         assert len(calls) == n_steps + 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unforced_initial_state_has_unit_rms_on_a_coarse_grid(self, tmp_path, dim):
+        # n = 8 keeps |m_j| <= 2 of the perturbation's |m_j| <= 4; the kept part is what is scaled
+        cfg = small_run_config(tmp_path, dim=dim, n=8, modes=())
+        op = SpectralOperator(cfg.grid, cfg.params, cfg.stepper.dt)
+        u0 = op.restrict(runner.initial_condition(cfg, None).spec)
+        assert op.norm_sq(u0) == pytest.approx(1.0, rel=1e-12)
 
     def test_serial_rerun_is_bitwise(self, tmp_path):
         a = small_run_config(tmp_path, t_end=0.05, window=0.05, subdir="a")

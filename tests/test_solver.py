@@ -122,29 +122,39 @@ class TestStep:
 
 
 class TestTransformCount:
-    """A step makes two nonlinear evaluations, each one batched inverse and one batched forward transform."""
+    """A step makes two nonlinear evaluations, each one 1-D pass per axis each way, and no n-d transform."""
 
-    # per evaluation, 2d: [u, omega, div u] (4) + [omega x u + (div u) u / 2, |u|^2 / 2] (3); 3d: 7 + 4
-    @pytest.mark.parametrize("dim, components", [(2, 14), (3, 22)])
-    def test_fft_components_per_step(self, monkeypatch, dim, components):
+    # lines per evaluation at n = 16 (cutoff 5, so 11 and 6 kept entries on a full and the last axis):
+    # 2d inverse 4*6 + 4*16, forward 3*16 + 3*6; 3d inverse 7*11*6 + 7*16*6 + 7*16*16,
+    # forward 4*16*16 + 4*16*6 + 4*11*6. The n-d transforms of the half-spectrum took 350 and
+    # 11968 lines per step.
+    @pytest.mark.parametrize("dim, lines", [(2, 308), (3, 9196)])
+    def test_line_transforms_per_step(self, monkeypatch, dim, lines):
         grid = GridSpec(dim=dim, n=16, box_length=TWO_PI)
         u = random_state_field(grid, seed=3)
         f = Field.from_spectral(grid, random_state_field(grid, seed=4).spec)
-        counted = []
+        counted, nd_calls = [], []
 
         def counting(fft):
-            def wrapper(a, *args, **kwargs):
-                axes = kwargs.get("axes")
-                transformed = range(a.ndim) if axes is None else [ax % a.ndim for ax in axes]
-                counted.append(math.prod(size for ax, size in enumerate(a.shape) if ax not in transformed))
-                return fft(a, *args, **kwargs)
+            def wrapper(a, *args, axis=-1, **kwargs):
+                counted.append(math.prod(a.shape) // a.shape[axis])
+                return fft(a, *args, axis=axis, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn))
-        monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn))
+        def recording(fft):
+            def wrapper(*args, **kwargs):
+                nd_calls.append(fft.__name__)
+                return fft(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
         step(u, FlowParams(nu=0.05, gamma=1.0), f, StepperConfig(dt=1e-3, t_end=1.0))
-        assert sum(counted) == components
-        assert len(counted) == 4
+        assert sum(counted) == lines
+        assert len(counted) == 2 * 2 * dim
+        assert nd_calls == []
 
 
 class TestStepGrid:
@@ -199,6 +209,14 @@ class TestMms:
         ]
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9
+
+    def test_each_target_time_is_transformed_once(self, grid2d):
+        # step i's end state is also step i + 1's first-stage state; a(t) is read once per state
+        target = divergent_mms_target(grid2d)
+        amp, times = target.amp, []
+        target.amp = lambda t: times.append(t) or amp(t)
+        run_mms(target, FlowParams(nu=0.05, gamma=1.0), StepperConfig(dt=1e-2, t_end=0.05))
+        assert len(times) == len(set(times)) == 1 + 2 * 5
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_raises(self):

@@ -33,6 +33,7 @@ from graddivbox.solver import (
     divergent_mms_target,
     imex_step,
     mms_force_hat,
+    mms_states,
     nonlinear_term,
     run_mms,
 )
@@ -148,7 +149,7 @@ def same_bits(a, b):
 
 
 def aliases_a_buffer(arr, op):
-    return any(np.shares_memory(arr, buf) for buf in (op.stack, op.padded, op.products, op.rtmp, op.ctmp))
+    return any(np.shares_memory(arr, buf) for buf in (op.stack, *op.passes, op.products, op.rtmp, op.ctmp))
 
 
 def band_limited(op, seed):
@@ -243,7 +244,7 @@ class TestSameBitsAsReference:
         # the reference carries the transform's roundoff on the removed modes, where it stays
         target = divergent_mms_target(op.grid)
         u = target.state(0.1).spec
-        got = imex_step(op.restrict(u), 0.1, op, mms_force_hat(target, op))
+        got = imex_step(op.restrict(u), 0.1, op, mms_force_hat(target, op, mms_states(target, op)))
         ref = ref_imex_step(u, 0.1, DT, PARAMS, op.grid, ref_mms_force_hat(target, PARAMS))
         assert same_bits(got, op.restrict(ref))
 
@@ -254,7 +255,7 @@ class TestSameBitsAsReference:
         target = divergent_mms_target(grid2)
         cfg = StepperConfig(dt=4e-3, t_end=0.04)
         op = SpectralOperator(grid2, PARAMS, cfg.dt)
-        f, f_ref = mms_force_hat(target, op), ref_mms_force_hat(target, PARAMS)
+        f, f_ref = mms_force_hat(target, op, mms_states(target, op)), ref_mms_force_hat(target, PARAMS)
         u_ref = target.state(0.0).spec.copy()
         u = op.restrict(u_ref)
         for i in range(cfg.n_steps):
@@ -299,15 +300,41 @@ class TestCachedConstants:
         assert np.array_equal(op.denom_perp, 1.0 + c * PARAMS.nu * ksq)
         assert np.array_equal(op.denom_par, 1.0 + c * (PARAMS.nu + PARAMS.gamma) * ksq)
 
-    def test_padding_stays_zero(self, op):
+
+class TestPrunedTransforms:
+    """The per-axis passes give bitwise what the n-d transforms of the half-spectrum give."""
+
+    @staticmethod
+    def inputs(op, seed):
+        # random band-limited coefficients, and one sine mode: its samples hold exact zeros
+        rng = np.random.default_rng(seed)
+        shape = op.stack.shape
+        single = np.zeros(shape, dtype=complex)
+        single[(slice(None),) + (1,) * op.grid.dim] = -0.5j
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape), single
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_same_bits_as_the_nd_transforms(self, dim, n):
+        g = GridSpec(dim=dim, n=n, box_length=TWO_PI)
+        op = SpectralOperator(g, PARAMS, DT)
+        axes = tuple(range(1, dim + 1))
+        for s in self.inputs(op, seed=n + dim):
+            phys = op.to_physical(s)
+            assert same_bits(phys, np.fft.irfftn(op.extend(s), s=g.shape, axes=axes, norm="forward"))
+            products = phys[:dim + 1]
+            assert same_bits(op.to_compact(products),
+                             op.restrict(np.fft.rfftn(products, axes=axes, norm="forward")))
+        assert np.any(phys == 0)  # the single mode's samples, where signed zeros must match too
+
+    def test_pass_buffers_keep_positive_zero_off_the_kept_modes(self, op):
         u = op.restrict(random_state_field(op.grid, seed=10).spec)
         for _ in range(3):
             u = imex_step(u, 0.0, op, np.zeros_like(u))
-        kept = np.zeros(op.grid.spectral_shape, dtype=bool)
-        for full, _ in op.blocks:
-            kept[full] = True
-        padding = op.padded[:, ~kept]
-        assert np.all(padding == 0) and not np.any(np.signbit(padding.real) | np.signbit(padding.imag))
+        for j, buf in enumerate(op.passes, start=1):
+            removed = buf[(slice(None),) * j + (slice(op.grid.cutoff + 1, op.grid.n - op.grid.cutoff),)]
+            assert removed.size and not np.any(removed.view(float))
+            assert not np.any(np.signbit(removed.view(float)))
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the freed-memory setting is glibc's mallopt")
