@@ -3,35 +3,38 @@
 Little-endian layout:
 
     bytes 0-3    magic "GDPB"
-    u32          format version (currently 2)
+    u32          format version (2)
     u32          dim
     u32          n
     f64          box_length
     f64          t
     f64          nu
     f64          gamma
-    payload      version 2: dim * n^(dim-1) * (n/2+1) complex128 values, the
+    payload      dim * n^(dim-1) * (n/2+1) complex128 values, the
                  half-spectrum (numpy rfftn layout, Fourier-series
                  coefficients) of the velocity, component-major, each
-                 component row-major;
-                 version 1: dim * n^dim f64 values, the physical-space
-                 velocity, laid out the same way
+                 component row-major; +0 off the modes the 2/3 rule keeps
 
-The spectral coefficients are the canonical solver state, so writing and
-reloading a version-2 checkpoint restarts a serial run bitwise. Version 1
-files are still read. A checkpoint is written to a temporary file in the
-target's directory and then renamed onto the target, so a failed write
-leaves the previous file intact.
+A `Field` holds only the kept modes, so the writer extends it to the
+half-spectrum and the reader restricts the payload back, bitwise; a
+restart from a written checkpoint therefore reproduces a serial run
+bitwise. The reader refuses a file whose payload has a nonzero coefficient
+above the 2/3-rule cutoff, an invalid header value, a short payload or
+trailing bytes. Version 1 files (a physical-space payload) are not read. A
+checkpoint is written to a temporary file in the target's directory and
+then renamed onto the target, so a failed write leaves the previous file
+intact.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, extend, restrict
 from .solver import FlowParams
 
 MAGIC = b"GDPB"
@@ -47,7 +50,7 @@ def write_checkpoint(path, u: Field, t: float, params: FlowParams) -> None:
     grid = u.grid
     header = _HEADER.pack(MAGIC, VERSION, grid.dim, grid.n,
                           grid.box_length, t, params.nu, params.gamma)
-    payload = np.ascontiguousarray(u.spec, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(extend(grid, u.spec), dtype="<c16").tobytes()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -63,7 +66,7 @@ def write_checkpoint(path, u: Field, t: float, params: FlowParams) -> None:
 
 
 def read_checkpoint(path):
-    """Returns (grid, u, t, params)."""
+    """Returns (grid, u, t, params), u a compact Field."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -71,15 +74,22 @@ def read_checkpoint(path):
         magic, version, dim, n, box_length, t, nu, gamma = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        if version not in (1, VERSION):
+        if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
-        grid = GridSpec(dim=dim, n=n, box_length=box_length)
-        shape = (dim,) + (grid.shape if version == 1 else grid.spectral_shape)
-        dtype = np.dtype("<f8" if version == 1 else "<c16")
-        count = int(np.prod(shape))
-        data = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
-        if data.size != count:
+        try:
+            grid = GridSpec(dim=dim, n=n, box_length=box_length)
+            params = FlowParams(nu=nu, gamma=gamma)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: invalid header: {e}") from e
+        shape = (dim,) + grid.spectral_shape
+        size = math.prod(shape) * 16
+        stored = os.fstat(fh.fileno()).st_size - _HEADER.size  # a corrupt header cannot ask for a huge read
+        if stored < size:
             raise CheckpointError(f"{path}: truncated payload")
-    data = data.reshape(shape).copy()
-    u = Field.from_physical(grid, data) if version == 1 else Field.from_spectral(grid, data)
-    return grid, u, t, FlowParams(nu=nu, gamma=gamma)
+        if stored > size:
+            raise CheckpointError(f"{path}: {stored - size} trailing bytes after the payload")
+        full = np.frombuffer(fh.read(size), dtype="<c16").reshape(shape)
+    spec = restrict(grid, full)
+    if not np.array_equal(extend(grid, spec), full, equal_nan=True):
+        raise CheckpointError(f"checkpoint has a nonzero coefficient above the 2/3-rule cutoff {grid.cutoff}: {path}")
+    return grid, Field(grid, spec), t, params

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (
-    Field,
-    GridSpec,
-    divergence,
-    gradient,
-    volume_norm_sq,
-)
+from .grid import Field, GridSpec, extend, k_dot, volume_norm_sq, wavevectors
 
 
 class ForcingError(ValueError):
@@ -89,29 +83,29 @@ class ForceStats:
 
 
 def realize_force(spec: ForcingSpec) -> Field:
-    """Build the force field's spectral coefficients from its mode list."""
+    """Build the force field's compact coefficients from its mode list."""
     if not spec.modes:
         raise ForcingError("zero force: the mode list is empty")
     grid = spec.grid
-    n = grid.n
-    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
+    coeffs = np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
     for m, a in spec.modes:
-        _place_mode(coeffs, m, a, n)
-    # reality is structural in the half-spectrum layout
-    return Field.from_spectral(grid, coeffs)
+        _place_mode(coeffs, m, a, 2 * grid.cutoff + 1)
+    # reality is structural in the compact layout
+    return Field(grid, coeffs)
 
 
-def _place_mode(coeffs, m, a, n):
-    # The rfft layout stores only m_last >= 0; entries on the m_last = 0
-    # plane need their conjugate partner placed explicitly.
+def _place_mode(coeffs, m, a, size):
+    # The compact layout stores only m_last >= 0, at index m_j mod size on
+    # the full axes; entries on the m_last = 0 plane need their conjugate
+    # partner placed explicitly.
     if m[-1] < 0:
         m = tuple(-mj for mj in m)
         a = tuple(np.conj(aj) for aj in a)
-    idx = tuple(mj % n for mj in m)
+    idx = tuple(mj % size for mj in m)
     for c, ac in enumerate(a):
         coeffs[(c,) + idx] += ac
     if m[-1] == 0:
-        conj_idx = tuple((-mj) % n for mj in m)
+        conj_idx = tuple((-mj) % size for mj in m)
         for c, ac in enumerate(a):
             coeffs[(c,) + conj_idx] += np.conj(ac)
 
@@ -124,16 +118,22 @@ def compute_F(f: Field) -> float:
     return float(np.sqrt(fsq))
 
 
+def _sup_norm(grid: GridSpec, s: np.ndarray) -> float:
+    """Largest pointwise Euclidean norm over the samples of compact coefficients `s`."""
+    p = np.fft.irfftn(extend(grid, s), s=grid.shape, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+    return float(np.sqrt(np.max(np.sum(p * p, axis=0))))
+
+
 def force_stats(f: Field) -> ForceStats:
     """F, L and kappa of a force, from one gradient and one sup over the samples."""
+    grid = f.grid
     F = compute_F(f)
-    g = gradient(f)
-    gp = g.phys
-    fp = f.phys
-    sup = float(np.sqrt(np.max(np.sum(gp * gp, axis=0))))
-    l2 = float(np.sqrt(volume_norm_sq(g)))
+    # d(f_i)/dx_j at component i * dim + j
+    g = (1j * np.stack(wavevectors(grid)) * f.spec[:, np.newaxis]).reshape((-1,) + grid.compact_shape)
+    sup = _sup_norm(grid, g)
+    l2 = float(np.sqrt(volume_norm_sq(Field(grid, g))))
     candidates = {
-        "box_length": f.grid.box_length,
+        "box_length": grid.box_length,
         "sup_gradient": F / sup if sup > 0 else np.inf,
         "rms_gradient": F / l2 if l2 > 0 else np.inf,
     }
@@ -142,7 +142,7 @@ def force_stats(f: Field) -> ForceStats:
         F=F,
         L=candidates[branch],
         L_branch=branch,
-        kappa=float(np.sqrt(np.max(np.sum(fp * fp, axis=0)))) / F,
+        kappa=_sup_norm(grid, f.spec) / F,
         grad_f_sup=sup,
         grad_f_l2=l2,
     )
@@ -150,8 +150,8 @@ def force_stats(f: Field) -> ForceStats:
 
 def check_divergence_free(f: Field, tol: float = 1e-12) -> float:
     """Relative divergence norm of a realized force; raises beyond `tol`."""
-    div = float(np.sqrt(volume_norm_sq(divergence(f))))
-    rel = div / max(compute_F(f), 1e-300)
+    div = Field(f.grid, 1j * k_dot(wavevectors(f.grid), f.spec)[np.newaxis])
+    rel = float(np.sqrt(volume_norm_sq(div))) / max(compute_F(f), 1e-300)
     if rel > tol:
         raise ForcingError(f"force divergence {rel:.3e} exceeds tolerance {tol:.1e}")
     return rel

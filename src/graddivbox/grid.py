@@ -1,29 +1,25 @@
-"""Periodic uniform grids, vector fields, and exact spectral operators.
+"""Periodic uniform grids, the compact spectral layout and its exact operators.
 
-Fields live on a cubic (or square) periodic box and hold one view: their
-spectral coefficients. The physical samples are an inverse transform
-computed on each read. The spectral layout is the real-to-complex half
-spectrum (numpy ``rfftn``), so conjugate symmetry is structural and the
-inverse transform is real by construction. Norms and inner products are
-Parseval sums over that half spectrum.
+A field is held by its spectral coefficients on the modes the 2/3 rule
+keeps (Orszag 1971), |m_j| <= `GridSpec.cutoff` = c: the compact layout,
+shape `GridSpec.compact_shape` = (2c+1,)*(dim-1) + (c+1,). Its full axes
+hold m = 0..c, -c..-1 and its last axis m = 0..c, so it is the kept part of
+the real-to-complex half spectrum (numpy ``rfftn``) and conjugate symmetry
+is structural. The force, the initial and restart states, the MMS targets
+and every stage of a run live on it. `extend` scatters it into the
+half-spectrum only for a checkpoint payload and for physical samples;
+`restrict` gathers it back.
 
 Normalization: spectral coefficients are true Fourier-series coefficients,
 ``u(x) = sum_k uhat_k exp(i k.x)``, i.e. forward transform divided by the
-total number of samples. This is the single normalization of the whole
-package, applied inside the transforms by ``norm="forward"`` in
-`Field.from_physical` and `Field.phys`; Parseval then reads
+total number of samples (``norm="forward"``). Parseval then reads
 ``mean(|u|^2) = sum_k w_k |uhat_k|^2`` with ``w_k = 2`` for modes whose
-conjugate partner is not stored and ``w_k = 1`` on the self-conjugate
-planes.
-
-A run steps a compact state, the modes the 2/3 rule keeps (|m_j| <=
-`GridSpec.cutoff`): its full axes hold m = 0..c, -c..-1 and its last axis
-m = 0..c. `solver.SpectralOperator` restricts the force and the initial or
-restart state to it, and extends the state back only for a checkpoint.
+conjugate partner is not stored and ``w_k = 1`` on the m_last = 0 plane.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +37,7 @@ class GridSpec:
     """Uniform periodic box: `dim` axes, `n` samples per axis, side `box_length`.
 
     Wavevectors are k = (2*pi/box_length) * m for integer multi-indices m
-    with |m_j| <= n/2. Anisotropic grids are rejected by construction
+    with |m_j| <= cutoff. Anisotropic grids are rejected by construction
     (single `n` for all axes).
     """
 
@@ -55,8 +51,8 @@ class GridSpec:
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 4, got {n}")
-        if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+        if not 0 < self.box_length < np.inf:
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
 
     @property
     def shape(self) -> tuple:
@@ -64,7 +60,14 @@ class GridSpec:
 
     @property
     def spectral_shape(self) -> tuple:
+        """Shape of the half-spectrum (numpy rfftn) of one component."""
         return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
+
+    @property
+    def compact_shape(self) -> tuple:
+        """Shape of the kept modes of one component."""
+        c = self.cutoff
+        return (2 * c + 1,) * (self.dim - 1) + (c + 1,)
 
     @property
     def spacing(self) -> float:
@@ -77,12 +80,52 @@ class GridSpec:
 
 
 @lru_cache(maxsize=None)
+def halves(grid: GridSpec) -> tuple:
+    """(half-spectrum slice, compact slice) of m = 0..c and of m = -c..-1 on a full axis."""
+    c, n = grid.cutoff, grid.n
+    return (slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1))
+
+
+@lru_cache(maxsize=None)
+def blocks(grid: GridSpec) -> tuple:
+    """(half-spectrum, compact) basic slices, one pair per sign pattern of the dim - 1 full axes."""
+    last = slice(0, grid.cutoff + 1)
+    return tuple(
+        ((Ellipsis,) + tuple(h[0] for h in hs) + (last,), (Ellipsis,) + tuple(h[1] for h in hs) + (last,))
+        for hs in itertools.product(halves(grid), repeat=grid.dim - 1))
+
+
+def restrict(grid: GridSpec, full: np.ndarray) -> np.ndarray:
+    """The kept modes of a half-spectrum array (any leading axes), as a new compact array."""
+    out = np.empty(full.shape[:-grid.dim] + grid.compact_shape, dtype=full.dtype)
+    for f, c in blocks(grid):
+        out[c] = full[f]
+    return out
+
+
+def extend(grid: GridSpec, compact: np.ndarray) -> np.ndarray:
+    """The half-spectrum array that holds `compact` on the kept modes and +0 elsewhere."""
+    out = np.zeros(compact.shape[:-grid.dim] + grid.spectral_shape, dtype=compact.dtype)
+    for f, c in blocks(grid):
+        out[f] = compact[c]
+    return out
+
+
+def to_compact(grid: GridSpec, phys: np.ndarray) -> np.ndarray:
+    """The kept coefficients of samples (components first): restrict(rfftn(phys))'s passes, bitwise."""
+    x = np.fft.rfft(phys, axis=grid.dim, norm="forward")[..., :grid.cutoff + 1]
+    for j in range(grid.dim - 1, 0, -1):
+        x = np.fft.fft(x, axis=j, norm="forward")
+        x = np.concatenate([x[(slice(None),) * j + (f,)] for f, _ in halves(grid)], axis=j)
+    return x
+
+
+@lru_cache(maxsize=None)
 def mode_numbers(grid: GridSpec):
-    """Integer mode index m_j along each axis, broadcast to the spectral shape."""
-    n = grid.n
-    full = np.fft.fftfreq(n, 1.0 / n)
-    half = np.arange(n // 2 + 1, dtype=float)
-    axes = [full] * (grid.dim - 1) + [half]
+    """Integer mode index m_j along each axis, broadcast to the compact shape."""
+    c = grid.cutoff
+    full = np.concatenate([np.arange(c + 1), np.arange(-c, 0)]).astype(float)
+    axes = [full] * (grid.dim - 1) + [np.arange(c + 1, dtype=float)]
     return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
@@ -100,62 +143,23 @@ def wavenumber_sq(grid: GridSpec):
 
 
 @lru_cache(maxsize=None)
-def dealias_mask(grid: GridSpec):
-    """Boolean mask keeping modes with |m_j| <= grid.cutoff on every axis."""
-    mask = np.ones(grid.spectral_shape, dtype=bool)
-    for m in mode_numbers(grid):
-        mask &= np.abs(m) <= grid.cutoff
-    return mask
-
-
-@lru_cache(maxsize=None)
 def parseval_weights(grid: GridSpec):
-    """Multiplicity of each stored mode in the full spectrum (1 or 2)."""
-    w = np.full(grid.spectral_shape, 2.0)
+    """Multiplicity of each kept mode in the full spectrum: 1 on the m_last = 0 plane, else 2."""
+    w = np.full(grid.compact_shape, 2.0)
     w[..., 0] = 1.0
-    w[..., -1] = 1.0  # Nyquist plane of the real axis is self-conjugate
     return w
 
 
+@dataclass(frozen=True, eq=False)
 class Field:
-    """A multi-component field on a GridSpec, held as its spectral coefficients.
+    """A multi-component field on a GridSpec: its compact coefficients `spec`, shape (ncomp,) + compact_shape."""
 
-    `spec` has shape (ncomp, n, ..., n//2+1). Velocity and force fields have
-    ncomp == grid.dim; scalars (e.g. a divergence) have ncomp == 1. The
-    physical samples, shape (ncomp, n, ..., n), are an inverse transform
-    computed on every read of `phys`; nothing is cached. Fields are treated
-    as immutable; operators return new instances.
-    """
+    grid: GridSpec
+    spec: np.ndarray
 
-    __slots__ = ("grid", "spec")
-
-    def __init__(self, grid: GridSpec, spec):
-        spec = np.asarray(spec, dtype=complex)
-        if spec.shape[1:] != grid.spectral_shape:
-            raise ValueError(f"spectral shape {spec.shape} is not (ncomp,) + {grid.spectral_shape}")
-        self.grid = grid
-        self.spec = spec
-
-    @classmethod
-    def from_physical(cls, grid: GridSpec, arr) -> "Field":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape[1:] != grid.shape:
-            raise ValueError(f"physical shape {arr.shape} is not (ncomp,) + {grid.shape}")
-        axes = tuple(range(1, grid.dim + 1))
-        return cls(grid, np.fft.rfftn(arr, axes=axes, norm="forward"))
-
-    @classmethod
-    def from_spectral(cls, grid: GridSpec, arr) -> "Field":
-        return cls(grid, arr)
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "Field":
-        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex))
-
-    @property
-    def phys(self):
-        axes = tuple(range(1, self.grid.dim + 1))
-        return np.fft.irfftn(self.spec, s=self.grid.shape, axes=axes, norm="forward")
+    def __post_init__(self):
+        if self.spec.shape[1:] != self.grid.compact_shape:
+            raise ValueError(f"spectral shape {self.spec.shape} is not (ncomp,) + {self.grid.compact_shape}")
 
 
 def k_dot(k, s):
@@ -166,41 +170,10 @@ def k_dot(k, s):
     return out
 
 
-def divergence(u: Field) -> Field:
-    """Spectral divergence of a vector field; returns a one-component Field."""
-    d = 1j * k_dot(wavevectors(u.grid), u.spec)
-    return Field.from_spectral(u.grid, d[np.newaxis])
-
-
-def gradient(field: Field) -> Field:
-    """Full gradient tensor; component order is (i, j) -> i * dim + j for d(field_i)/dx_j."""
-    grid = field.grid
-    k = wavevectors(grid)
-    s = field.spec
-    out = np.empty((len(s) * grid.dim,) + grid.spectral_shape, dtype=complex)
-    for i in range(len(s)):
-        for j in range(grid.dim):
-            out[i * grid.dim + j] = 1j * k[j] * s[i]
-    return Field.from_spectral(grid, out)
-
-
-def dealias(field: Field) -> Field:
-    """Zero all modes above the grid's dealias cutoff (idempotent)."""
-    return Field.from_spectral(field.grid, field.spec * dealias_mask(field.grid))
-
-
 def volume_norm_sq(field: Field) -> float:
-    """(1/|box|) integral of |field|^2, by Parseval over the stored half-spectrum."""
-    w = parseval_weights(field.grid)
+    """(1/|box|) integral of |field|^2, by Parseval over the kept modes."""
     s = field.spec
-    return float(np.sum(w * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
-
-
-def inner_product(u: Field, v: Field) -> float:
-    """Volume-normalized L2 inner product (1/|box|) integral of u . v, by Parseval."""
-    w = parseval_weights(u.grid)
-    su, sv = u.spec, v.spec
-    return float(np.sum(w * np.sum((np.conj(su) * sv).real, axis=0)))
+    return float(np.sum(parseval_weights(field.grid) * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
 
 
 def safe_wavenumber_sq(ksq):
@@ -224,4 +197,4 @@ def project_divergence_free(u: Field) -> Field:
     coef = k_parallel_coef(k, safe_wavenumber_sq(wavenumber_sq(grid)), s)
     for j in range(grid.dim):
         s[j] -= k[j] * coef
-    return Field.from_spectral(grid, s)
+    return Field(grid, s)

@@ -12,16 +12,16 @@ statistics after burn-in, and writes three artifacts into output_dir:
                      admissible gamma windows
     final.ckpt       restartable binary checkpoint of the end state
 
-The state stays spectral through the whole run, on the kept modes of the
-2/3 rule (the compact layout of `grid`): the force and the initial or
-restart state are restricted to it once, and it is extended, by scatter
-into zeros, only to write a checkpoint. A restart checkpoint with a nonzero
-coefficient off the kept modes is refused, not truncated. The mean (k = 0)
-mode of a fresh run stays exactly 0. Time is the step index i, reported as
-i * dt. All floats in the CSV are printed with 17 significant digits, so a
-serial rerun (or a checkpoint restart) reproduces rows bitwise. A restart
-must start on the step grid and before t_end, and resumes the step index
-there; anything else is refused before a file is written.
+The force, the initial or restart state and the state of every step are
+compact coefficients, on the modes the 2/3 rule keeps (the layout of
+`grid`); `checkpoint` alone extends the state to the half-spectrum, and
+refuses a restart file with a nonzero coefficient off the kept modes. The
+mean (k = 0) mode of a fresh run stays exactly 0. Time is the step index i,
+reported as i * dt. All floats in the CSV are printed with 17 significant
+digits, so a serial rerun (or a checkpoint restart) reproduces rows
+bitwise. A restart must start on the step grid and before t_end, and
+resumes the step index there; anything else is refused before a file is
+written.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import criterion as crit
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, SweepConfig
 from .forcing import check_divergence_free, force_stats, realize_force
-from .grid import Field, mode_numbers, project_divergence_free, volume_norm_sq
+from .grid import Field, mode_numbers, project_divergence_free, to_compact, volume_norm_sq
 from .solver import BlowUpError, SpectralOperator, imex_step, step_index
 from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
 
@@ -79,27 +79,29 @@ def json_safe(obj):
 def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     """Force shape at unit rms plus a seeded divergence-free perturbation.
 
-    The perturbation lives on the 2/3-rule modes with |m_j| <= 4, has zero
-    mean, and is scaled to rms PERTURBATION_RMS; the whole construction is a
-    pure function of the seed, so runs are reproducible. For unforced runs
-    the perturbation alone, scaled to unit rms, is the initial state.
+    The perturbation is the transform of seeded noise band-limited to
+    |m_j| <= min(PERTURBATION_MAX_MODE, cutoff) = min(4, cutoff), with zero
+    mean, projected divergence-free and scaled to rms PERTURBATION_RMS; the
+    whole construction is a pure function of the seed, so runs are
+    reproducible. For unforced runs the perturbation alone, scaled to unit
+    rms, is the initial state.
     """
     grid = cfg.grid
     if force is not None:
         base = force.spec / np.sqrt(volume_norm_sq(force))
     else:
-        base = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
+        base = np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
     rng = np.random.default_rng(cfg.seed)
-    s = Field.from_physical(grid, rng.standard_normal((grid.dim,) + grid.shape)).spec
+    s = to_compact(grid, rng.standard_normal((grid.dim,) + grid.shape))
     for m in mode_numbers(grid):
         s[:, np.abs(m) > min(PERTURBATION_MAX_MODE, grid.cutoff)] = 0.0
     s[(slice(None),) + (0,) * grid.dim] = 0.0
-    pert = project_divergence_free(Field.from_spectral(grid, s))
+    pert = project_divergence_free(Field(grid, s))
     prms = np.sqrt(volume_norm_sq(pert))
     target_rms = PERTURBATION_RMS if force is not None else 1.0
     scale = target_rms / prms if prms > 0 else 0.0
     # summed in spectral space, so the mean (k = 0) mode is exactly 0
-    return Field.from_spectral(grid, base + scale * pert.spec)
+    return Field(grid, base + scale * pert.spec)
 
 
 def run_single(cfg: RunConfig, restart_path=None) -> dict:
@@ -114,7 +116,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         fstats = None
     dt, n_steps = stepper.dt, stepper.n_steps
     op = SpectralOperator(grid, params, dt)
-    f = op.restrict((force if force is not None else Field.zeros(grid)).spec)
+    f = force.spec if force is not None else np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
 
     if restart_path is not None:
         ck_grid, u_ck, t0, ck_params = read_checkpoint(restart_path)
@@ -126,11 +128,9 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         if start_step >= n_steps:
             raise ValueError(f"checkpoint time t0 = {t0} leaves no step of dt = {dt} "
                              f"before t_end = {stepper.t_end}")
-        u = op.restrict(u_ck.spec)
-        if not np.array_equal(op.extend(u), u_ck.spec, equal_nan=True):
-            raise ValueError(f"checkpoint has a nonzero coefficient above the 2/3-rule cutoff {grid.cutoff}")
+        u = u_ck.spec
     else:
-        u = op.restrict(initial_condition(cfg, force).spec)
+        u = initial_condition(cfg, force).spec
         start_step = 0
 
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -146,14 +146,14 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
             try:
                 u_next = imex_step(u, t, op, f)
             except BlowUpError:
-                write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), Field(grid, op.extend(u)), t, params)
+                write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), Field(grid, u), t, params)
                 raise
             d_next = diagnostics(u_next, op)
             update(stats, u, d, u_next, d_next, op, f)
             csv.write(_csv_row((i + 1) * dt, d_next, stats.last_residual))
             u, d = u_next, d_next
 
-    write_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"), Field(grid, op.extend(u)), n_steps * dt, params)
+    write_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"), Field(grid, u), n_steps * dt, params)
 
     summary = _summarize(cfg, fstats, stats)
     with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:

@@ -23,19 +23,18 @@ k-perpendicular parts. The scheme is single-step and works on the spectral
 coefficients alone, so a (u_hat, t) checkpoint restarts a run bitwise, and
 the blow-up check reads the new spectral state without transforming it.
 
-Run state: the state, the force and every stage hold only the modes the
-2/3 rule keeps (the compact layout of `grid`). One `SpectralOperator`,
-built from (grid, params, dt), holds that layout's constants and work
-buffers, and `restrict`/`extend` move arrays to and from the half-spectrum
-at the run's boundary. The buffers are overwritten on every call and no
-result aliases them (the MMS force calls `nonlinear_term` inside a stage);
-two threads must not step with one operator at once.
+Run state: the state, the force and every stage are compact arrays, the
+coefficients of the modes the 2/3 rule keeps (the layout of `grid`), as
+every `Field` is. One `SpectralOperator`, built from (grid, params, dt),
+holds the step's constants and work buffers. The buffers are overwritten
+on every call and no result aliases them (the MMS force calls
+`nonlinear_term` inside a stage); two threads must not step with one
+operator at once.
 """
 
 from __future__ import annotations
 
 import ctypes
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,10 +43,13 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
+    halves,
     k_dot,
     k_parallel_coef,
     parseval_weights,
     safe_wavenumber_sq,
+    to_compact,
+    volume_norm_sq,
     wavenumber_sq,
     wavevectors,
 )
@@ -67,16 +69,16 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Physical coefficients: viscosity nu > 0 and grad-div coefficient gamma >= 0."""
+    """Physical coefficients: finite viscosity nu > 0 and grad-div coefficient gamma >= 0."""
 
     nu: float
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
 
 STEP_GRID_TOL = 1e-9
@@ -131,53 +133,30 @@ def _retain_freed_heap() -> None:
 class SpectralOperator:
     """The frozen per-run constants of the step on the compact layout, and its work buffers.
 
-    `halves` pairs the slices of m = 0..c and -c..-1 on a full axis and on a compact one;
-    `blocks` pairs basic slices of the half-spectrum and of the compact layout, one pair per
-    sign pattern of the dim - 1 full axes. The ARS divisors are arrays, not reciprocals:
-    x / d and x * (1 / d) differ in the last bit.
+    The ARS divisors are arrays, not reciprocals: x / d and x * (1 / d) differ in the last bit.
     """
 
     def __init__(self, grid: GridSpec, params: FlowParams, dt: float):
         self.grid, self.params, self.dt = grid, params, dt
-        c, n, dim = grid.cutoff, grid.n, grid.dim
-        self.shape = (2 * c + 1,) * (dim - 1) + (c + 1,)
-        self.halves = ((slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1)))
-        self.blocks = tuple(
-            ((Ellipsis,) + tuple(h[0] for h in hs) + (slice(0, c + 1),),
-             (Ellipsis,) + tuple(h[1] for h in hs) + (slice(0, c + 1),))
-            for hs in itertools.product(self.halves, repeat=dim - 1))
-        self.k = tuple(self.restrict(kj) for kj in wavevectors(grid))
-        ksq = self.restrict(wavenumber_sq(grid))
+        n, dim, shape = grid.n, grid.dim, grid.compact_shape
+        self.k = wavevectors(grid)
+        ksq = wavenumber_sq(grid)
         self.safe_ksq = safe_wavenumber_sq(ksq)
-        self.weights = self.restrict(parseval_weights(grid))
+        self.weights = parseval_weights(grid)
         self.weighted_ksq = self.weights * ksq
         self.neg_nu_ksq = -params.nu * ksq
         c_ars = _ARS_GAMMA * dt
         self.denom_perp = 1.0 + c_ars * params.nu * ksq
         self.denom_par = 1.0 + c_ars * (params.nu + params.gamma) * ksq
         ncurl = 1 if dim == 2 else 3
-        self.stack = np.empty((dim + ncurl + 1,) + self.shape, dtype=complex)  # [u, omega, div u]
+        self.stack = np.empty((dim + ncurl + 1,) + shape, dtype=complex)  # [u, omega, div u]
         # pass j pads full axis j of the stack to n; only its kept blocks are ever written
-        self.passes = [np.zeros(self.stack.shape[:1] + (n,) * j + self.shape[j:], dtype=complex)
+        self.passes = [np.zeros(self.stack.shape[:1] + (n,) * j + shape[j:], dtype=complex)
                        for j in range(1, dim)]
         self.products = np.empty((dim + 1,) + grid.shape)
         self.rtmp = np.empty(grid.shape)
-        self.ctmp = np.empty(self.shape, dtype=complex)
+        self.ctmp = np.empty(shape, dtype=complex)
         _retain_freed_heap()  # set before the buffers were allocated, it raised peak RSS by 0.3 MB
-
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        """The kept modes of a half-spectrum array (any leading axes), as a new compact array."""
-        out = np.empty(full.shape[:-self.grid.dim] + self.shape, dtype=full.dtype)
-        for f, c in self.blocks:
-            out[c] = full[f]
-        return out
-
-    def extend(self, compact: np.ndarray) -> np.ndarray:
-        """The half-spectrum array that holds `compact` on the kept modes and +0 elsewhere."""
-        out = np.zeros(compact.shape[:-self.grid.dim] + self.grid.spectral_shape, dtype=compact.dtype)
-        for f, c in self.blocks:
-            out[f] = compact[c]
-        return out
 
     def to_physical(self, stack: np.ndarray) -> np.ndarray:
         """Samples of the compact [u, omega, div u] stack: irfftn(extend(stack))'s passes, bitwise.
@@ -187,23 +166,10 @@ class SpectralOperator:
         x = stack
         for j, buf in enumerate(self.passes, start=1):
             pre = (slice(None),) * j
-            for f, c in self.halves:
+            for f, c in halves(self.grid):
                 buf[pre + (f,)] = x[pre + (c,)]
             x = np.fft.ifft(buf, axis=j, norm="forward")
         return np.fft.irfft(x, self.grid.n, axis=self.grid.dim, norm="forward")
-
-    def to_compact(self, phys: np.ndarray) -> np.ndarray:
-        """The kept coefficients of samples (components first): restrict(rfftn(phys))'s passes, bitwise."""
-        dim = self.grid.dim
-        x = np.fft.rfft(phys, axis=dim, norm="forward")[..., :self.grid.cutoff + 1]
-        for j in range(dim - 1, 0, -1):
-            x = np.fft.fft(x, axis=j, norm="forward")
-            x = np.concatenate([x[(slice(None),) * j + (f,)] for f, _ in self.halves], axis=j)
-        return x
-
-    def norm_sq(self, s: np.ndarray) -> float:
-        """Volume mean of |s|^2 for compact vector coefficients, by Parseval."""
-        return float(np.sum(self.weights * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
 
 
 def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
@@ -244,7 +210,7 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
             np.multiply(w[a], up[b], out=rhs[i])
             rhs[i] -= np.multiply(w[b], up[a], out=rtmp)
     rhs[:dim] += np.multiply(np.multiply(0.5, div, out=rtmp), up, out=up)
-    p_hat = op.to_compact(rhs)
+    p_hat = to_compact(op.grid, rhs)
 
     out = p_hat[:dim]
     for j in range(dim):
@@ -317,7 +283,8 @@ class ManufacturedSolution:
         self.amp_dot = amp_dot
 
     def state(self, t: float) -> Field:
-        return Field.from_physical(self.grid, self.amp(t) * self.shape_phys)
+        """The compact coefficients of a(t) w."""
+        return Field(self.grid, to_compact(self.grid, self.amp(t) * self.shape_phys))
 
 
 def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 0.5):
@@ -338,9 +305,9 @@ def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 
     )
 
 
-def mms_states(target: ManufacturedSolution, op: SpectralOperator):
+def mms_states(target: ManufacturedSolution):
     """t -> compact a(t) w; step i's end state is step i + 1's first stage, so it is kept once."""
-    return lru_cache(maxsize=1)(lambda t: op.to_compact(target.amp(t) * target.shape_phys))
+    return lru_cache(maxsize=1)(lambda t: target.state(t).spec)
 
 
 def mms_force_hat(target: ManufacturedSolution, op: SpectralOperator, state):
@@ -350,7 +317,7 @@ def mms_force_hat(target: ManufacturedSolution, op: SpectralOperator, state):
     `state` (`mms_states`). This force is in general not divergence-free;
     that restriction is deliberately waived for verification runs.
     """
-    shape_hat = op.to_compact(target.shape_phys)
+    shape_hat = to_compact(op.grid, target.shape_phys)
 
     def fhat(t):
         u = state(t)
@@ -366,18 +333,19 @@ def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig
     steps, and the error normalized by the target's peak norm, all over
     the kept modes.
     """
-    op = SpectralOperator(target.grid, params, cfg.dt)
-    state = mms_states(target, op)
+    grid = target.grid
+    op = SpectralOperator(grid, params, cfg.dt)
+    state = mms_states(target)
     fhat = mms_force_hat(target, op, state)
     u_hat = state(0.0)
     max_err = 0.0
-    max_ref = np.sqrt(op.norm_sq(u_hat))
+    max_ref = np.sqrt(volume_norm_sq(Field(grid, u_hat)))
     for i in range(cfg.n_steps):
         t = i * cfg.dt
         u_hat = imex_step(u_hat, t, op, fhat)
         exact = state((i + 1) * cfg.dt)
-        max_err = max(max_err, np.sqrt(op.norm_sq(u_hat - exact)))
-        max_ref = max(max_ref, np.sqrt(op.norm_sq(exact)))
+        max_err = max(max_err, np.sqrt(volume_norm_sq(Field(grid, u_hat - exact))))
+        max_ref = max(max_ref, np.sqrt(volume_norm_sq(Field(grid, exact))))
     return {
         "steps": cfg.n_steps,
         "dt": cfg.dt,

@@ -25,10 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    k_dot,
-    volume_norm_sq,  # noqa: F401  (kept as stats.volume_norm_sq, which the benchmark's tracer test reads)
-)
+from .grid import k_dot
 from .solver import SpectralOperator
 
 # a step is averaged when it starts at or after burn_in, less this rounding slack

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from graddivbox.grid import Field, GridSpec, dealias
+from graddivbox.grid import Field, GridSpec, extend, k_dot, parseval_weights, to_compact, wavevectors
 from graddivbox.solver import FlowParams, SpectralOperator, imex_step, nonlinear_term
 from graddivbox.stats import diagnostics
 
@@ -37,6 +37,32 @@ def coords(grid):
     return np.meshgrid(*([x] * grid.dim), indexing="ij")
 
 
+def from_samples(grid, phys):
+    """The Field of the kept modes of physical samples (components first)."""
+    return Field(grid, to_compact(grid, np.asarray(phys, dtype=float)))
+
+
+def samples(u):
+    """The physical samples of the Field u, shape (ncomp,) + grid.shape."""
+    grid = u.grid
+    return np.fft.irfftn(extend(grid, u.spec), s=grid.shape, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+
+
+def zeros(grid):
+    """The zero vector Field."""
+    return Field(grid, np.zeros((grid.dim,) + grid.compact_shape, dtype=complex))
+
+
+def inner(u, v):
+    """Volume-normalized L2 inner product of two Fields, by Parseval over the kept modes."""
+    return float(np.sum(parseval_weights(u.grid) * np.sum((np.conj(u.spec) * v.spec).real, axis=0)))
+
+
+def divergence(u):
+    """The compact coefficients of div u, one component."""
+    return (1j * k_dot(wavevectors(u.grid), u.spec))[np.newaxis]
+
+
 def zero_mean(u):
     """u with its mean (k = 0) mode set to 0."""
     s = u.spec.copy()
@@ -45,10 +71,9 @@ def zero_mean(u):
 
 
 def random_state_field(grid, seed=0):
-    """Zero-mean, dealiased random vector field (the model's state space)."""
+    """Zero-mean random vector field on the kept modes (the model's state space)."""
     rng = np.random.default_rng(seed)
-    u = Field.from_physical(grid, rng.standard_normal((grid.dim,) + grid.shape))
-    return dealias(zero_mean(u))
+    return zero_mean(from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape)))
 
 
 def shear_field(grid, amplitude=1.0):
@@ -56,7 +81,7 @@ def shear_field(grid, amplitude=1.0):
     xs = coords(grid)
     scale = TWO_PI / grid.box_length
     comps = [amplitude * np.sin(scale * xs[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
-    return Field.from_physical(grid, np.stack(comps))
+    return from_samples(grid, np.stack(comps))
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,18 +91,15 @@ def operator(grid, params=FlowParams(nu=1.0), dt=1.0):
 
 
 def step(u, params, f, cfg, t=0.0):
-    """One imex_step of the Field u under the Field force f, through the compact run state."""
-    op = operator(u.grid, params, cfg.dt)
-    return Field(u.grid, op.extend(imex_step(op.restrict(u.spec), t, op, op.restrict(f.spec))))
+    """One imex_step of the Field u under the Field force f."""
+    return Field(u.grid, imex_step(u.spec, t, operator(u.grid, params, cfg.dt), f.spec))
 
 
 def nonlinear_field(u):
     """The nonlinear term of the Field u as a Field."""
-    op = operator(u.grid)
-    return Field(u.grid, op.extend(nonlinear_term(op.restrict(u.spec), op)))
+    return Field(u.grid, nonlinear_term(u.spec, operator(u.grid)))
 
 
 def field_diagnostics(u, params):
-    """The diagnostics record of the Field u (its kept modes)."""
-    op = operator(u.grid, params)
-    return diagnostics(op.restrict(u.spec), op)
+    """The diagnostics record of the Field u."""
+    return diagnostics(u.spec, operator(u.grid, params))

@@ -24,13 +24,7 @@ from graddivbox.criterion import (
     nondimensional_groups,
 )
 from graddivbox.forcing import ForcingSpec, force_stats, realize_force
-from graddivbox.grid import (
-    Field,
-    GridSpec,
-    dealias,
-    inner_product,
-    volume_norm_sq,
-)
+from graddivbox.grid import GridSpec, volume_norm_sq
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import (
     FlowParams,
@@ -86,10 +80,10 @@ def test_criterion_1_skew_symmetry():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        u = dealias(conftest.zero_mean(Field.from_physical(
-            grid, rng.standard_normal((3,) + grid.shape))))
+        u = conftest.zero_mean(conftest.from_samples(
+            grid, rng.standard_normal((3,) + grid.shape)))
         n = conftest.nonlinear_field(u)
-        rel = abs(inner_product(n, u)) / math.sqrt(
+        rel = abs(conftest.inner(n, u)) / math.sqrt(
             volume_norm_sq(n) * volume_norm_sq(u))
         worst = max(worst, rel)
     _report(1, "skew-symmetry", worst <= 1e-10, f"worst rel = {worst:.2e}")
@@ -113,14 +107,14 @@ def test_criterion_3_shear_decay():
     u0 = np.stack([np.sin(xs[1]), np.zeros(grid.shape), np.zeros(grid.shape)])
     worst = 0.0
     for gamma in (0.0, 1.0, 1e3):
-        u = Field.from_physical(grid, u0)
+        u = conftest.from_samples(grid, u0)
         params = FlowParams(nu=nu, gamma=gamma)
         cfg = StepperConfig(dt=dt, t_end=1.0)
-        f = Field.zeros(grid)
+        f = conftest.zeros(grid)
         for i in range(1000):
             u = conftest.step(u, params, f, cfg, t=i * dt)
-        err = math.sqrt(volume_norm_sq(Field.from_physical(
-            grid, u.phys - math.exp(-nu) * u0)))
+        err = math.sqrt(volume_norm_sq(conftest.from_samples(
+            grid, conftest.samples(u) - math.exp(-nu) * u0)))
         worst = max(worst, err)
     _report(3, "shear-decay", worst <= 1e-6, f"worst L2 error = {worst:.2e}")
 

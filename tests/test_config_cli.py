@@ -21,12 +21,15 @@ from graddivbox.config import (
     save_sweep_config,
 )
 from graddivbox.forcing import ForcingSpec
-from graddivbox.grid import Field, GridSpec, dealias
+from graddivbox.grid import GridSpec, extend, volume_norm_sq
 from graddivbox import checkpoint, runner, stats
 from graddivbox.runner import run_single, run_sweep
-from graddivbox.solver import BlowUpError, FlowParams, SpectralOperator, StepperConfig
+from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
 
-from conftest import TWO_PI, random_state_field, shear_field
+from conftest import TWO_PI, random_state_field, shear_field, zeros
+
+
+HEADER_BYTES = 4 + 3 * 4 + 4 * 8
 
 
 def small_run_config(tmp_path, dim=2, n=32, nu=0.05, gamma=1.0, dt=2e-3,
@@ -105,6 +108,17 @@ class TestConfigRoundTrip:
         path.write_text(yaml.safe_dump(d))
         with pytest.raises(ConfigError, match=f"^{name}: "):
             load_sweep_config(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "box_length", math.inf), ("flow", "nu", math.inf), ("flow", "gamma", math.nan),
+    ])
+    def test_non_finite_physical_value_is_a_config_error(self, tmp_path, section, key, value):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d[section][key] = value
+        path = tmp_path / "value.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must be .* and finite, got {value}$"):
+            load_run_config(path)
 
     def test_unknown_mode_key_names_offender(self, tmp_path):
         d = run_config_to_dict(small_run_config(tmp_path))
@@ -202,8 +216,7 @@ class TestRunSingle:
             burn_in=0.0, window=1.0, seed=0, output_dir=str(tmp_path / "decay"),
         )
         ck = tmp_path / "ic.ckpt"
-        # band-limited: a restart state holds no coefficient above the 2/3-rule cutoff
-        write_checkpoint(ck, dealias(shear_field(grid)), 0.0, cfg.params)
+        write_checkpoint(ck, shear_field(grid), 0.0, cfg.params)
         summary = run_single(cfg, restart_path=str(ck))
         expected = 0.25 * (1.0 - math.exp(-2 * nu))
         assert summary["eps_avg"] == pytest.approx(expected, rel=1e-4)
@@ -293,9 +306,7 @@ class TestRunSingle:
     def test_unforced_initial_state_has_unit_rms_on_a_coarse_grid(self, tmp_path, dim):
         # n = 8 keeps |m_j| <= 2 of the perturbation's |m_j| <= 4; the kept part is what is scaled
         cfg = small_run_config(tmp_path, dim=dim, n=8, modes=())
-        op = SpectralOperator(cfg.grid, cfg.params, cfg.stepper.dt)
-        u0 = op.restrict(runner.initial_condition(cfg, None).spec)
-        assert op.norm_sq(u0) == pytest.approx(1.0, rel=1e-12)
+        assert volume_norm_sq(runner.initial_condition(cfg, None)) == pytest.approx(1.0, rel=1e-12)
 
     def test_serial_rerun_is_bitwise(self, tmp_path):
         a = small_run_config(tmp_path, t_end=0.05, window=0.05, subdir="a")
@@ -349,31 +360,27 @@ class TestSweep:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
-        u = Field.from_physical(grid, np.random.default_rng(0).standard_normal((2, 16, 16)))
+        u = random_state_field(grid, seed=0)
         params = FlowParams(nu=0.2, gamma=3.0)
         path = tmp_path / "s.ckpt"
         write_checkpoint(path, u, 1.25, params)
+        assert path.stat().st_size == HEADER_BYTES + 2 * 16 * 9 * 16  # the half-spectrum payload
         grid2, u2, t2, params2 = read_checkpoint(path)
         assert (grid2.dim, grid2.n, grid2.box_length) == (2, 16, 1.0)
         assert t2 == 1.25
         assert params2 == params
         np.testing.assert_array_equal(u2.spec, u.spec)
 
-    def test_version_1_physical_payload_still_loads(self, tmp_path):
-        grid = GridSpec(dim=3, n=8, box_length=2.0)
-        phys = np.random.default_rng(1).standard_normal((3,) + grid.shape)
-        header = struct.pack("<4sIIIdddd", b"GDPB", 1, 3, 8, 2.0, 0.75, 0.1, 4.0)
+    def test_version_1_is_refused(self, tmp_path):
         path = tmp_path / "v1.ckpt"
-        path.write_bytes(header + phys.astype("<f8").tobytes())
-        grid2, u, t, params = read_checkpoint(path)
-        assert grid2 == grid
-        assert (t, params) == (0.75, FlowParams(nu=0.1, gamma=4.0))
-        np.testing.assert_array_equal(u.spec, np.fft.rfftn(phys, axes=(1, 2, 3), norm="forward"))
+        path.write_bytes(struct.pack("<4sIIIdddd", b"GDPB", 1, 3, 8, 2.0, 0.75, 0.1, 4.0) + bytes(8 * 3 * 8 ** 3))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            read_checkpoint(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
         path = tmp_path / "final.ckpt"
-        write_checkpoint(path, Field.zeros(grid), 0.5, FlowParams(nu=1.0))
+        write_checkpoint(path, zeros(grid), 0.5, FlowParams(nu=1.0))
         before = path.read_bytes()
 
         class PayloadWriteFails:
@@ -410,12 +417,37 @@ class TestCheckpoint:
 
     def test_truncated_rejected(self, tmp_path):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
-        u = Field.zeros(grid)
+        u = zeros(grid)
         path = tmp_path / "t.ckpt"
         write_checkpoint(path, u, 0.0, FlowParams(nu=1.0))
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        write_checkpoint(path, zeros(GridSpec(dim=2, n=16, box_length=1.0)), 0.0, FlowParams(nu=1.0))
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(CheckpointError, match=f"^{path}: 16 trailing bytes after the payload$"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ((7, 16, 1.0, 1.0, 0.0), "dim must be 2 or 3, got 7"),
+        ((2, 12, 1.0, 1.0, 0.0), "n must be a power of two >= 4, got 12"),
+        ((2, 16, float("nan"), 1.0, 0.0), "box_length must be positive and finite, got nan"),
+        ((2, 16, float("inf"), 1.0, 0.0), "box_length must be positive and finite, got inf"),
+        ((2, 16, 1.0, 0.0, 0.0), "nu must be positive and finite, got 0.0"),
+        ((2, 16, 1.0, float("inf"), 0.0), "nu must be positive and finite, got inf"),
+        ((2, 16, 1.0, 1.0, -1.0), "gamma must be nonnegative and finite, got -1.0"),
+        ((2, 16, 1.0, 1.0, float("nan")), "gamma must be nonnegative and finite, got nan"),
+    ], ids=["dim", "n", "box_length-nan", "box_length-inf", "nu-zero", "nu-inf", "gamma-negative", "gamma-nan"])
+    def test_invalid_header_value_names_the_file(self, tmp_path, header, message):
+        dim, n, box_length, nu, gamma = header
+        path = tmp_path / "bad-header.ckpt"
+        payload = bytes(16 * 2 * 16 * 9)  # a dim = 2, n = 16 payload: only the header is wrong
+        path.write_bytes(struct.pack("<4sIIIdddd", b"GDPB", 2, dim, n, box_length, 0.0, nu, gamma) + payload)
+        with pytest.raises(CheckpointError, match=f"^{path}: invalid header: {message}$"):
             read_checkpoint(path)
 
 
@@ -492,11 +524,12 @@ class TestCli:
         cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2)
         path = tmp_path / "ok.yaml"
         save_run_config(cfg, path)
-        u = dealias(shear_field(cfg.grid))
-        u.spec[0, 11, 0] = 1e-3  # m = (11, 0); n = 32 keeps |m_j| <= 10
         ck = tmp_path / "high.ckpt"
-        write_checkpoint(ck, u, 0.0, cfg.params)
-        with pytest.raises(ValueError, match=r"^checkpoint has a nonzero coefficient above the 2/3-rule cutoff"):
+        write_checkpoint(ck, shear_field(cfg.grid), 0.0, cfg.params)
+        full = extend(cfg.grid, shear_field(cfg.grid).spec)
+        full[0, 11, 0] = 1e-3  # m = (11, 0); n = 32 keeps |m_j| <= 10
+        ck.write_bytes(ck.read_bytes()[:HEADER_BYTES] + full.astype("<c16").tobytes())
+        with pytest.raises(CheckpointError, match=r"^checkpoint has a nonzero coefficient above the 2/3-rule cutoff"):
             run_single(cfg, restart_path=str(ck))
         assert not os.path.exists(cfg.output_dir)
         assert main(["run", str(path), "--restart", str(ck)]) == 5

@@ -8,23 +8,23 @@ from graddivbox.forcing import (
     force_stats,
     realize_force,
 )
-from graddivbox.grid import Field, GridSpec, divergence, volume_norm_sq
+from graddivbox.grid import Field, GridSpec, mode_numbers, volume_norm_sq
 
-from conftest import TWO_PI, coords
+from conftest import TWO_PI, coords, divergence, from_samples, samples, zeros
 
 
 def sinusoidal_force(grid, F0=1.0):
-    """(F0 sin(2 pi y / L), 0[, 0]) as a physical Field."""
+    """(F0 sin(2 pi y / L), 0[, 0]) as a Field."""
     xs = coords(grid)
     scale = TWO_PI / grid.box_length
     comps = [F0 * np.sin(scale * xs[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
-    return Field.from_physical(grid, np.stack(comps))
+    return from_samples(grid, np.stack(comps))
 
 
 def taylor_green_force(grid, F0=1.0):
     """F0 (sin x cos y, -cos x sin y) on a 2 pi box; |f|^2 has max 1, mean 1/2."""
     xs = coords(grid)
-    return Field.from_physical(grid, np.stack([
+    return from_samples(grid, np.stack([
         F0 * np.sin(xs[0]) * np.cos(xs[1]),
         -F0 * np.cos(xs[0]) * np.sin(xs[1]),
     ]))
@@ -36,8 +36,8 @@ class TestForcingSpec:
         f = realize_force(spec)
         xs = coords(grid3d)
         # a exp(iky) + conj -> 2 * 2.0 * cos(y) in the x component
-        np.testing.assert_allclose(f.phys[0], 4.0 * np.cos(xs[1]), atol=1e-12)
-        np.testing.assert_allclose(f.phys[1:], 0.0, atol=1e-14)
+        np.testing.assert_allclose(samples(f)[0], 4.0 * np.cos(xs[1]), atol=1e-12)
+        np.testing.assert_allclose(samples(f)[1:], 0.0, atol=1e-14)
 
     def test_rejects_non_divergence_free(self, grid3d):
         with pytest.raises(ForcingError, match="divergence-free"):
@@ -73,14 +73,25 @@ class TestForcingSpec:
             a = a - k * (k @ a) / (k @ k)  # project amplitude orthogonal to k
             spec = ForcingSpec(grid=grid3d, modes=((m, tuple(a)),))
             f = realize_force(spec)
-            rel = np.sqrt(volume_norm_sq(divergence(f)) / volume_norm_sq(f))
+            rel = np.sqrt(volume_norm_sq(Field(grid3d, divergence(f))) / volume_norm_sq(f))
             assert rel <= 1e-12
+
+    def test_modes_sit_where_the_transform_of_their_samples_puts_them(self, grid3d):
+        # negative m_j wrap to index m_j mod (2c + 1); an m_last = 0 mode also fills its conjugate
+        modes = (((1, -2, 0), (2.0, 1.0, 0.5j)), ((-1, 2, -1), (0.0, 1.0 - 1j, 2.0 - 2j)),
+                 ((2, 0, 1), (0.5j, 0.0, -1.0j)))
+        spec = ForcingSpec(grid=grid3d, modes=modes)
+        xs = coords(grid3d)
+        phys = np.zeros((3,) + grid3d.shape)
+        for m, a in spec.modes:
+            wave = np.exp(1j * sum(mj * x for mj, x in zip(m, xs)))
+            phys += np.stack([2.0 * (aj * wave).real for aj in a])
+        np.testing.assert_allclose(realize_force(spec).spec, from_samples(grid3d, phys).spec, atol=1e-14)
 
     def test_band_limited(self, grid3d):
         spec = ForcingSpec(grid=grid3d, modes=(((0, 1, 0), (1.0, 0, 0)),), n_low=2)
         f = realize_force(spec)
         s = np.abs(f.spec)
-        from graddivbox.grid import mode_numbers
         for m in mode_numbers(grid3d):
             assert np.all(s[:, np.abs(m) > spec.n_low] == 0.0)
 
@@ -96,20 +107,20 @@ class TestForceAmplitude:
 
     def test_homogeneous_in_scale(self, grid2d):
         f = taylor_green_force(grid2d)
-        scaled = Field.from_physical(grid2d, 4.0 * f.phys)
+        scaled = Field(grid2d, 4.0 * f.spec)
         assert compute_F(scaled) == pytest.approx(4.0 * compute_F(f), rel=1e-13)
 
     def test_constant_magnitude_fixture(self, grid2d):
         # |f| = F0 everywhere: (F0 cos y, F0 sin y); zero-mean but not div-free
         xs = coords(grid2d)
         F0 = 2.5
-        f = Field.from_physical(grid2d, np.stack([F0 * np.cos(xs[1]), F0 * np.sin(xs[1])]))
+        f = from_samples(grid2d, np.stack([F0 * np.cos(xs[1]), F0 * np.sin(xs[1])]))
         assert compute_F(f) == pytest.approx(F0, rel=1e-12)
         assert force_stats(f).kappa == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_force_rejected(self, grid2d):
         with pytest.raises(ForcingError, match="degenerate"):
-            compute_F(Field.zeros(grid2d))
+            compute_F(zeros(grid2d))
 
 
 class TestForceLengthScale:
@@ -121,13 +132,13 @@ class TestForceLengthScale:
 
     def test_scale_invariant(self, grid3d):
         f = sinusoidal_force(grid3d)
-        scaled = Field.from_physical(grid3d, 7.0 * f.phys)
+        scaled = Field(grid3d, 7.0 * f.spec)
         assert force_stats(scaled).L == pytest.approx(force_stats(f).L, rel=1e-12)
 
     def test_mode_two_halves_L(self, grid2d):
         xs = coords(grid2d)
-        f1 = Field.from_physical(grid2d, np.stack([np.sin(xs[1]), np.zeros(grid2d.shape)]))
-        f2 = Field.from_physical(grid2d, np.stack([np.sin(2 * xs[1]), np.zeros(grid2d.shape)]))
+        f1 = from_samples(grid2d, np.stack([np.sin(xs[1]), np.zeros(grid2d.shape)]))
+        f2 = from_samples(grid2d, np.stack([np.sin(2 * xs[1]), np.zeros(grid2d.shape)]))
         assert force_stats(f2).L == pytest.approx(0.5 * force_stats(f1).L, rel=1e-12)
 
     def test_gradient_inequalities(self, grid3d):
@@ -146,12 +157,12 @@ class TestKappa:
 
     def test_scale_invariant(self, grid2d):
         f = taylor_green_force(grid2d)
-        scaled = Field.from_physical(grid2d, 0.01 * f.phys)
+        scaled = Field(grid2d, 0.01 * f.spec)
         assert force_stats(scaled).kappa == pytest.approx(force_stats(f).kappa, rel=1e-13)
 
     def test_translation_invariant(self, grid2d):
         f = taylor_green_force(grid2d)
-        shifted = Field.from_physical(grid2d, np.roll(f.phys, (5, 11), axis=(1, 2)))
+        shifted = from_samples(grid2d, np.roll(samples(f), (5, 11), axis=(1, 2)))
         assert force_stats(shifted).kappa == pytest.approx(force_stats(f).kappa, rel=1e-12)
 
     def test_kappa_at_least_one(self, grid3d):

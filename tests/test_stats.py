@@ -3,19 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from graddivbox.grid import Field, dealias, gradient, volume_norm_sq
+from graddivbox.grid import Field, volume_norm_sq, wavevectors
 from graddivbox.solver import FlowParams, StepperConfig
 from graddivbox.stats import Diagnostics, RunningStats, diagnostics, finalize, update
 from graddivbox.forcing import ForceStats
 
-from conftest import coords, field_diagnostics, operator, random_state_field, shear_field, step
+from conftest import (
+    coords,
+    divergence,
+    field_diagnostics,
+    from_samples,
+    operator,
+    random_state_field,
+    samples,
+    shear_field,
+    step,
+    zeros,
+)
 
 
 def fold(stats, u_prev, u_next, params, f, dt):
     """update() with the diagnostics records a run would carry for both states."""
     op = operator(u_prev.grid, params, dt)
-    up, un = op.restrict(u_prev.spec), op.restrict(u_next.spec)
-    return update(stats, up, diagnostics(up, op), un, diagnostics(un, op), op, op.restrict(f.spec))
+    up, un = u_prev.spec, u_next.spec
+    return update(stats, up, diagnostics(up, op), un, diagnostics(un, op), op, f.spec)
 
 
 class TestDissipationRate:
@@ -30,14 +41,14 @@ class TestDissipationRate:
     def test_gradient_field_gamma_channel(self, grid2d):
         xs = coords(grid2d)
         # u = grad(sin x) = (cos x, 0): div u = -sin x, mean square 1/2
-        u = Field.from_physical(grid2d, np.stack([np.cos(xs[0]), np.zeros(grid2d.shape)]))
+        u = from_samples(grid2d, np.stack([np.cos(xs[0]), np.zeros(grid2d.shape)]))
         d = field_diagnostics(u, FlowParams(nu=1e-30, gamma=2.0))
         assert d.div_sq == pytest.approx(0.5, rel=1e-12)
         assert d.eps_gamma == pytest.approx(1.0, rel=1e-12)
         assert d.eps_nu <= 1e-29
 
     def test_zero_field(self, grid2d):
-        d = field_diagnostics(Field.zeros(grid2d), FlowParams(nu=1.0, gamma=1.0))
+        d = field_diagnostics(zeros(grid2d), FlowParams(nu=1.0, gamma=1.0))
         assert (d.u_sq, d.eps_nu, d.eps_gamma, d.div_sq) == (0.0, 0.0, 0.0, 0.0)
 
     def test_gamma_zero_kills_channel(self, grid2d):
@@ -51,20 +62,20 @@ class TestDissipationRate:
         u = random_state_field(grid2d, seed=31)
         params = FlowParams(nu=0.7, gamma=1.3)
         rec = field_diagnostics(u, params)
-        g = gradient(u).phys
-        from graddivbox.grid import divergence
-        d = divergence(u).phys[0]
+        grad = 1j * np.stack(wavevectors(grid2d)) * u.spec[:, np.newaxis]
+        g = samples(Field(grid2d, grad.reshape((4,) + grid2d.compact_shape)))
+        d = samples(Field(grid2d, divergence(u)))[0]
         assert rec.eps_nu == pytest.approx(params.nu * float(np.mean(np.sum(g * g, axis=0))), rel=1e-10)
         assert rec.div_sq == pytest.approx(float(np.mean(d * d)), rel=1e-10)
         assert rec.eps_gamma == pytest.approx(params.gamma * rec.div_sq, rel=1e-15)
-        assert rec.u_sq == pytest.approx(float(np.mean(np.sum(u.phys * u.phys, axis=0))), rel=1e-12)
+        assert rec.u_sq == pytest.approx(float(np.mean(np.sum(samples(u) ** 2, axis=0))), rel=1e-12)
 
 
 class TestUpdate:
     def test_residual_third_order_in_dt(self, grid2d):
         # unforced step: energy-budget residual shrinks ~8x under dt halving
         params = FlowParams(nu=0.05, gamma=0.5)
-        f = Field.zeros(grid2d)
+        f = zeros(grid2d)
         u0 = random_state_field(grid2d, seed=5)
         res = []
         for dt in (4e-3, 2e-3):
@@ -75,7 +86,7 @@ class TestUpdate:
     def test_trapezoid_sums_read_the_records(self, grid2d):
         # the integrands come from the records passed in; only the midpoint is recomputed
         op = operator(grid2d, FlowParams(nu=1.0, gamma=0.0), 0.5)
-        u = op.restrict(shear_field(grid2d).spec)
+        u = shear_field(grid2d).spec
         stats = update(RunningStats(), u, Diagnostics(1.0, 2.0, 3.0, 4.0), u,
                        Diagnostics(5.0, 6.0, 7.0, 8.0), op, np.zeros_like(u))
         assert (stats.int_u_sq, stats.int_eps_nu, stats.int_eps_gamma, stats.int_div_sq) == (1.5, 2.0, 2.5, 3.0)
@@ -85,7 +96,7 @@ class TestUpdate:
     def test_stationary_integral_grows_linearly(self, grid2d):
         u = shear_field(grid2d)
         params = FlowParams(nu=1.0, gamma=0.0)
-        f = Field.zeros(grid2d)
+        f = zeros(grid2d)
         stats = RunningStats(burn_in=0.0)
         for _ in range(10):
             fold(stats, u, u, params, f, dt=0.1)
@@ -96,7 +107,7 @@ class TestUpdate:
     def test_burn_in_excludes_accumulation(self, grid2d):
         u = shear_field(grid2d)
         params = FlowParams(nu=1.0, gamma=0.0)
-        f = Field.zeros(grid2d)
+        f = zeros(grid2d)
         stats = RunningStats(burn_in=0.5)
         for _ in range(4):
             fold(stats, u, u, params, f, dt=0.1)
@@ -110,12 +121,12 @@ class TestUpdate:
         # 929 additions of 0.1 give 92.899999999999, short of burn_in; 929 * 0.1 is not
         u = shear_field(grid2d)
         stats = RunningStats(burn_in=92.9, step=929)
-        fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), Field.zeros(grid2d), dt=0.1)
+        fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=0.1)
         assert (stats.step, stats.t_accum) == (930, 0.1)
 
     def test_accumulator_split_consistent(self, grid2d):
         params = FlowParams(nu=0.3, gamma=0.9)
-        f = Field.zeros(grid2d)
+        f = zeros(grid2d)
         stats = RunningStats(burn_in=0.0)
         u = random_state_field(grid2d, seed=7)
         cfg = StepperConfig(dt=1e-3, t_end=1.0)
@@ -132,7 +143,7 @@ class TestFinalize:
         params = FlowParams(nu=1.0, gamma=0.0)
         stats = RunningStats(burn_in=0.0)
         for _ in range(20):
-            fold(stats, u, u, params, Field.zeros(grid2d), dt=0.05)
+            fold(stats, u, u, params, zeros(grid2d), dt=0.05)
         out = finalize(stats)
         assert out["eps_avg"] == pytest.approx(0.5, rel=1e-12)
 
@@ -140,7 +151,7 @@ class TestFinalize:
         u = shear_field(grid2d, amplitude=3.0)
         stats = RunningStats(burn_in=0.0)
         for _ in range(8):
-            fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), Field.zeros(grid2d), dt=0.1)
+            fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=0.1)
         out = finalize(stats)
         # ||u||^2 volume mean is amplitude^2 / 2
         assert out["U_T"] == pytest.approx(3.0 / np.sqrt(2), rel=1e-12)
@@ -152,7 +163,7 @@ class TestFinalize:
     def test_normalized_dissipation_with_force_stats(self, grid2d):
         u = shear_field(grid2d)
         stats = RunningStats(burn_in=0.0)
-        fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), Field.zeros(grid2d), dt=1.0)
+        fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=1.0)
         fstats = ForceStats(F=1.0, L=2.0, L_branch="box_length", kappa=1.4,
                             grad_f_sup=1.0, grad_f_l2=1.0)
         out = finalize(stats, fstats)
@@ -165,9 +176,9 @@ class TestFinalize:
         s1 = RunningStats(burn_in=0.0)
         s2 = RunningStats(burn_in=0.0)
         for _ in range(10):
-            fold(s1, u, u, params, Field.zeros(grid2d), dt=0.1)
+            fold(s1, u, u, params, zeros(grid2d), dt=0.1)
         for _ in range(20):
-            fold(s2, u, u, params, Field.zeros(grid2d), dt=0.1)
+            fold(s2, u, u, params, zeros(grid2d), dt=0.1)
         a, b = finalize(s1)["eps_avg"], finalize(s2)["eps_avg"]
         assert abs(a - b) <= 0.05 * abs(a)
 

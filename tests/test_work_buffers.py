@@ -2,9 +2,11 @@
 
 The reference functions below are the half-spectrum step the compact state
 replaced: the same expressions in the same order, with the dealias-mask
-multiplies and a fresh array for every intermediate. On the kept modes the
-compact step must match them bit for bit (signed zeros included), and no
-array it returns may share memory with a work buffer.
+multiplies, the n-d transforms and a fresh array for every intermediate,
+on half-spectrum constants built here the way the grid built them before
+the compact layout. On the kept modes the compact step must match them bit
+for bit (signed zeros included), and no array it returns may share memory
+with a work buffer.
 """
 
 import platform
@@ -15,13 +17,16 @@ import pytest
 
 from graddivbox import solver
 from graddivbox.grid import (
-    Field,
     GridSpec,
-    dealias_mask,
+    blocks,
+    extend,
     k_dot,
     k_parallel_coef,
+    mode_numbers,
     parseval_weights,
+    restrict,
     safe_wavenumber_sq,
+    to_compact,
     wavenumber_sq,
     wavevectors,
 )
@@ -45,27 +50,61 @@ PARAMS = FlowParams(nu=0.05, gamma=1.3)
 DT = 2e-3
 
 
-def ref_k_dot(grid, s):
-    k = wavevectors(grid)
-    return sum(k[j] * s[j] for j in range(grid.dim))
+def half_modes(grid):
+    full = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    axes = [full] * (grid.dim - 1) + [np.arange(grid.n // 2 + 1, dtype=float)]
+    return np.meshgrid(*axes, indexing="ij")
 
 
-def ref_k_parallel_coef(grid, s):
-    ksq = wavenumber_sq(grid)
-    return np.where(ksq > 0, ref_k_dot(grid, s) / np.where(ksq > 0, ksq, 1.0), 0.0)
+def half_k(grid):
+    return [(TWO_PI / grid.box_length) * m for m in half_modes(grid)]
 
 
-def ref_nonlinear_term(u):
-    grid, dim = u.grid, u.grid.dim
-    mask, k = dealias_mask(grid), wavevectors(grid)
+def half_ksq(grid):
+    return sum(kj * kj for kj in half_k(grid))
+
+
+def half_mask(grid):
+    mask = np.ones(grid.spectral_shape, dtype=bool)
+    for m in half_modes(grid):
+        mask &= np.abs(m) <= grid.cutoff
+    return mask
+
+
+def half_weights(grid):
+    w = np.full(grid.spectral_shape, 2.0)
+    w[..., 0] = 1.0
+    w[..., -1] = 1.0  # Nyquist plane of the real axis is self-conjugate
+    return w
+
+
+def forward(grid, phys):
+    return np.fft.rfftn(phys, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+
+
+def inverse(grid, spec):
+    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+
+
+def ref_k_dot(k, s):
+    return sum(k[j] * s[j] for j in range(len(k)))
+
+
+def ref_k_parallel_coef(k, ksq, s):
+    return np.where(ksq > 0, ref_k_dot(k, s) / np.where(ksq > 0, ksq, 1.0), 0.0)
+
+
+def ref_nonlinear_term(u, grid):
+    dim = grid.dim
+    mask, k = half_mask(grid), half_k(grid)
     ncurl = 1 if dim == 2 else 3
     lhs = np.empty((dim + ncurl + 1,) + grid.spectral_shape, dtype=complex)
-    s = np.multiply(u.spec, mask, out=lhs[:dim])
+    s = np.multiply(u, mask, out=lhs[:dim])
     for i in range(ncurl):
         a, b = (0, 1) if dim == 2 else ((i + 1) % 3, (i + 2) % 3)
         lhs[dim + i] = 1j * (k[a] * s[b] - k[b] * s[a])
-    lhs[-1] = 1j * ref_k_dot(grid, s)
-    phys = Field.from_spectral(grid, lhs).phys
+    lhs[-1] = 1j * ref_k_dot(k, s)
+    phys = inverse(grid, lhs)
     up, w, div = phys[:dim], phys[dim:-1], phys[-1]
     rhs = np.empty((dim + 1,) + grid.shape)
     if dim == 2:
@@ -77,7 +116,7 @@ def ref_nonlinear_term(u):
             rhs[i] = w[a] * up[b] - w[b] * up[a]
     rhs[:dim] += (0.5 * div) * up
     rhs[dim] = 0.5 * np.sum(up * up, axis=0)
-    p_hat = Field.from_physical(grid, rhs).spec
+    p_hat = forward(grid, rhs)
     out = p_hat[:dim]
     for j in range(dim):
         out[j] += 1j * k[j] * p_hat[dim]
@@ -87,8 +126,8 @@ def ref_nonlinear_term(u):
 
 
 def ref_solve_shifted(b_hat, c, params, grid):
-    k, ksq = wavevectors(grid), wavenumber_sq(grid)
-    coef = ref_k_parallel_coef(grid, b_hat)
+    k, ksq = half_k(grid), half_ksq(grid)
+    coef = ref_k_parallel_coef(k, ksq, b_hat)
     denom_perp = 1.0 + c * params.nu * ksq
     denom_par = 1.0 + c * (params.nu + params.gamma) * ksq
     out = np.empty_like(b_hat)
@@ -99,8 +138,8 @@ def ref_solve_shifted(b_hat, c, params, grid):
 
 
 def ref_apply_linear(v_hat, params, grid):
-    k, ksq = wavevectors(grid), wavenumber_sq(grid)
-    kdotv = ref_k_dot(grid, v_hat)
+    k, ksq = half_k(grid), half_ksq(grid)
+    kdotv = ref_k_dot(k, v_hat)
     out = np.empty_like(v_hat)
     for j in range(grid.dim):
         out[j] = -params.nu * ksq * v_hat[j] - params.gamma * k[j] * kdotv
@@ -112,7 +151,7 @@ def ref_imex_step(u_hat, t, dt, params, grid, force_hat):
 
     def explicit(v_hat, tv):
         fh = force_hat(tv) if callable(force_hat) else force_hat
-        return fh - ref_nonlinear_term(Field.from_spectral(grid, v_hat))
+        return fh - ref_nonlinear_term(v_hat, grid)
 
     e0 = explicit(u_hat, t)
     u1 = ref_solve_shifted(u_hat + dt * g * e0, g * dt, params, grid)
@@ -122,24 +161,29 @@ def ref_imex_step(u_hat, t, dt, params, grid, force_hat):
     return ref_solve_shifted(b, g * dt, params, grid)
 
 
+def ref_state(target, t):
+    """The half-spectrum of a(t) w, roundoff above the cutoff included."""
+    return forward(target.grid, target.amp(t) * target.shape_phys)
+
+
 def ref_mms_force_hat(target, params):
     def fhat(t):
-        u = target.state(t)
-        shape_hat = Field.from_physical(target.grid, target.shape_phys).spec
-        return (target.amp_dot(t) * shape_hat + ref_nonlinear_term(u)
-                - ref_apply_linear(u.spec, params, target.grid))
+        u = ref_state(target, t)
+        shape_hat = forward(target.grid, target.shape_phys)
+        return (target.amp_dot(t) * shape_hat + ref_nonlinear_term(u, target.grid)
+                - ref_apply_linear(u, params, target.grid))
     return fhat
 
 
 def ref_run_mms(target, params, cfg):
     grid = target.grid
     fhat = ref_mms_force_hat(target, params)
-    u_hat = target.state(0.0).spec.copy()
+    u_hat = ref_state(target, 0.0)
     max_err = 0.0
     for i in range(cfg.n_steps):
         u_hat = ref_imex_step(u_hat, i * cfg.dt, cfg.dt, params, grid, fhat)
-        diff = u_hat - target.state((i + 1) * cfg.dt).spec
-        max_err = max(max_err, np.sqrt(np.sum(parseval_weights(grid) * np.sum(np.abs(diff) ** 2, axis=0))))
+        diff = u_hat - ref_state(target, (i + 1) * cfg.dt)
+        max_err = max(max_err, np.sqrt(np.sum(half_weights(grid) * np.sum(np.abs(diff) ** 2, axis=0))))
     return max_err
 
 
@@ -152,9 +196,13 @@ def aliases_a_buffer(arr, op):
     return any(np.shares_memory(arr, buf) for buf in (op.stack, *op.passes, op.products, op.rtmp, op.ctmp))
 
 
-def band_limited(op, seed):
+def band_limited(grid, seed):
     """A zero-mean random half-spectrum state with +0 on every mode the 2/3 rule removes."""
-    return op.extend(op.restrict(random_state_field(op.grid, seed=seed).spec))
+    return extend(grid, random_state_field(grid, seed=seed).spec)
+
+
+def random_state(grid, seed):
+    return random_state_field(grid, seed=seed).spec
 
 
 @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
@@ -172,81 +220,82 @@ class TestLayout:
     @pytest.mark.parametrize("n", [4, 8, 32, 64])
     def test_blocks_cover_exactly_the_kept_modes(self, dim, n):
         g = GridSpec(dim=dim, n=n, box_length=TWO_PI)
-        op = SpectralOperator(g, PARAMS, DT)
-        assert len(op.blocks) == 2 ** (dim - 1)
-        assert all(isinstance(sl, slice) for blk in op.blocks for side in blk for sl in side[1:])
+        assert len(blocks(g)) == 2 ** (dim - 1)
+        assert all(isinstance(sl, slice) for blk in blocks(g) for side in blk for sl in side[1:])
         cover = np.zeros(g.spectral_shape, dtype=int)
-        for full, _ in op.blocks:
+        for full, _ in blocks(g):
             cover[full] += 1
-        assert np.array_equal(cover, dealias_mask(g).astype(int))
-        assert np.prod(op.shape) == np.count_nonzero(dealias_mask(g))
+        assert np.array_equal(cover, half_mask(g).astype(int))
+        assert np.prod(g.compact_shape) == np.count_nonzero(half_mask(g))
 
     @pytest.mark.parametrize("n", [4, 8, 32, 64])
     def test_restrict_extend_round_trip(self, n):
         g = GridSpec(dim=3, n=n, box_length=TWO_PI)
-        op = SpectralOperator(g, PARAMS, DT)
         rng = np.random.default_rng(n)
-        c = rng.standard_normal((3,) + op.shape) + 1j * rng.standard_normal((3,) + op.shape)
-        assert same_bits(op.restrict(op.extend(c)), c)
+        shape = (3,) + g.compact_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert same_bits(restrict(g, extend(g, c)), c)
         full = rng.standard_normal((3,) + g.spectral_shape) + 0j
-        assert np.array_equal(op.extend(op.restrict(full)), full * dealias_mask(g))
-        assert not np.any(np.signbit(op.extend(c).view(float)) & (op.extend(c).view(float) == 0))
+        assert np.array_equal(extend(g, restrict(g, full)), full * half_mask(g))
+        assert not np.any(np.signbit(extend(g, c).view(float)) & (extend(g, c).view(float) == 0))
 
     def test_compact_axes_hold_the_mode_numbers_in_order(self):
-        g = GridSpec(dim=2, n=8, box_length=TWO_PI)
-        op = SpectralOperator(g, PARAMS, DT)
-        m = [kj / (TWO_PI / g.box_length) for kj in op.k]
+        m = mode_numbers(GridSpec(dim=2, n=8, box_length=TWO_PI))
         assert m[0][:, 0].tolist() == [0, 1, 2, -2, -1]
         assert m[1][0].tolist() == [0, 1, 2]
 
 
 class TestNoAliasing:
     def test_nonlinear_term_result_survives_the_next_call(self, op):
-        first = nonlinear_term(op.restrict(random_state_field(op.grid, seed=1).spec), op)
+        first = nonlinear_term(random_state(op.grid, seed=1), op)
         kept = first.copy()
-        nonlinear_term(op.restrict(random_state_field(op.grid, seed=2).spec), op)
+        nonlinear_term(random_state(op.grid, seed=2), op)
         assert same_bits(first, kept)
         assert not aliases_a_buffer(first, op)
 
     def test_imex_step_result_survives_the_next_call(self, op):
-        f = op.restrict(random_state_field(op.grid, seed=3).spec)
-        first = imex_step(op.restrict(random_state_field(op.grid, seed=1).spec), 0.0, op, f)
+        f = random_state(op.grid, seed=3)
+        first = imex_step(random_state(op.grid, seed=1), 0.0, op, f)
         kept = first.copy()
-        imex_step(op.restrict(random_state_field(op.grid, seed=2).spec), 0.0, op, f)
+        imex_step(random_state(op.grid, seed=2), 0.0, op, f)
         assert same_bits(first, kept)
         assert not aliases_a_buffer(first, op)
 
     def test_solve_result_is_a_new_array(self, op):
-        b = op.restrict(random_state_field(op.grid, seed=4).spec)
-        assert not aliases_a_buffer(_solve_shifted(b, op), op)
+        assert not aliases_a_buffer(_solve_shifted(random_state(op.grid, seed=4), op), op)
 
 
 class TestSameBitsAsReference:
     def test_nonlinear_term(self, op):
-        u = band_limited(op, seed=5)
-        got = nonlinear_term(op.restrict(u), op)
-        ref = ref_nonlinear_term(Field(op.grid, u))
-        assert same_bits(got, op.restrict(ref))
-        assert np.array_equal(op.extend(got), ref)  # the reference is zero off the kept modes
+        g = op.grid
+        u = band_limited(g, seed=5)
+        got = nonlinear_term(restrict(g, u), op)
+        ref = ref_nonlinear_term(u, g)
+        assert same_bits(got, restrict(g, ref))
+        assert np.array_equal(extend(g, got), ref)  # the reference is zero off the kept modes
 
     def test_solve_shifted(self, op):
-        b = band_limited(op, seed=14)
-        ref = ref_solve_shifted(b, solver._ARS_GAMMA * DT, PARAMS, op.grid)
-        assert same_bits(op.extend(_solve_shifted(op.restrict(b), op)), ref)
+        g = op.grid
+        b = band_limited(g, seed=14)
+        ref = ref_solve_shifted(b, solver._ARS_GAMMA * DT, PARAMS, g)
+        assert same_bits(extend(g, _solve_shifted(restrict(g, b), op)), ref)
 
     def test_step_with_constant_force(self, op):
-        u, f = band_limited(op, seed=6), band_limited(op, seed=7)
-        got = op.extend(imex_step(op.restrict(u), 0.3, op, op.restrict(f)))
-        assert same_bits(got, ref_imex_step(u, 0.3, DT, PARAMS, op.grid, f))
+        g = op.grid
+        u, f = band_limited(g, seed=6), band_limited(g, seed=7)
+        got = extend(g, imex_step(restrict(g, u), 0.3, op, restrict(g, f)))
+        assert same_bits(got, ref_imex_step(u, 0.3, DT, PARAMS, g, f))
 
     def test_step_with_mms_force(self, op):
         # the force calls nonlinear_term inside each stage, between the stage's own calls;
         # the reference carries the transform's roundoff on the removed modes, where it stays
-        target = divergent_mms_target(op.grid)
-        u = target.state(0.1).spec
-        got = imex_step(op.restrict(u), 0.1, op, mms_force_hat(target, op, mms_states(target, op)))
-        ref = ref_imex_step(u, 0.1, DT, PARAMS, op.grid, ref_mms_force_hat(target, PARAMS))
-        assert same_bits(got, op.restrict(ref))
+        g = op.grid
+        target = divergent_mms_target(g)
+        u = ref_state(target, 0.1)
+        assert same_bits(target.state(0.1).spec, restrict(g, u))
+        got = imex_step(restrict(g, u), 0.1, op, mms_force_hat(target, op, mms_states(target)))
+        ref = ref_imex_step(u, 0.1, DT, PARAMS, g, ref_mms_force_hat(target, PARAMS))
+        assert same_bits(got, restrict(g, ref))
 
     def test_run_mms(self):
         # every state of the run matches the reference bitwise; the error sums run over the
@@ -255,33 +304,34 @@ class TestSameBitsAsReference:
         target = divergent_mms_target(grid2)
         cfg = StepperConfig(dt=4e-3, t_end=0.04)
         op = SpectralOperator(grid2, PARAMS, cfg.dt)
-        f, f_ref = mms_force_hat(target, op, mms_states(target, op)), ref_mms_force_hat(target, PARAMS)
-        u_ref = target.state(0.0).spec.copy()
-        u = op.restrict(u_ref)
+        f, f_ref = mms_force_hat(target, op, mms_states(target)), ref_mms_force_hat(target, PARAMS)
+        u_ref = ref_state(target, 0.0)
+        u = restrict(grid2, u_ref)
         for i in range(cfg.n_steps):
             u = imex_step(u, i * cfg.dt, op, f)
             u_ref = ref_imex_step(u_ref, i * cfg.dt, cfg.dt, PARAMS, grid2, f_ref)
-            assert same_bits(u, op.restrict(u_ref))
+            assert same_bits(u, restrict(grid2, u_ref))
         got = run_mms(target, PARAMS, cfg)["max_l2_error"]
         assert got == pytest.approx(ref_run_mms(target, PARAMS, cfg), rel=1e-12, abs=0.0)
 
     def test_k_dot_keeps_the_sign_of_zero(self, grid):
         # an all -0.0 input: the sum starts at +0, so every mode is +0 + 0j
         k = wavevectors(grid)
-        s = np.full((grid.dim,) + grid.spectral_shape, complex(-0.0, -0.0))
-        assert same_bits(k_dot(k, s), ref_k_dot(grid, s))
-        u = random_state_field(grid, seed=8).spec
-        assert same_bits(k_dot(k, u), ref_k_dot(grid, u))
-        safe = safe_wavenumber_sq(wavenumber_sq(grid))
-        assert same_bits(k_parallel_coef(k, safe, u), ref_k_parallel_coef(grid, u))
+        s = np.full((grid.dim,) + grid.compact_shape, complex(-0.0, -0.0))
+        assert same_bits(k_dot(k, s), ref_k_dot(k, s))
+        u = random_state(grid, seed=8)
+        assert same_bits(k_dot(k, u), ref_k_dot(k, u))
+        ksq = wavenumber_sq(grid)
+        assert same_bits(k_parallel_coef(k, safe_wavenumber_sq(ksq), u), ref_k_parallel_coef(k, ksq, u))
 
     def test_diagnostics(self, op):
-        s = op.restrict(random_state_field(op.grid, seed=9).spec)
-        w, ksq = op.restrict(parseval_weights(op.grid)), op.restrict(wavenumber_sq(op.grid))
-        kdotu = sum(op.k[j] * s[j] for j in range(op.grid.dim))
+        g = op.grid
+        s = random_state(g, seed=9)
+        w, ksq = restrict(g, half_weights(g)), restrict(g, half_ksq(g))
+        kdotu = sum(op.k[j] * s[j] for j in range(g.dim))
         d = diagnostics(s, op)
         energy = np.sum(s.real ** 2 + s.imag ** 2, axis=0)
-        assert d.u_sq == op.norm_sq(s) == float(np.sum(w * energy))
+        assert d.u_sq == float(np.sum(w * energy))
         assert d.eps_nu == PARAMS.nu * float(np.sum(w * ksq * energy))
         assert d.div_sq == float(np.sum(w * (kdotu.real ** 2 + kdotu.imag ** 2)))
         assert d.eps_gamma == PARAMS.gamma * d.div_sq
@@ -290,19 +340,29 @@ class TestSameBitsAsReference:
 class TestCachedConstants:
     def test_equal_to_the_inline_expressions(self, op):
         grid = op.grid
-        ksq = op.restrict(wavenumber_sq(grid))
-        assert all(np.array_equal(kc, op.restrict(kf)) for kc, kf in zip(op.k, wavevectors(grid)))
-        assert np.array_equal(op.safe_ksq, np.where(ksq > 0, ksq, 1.0))
-        assert np.array_equal(op.weights, op.restrict(parseval_weights(grid)))
-        assert np.array_equal(op.weighted_ksq, op.restrict(parseval_weights(grid) * wavenumber_sq(grid)))
-        assert np.array_equal(op.neg_nu_ksq, -PARAMS.nu * ksq)
+        ksq = restrict(grid, half_ksq(grid))
+        assert all(same_bits(kc, restrict(grid, kf)) for kc, kf in zip(op.k, half_k(grid)))
+        assert same_bits(op.safe_ksq, np.where(ksq > 0, ksq, 1.0))
+        assert same_bits(op.weights, restrict(grid, half_weights(grid)))
+        assert same_bits(op.weighted_ksq, restrict(grid, half_weights(grid) * half_ksq(grid)))
+        assert same_bits(op.neg_nu_ksq, -PARAMS.nu * ksq)
         c = solver._ARS_GAMMA * DT
-        assert np.array_equal(op.denom_perp, 1.0 + c * PARAMS.nu * ksq)
-        assert np.array_equal(op.denom_par, 1.0 + c * (PARAMS.nu + PARAMS.gamma) * ksq)
+        assert same_bits(op.denom_perp, 1.0 + c * PARAMS.nu * ksq)
+        assert same_bits(op.denom_par, 1.0 + c * (PARAMS.nu + PARAMS.gamma) * ksq)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_grid_constants_are_the_kept_half_spectrum_ones(self, dim, n):
+        # built on the compact layout, they carry the bits the half-spectrum arrays carried
+        g = GridSpec(dim=dim, n=n, box_length=TWO_PI / 3)
+        assert all(same_bits(mc, restrict(g, mf)) for mc, mf in zip(mode_numbers(g), half_modes(g)))
+        assert all(same_bits(kc, restrict(g, kf)) for kc, kf in zip(wavevectors(g), half_k(g)))
+        assert same_bits(wavenumber_sq(g), restrict(g, half_ksq(g)))
+        assert same_bits(parseval_weights(g), restrict(g, half_weights(g)))
 
     def test_padding_stays_zero(self, op):
         # the per-axis pass buffers hold +0 on the removed modes of each axis after steps
-        u = op.restrict(random_state_field(op.grid, seed=10).spec)
+        u = random_state(op.grid, seed=10)
         for _ in range(3):
             u = imex_step(u, 0.0, op, np.zeros_like(u))
         for j, buf in enumerate(op.passes, start=1):
@@ -328,13 +388,11 @@ class TestPrunedTransforms:
     def test_same_bits_as_the_nd_transforms(self, dim, n):
         g = GridSpec(dim=dim, n=n, box_length=TWO_PI)
         op = SpectralOperator(g, PARAMS, DT)
-        axes = tuple(range(1, dim + 1))
         for s in self.inputs(op, seed=n + dim):
             phys = op.to_physical(s)
-            assert same_bits(phys, np.fft.irfftn(op.extend(s), s=g.shape, axes=axes, norm="forward"))
+            assert same_bits(phys, inverse(g, extend(g, s)))
             products = phys[:dim + 1]
-            assert same_bits(op.to_compact(products),
-                             op.restrict(np.fft.rfftn(products, axes=axes, norm="forward")))
+            assert same_bits(to_compact(g, products), restrict(g, forward(g, products)))
         assert np.any(phys == 0)  # the single mode's samples, where signed zeros must match too
 
 
@@ -343,8 +401,8 @@ def test_steady_steps_fault_in_no_fresh_pages():
     # numpy's transforms allocate intermediates on every call; kept freed memory serves them
     grid3 = GridSpec(dim=3, n=32, box_length=TWO_PI)
     op = SpectralOperator(grid3, PARAMS, DT)
-    u = op.restrict(random_state_field(grid3, seed=11).spec)
-    f = op.restrict(random_state_field(grid3, seed=12).spec)
+    u = random_state(grid3, seed=11)
+    f = random_state(grid3, seed=12)
     for _ in range(3):
         u = imex_step(u, 0.0, op, f)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
