@@ -19,6 +19,7 @@ stats.burn_in + stats.window, and a step must start in the window (`averaged`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -49,6 +50,8 @@ class RunConfig:
             raise ConfigError("stats.window must be positive")
         if self.burn_in < 0:
             raise ConfigError("stats.burn_in must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         dt, n_steps = self.stepper.dt, self.stepper.n_steps
         if n_steps != round((self.burn_in + self.window) / dt):
             raise ConfigError("stepper.t_end must equal stats.burn_in + stats.window")
@@ -66,8 +69,8 @@ class SweepConfig:
         gv = tuple(float(g) for g in self.gamma_values)
         if not gv:
             raise ConfigError("sweep.gamma_values must be nonempty")
-        if any(g < 0 for g in gv):
-            raise ConfigError("sweep.gamma_values must be nonnegative")
+        if not all(0 <= g < math.inf for g in gv):
+            raise ConfigError(f"sweep.gamma_values must be nonnegative and finite, got {list(gv)}")
         if any(b <= a for a, b in zip(gv, gv[1:])):
             raise ConfigError("sweep.gamma_values must be strictly increasing")
         if self.parallel_workers < 1:
@@ -114,6 +117,13 @@ def _get(d: dict, path: str, default=_REQUIRED, kind=lambda v: v):
         raise ConfigError(f"{path}: {e}") from e
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
 def _build_run_config(d: dict) -> RunConfig:
     _check_keys(d)
     try:
@@ -148,8 +158,9 @@ def _build_run_config(d: dict) -> RunConfig:
     except ValueError as e:
         raise ConfigError(f"forcing: {e}") from e
 
-    burn_in = _get(d, "stats.burn_in", 0.0, float)
-    window = _get(d, "stats.window", kind=float)
+    # finite before they make the default t_end, so a bad value is named as stats.*
+    burn_in = _get(d, "stats.burn_in", 0.0, _finite)
+    window = _get(d, "stats.window", kind=_finite)
     try:
         stepper = StepperConfig(
             dt=_get(d, "stepper.dt", kind=float),
@@ -213,18 +224,3 @@ def load_sweep_config(path) -> SweepConfig:
         gamma_values=_get(d, "sweep.gamma_values", kind=lambda v: tuple(float(g) for g in v)),
         parallel_workers=_get(d, "sweep.parallel_workers", 1, int),
     )
-
-
-def save_run_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(run_config_to_dict(cfg), fh, sort_keys=False)
-
-
-def save_sweep_config(cfg: SweepConfig, path) -> None:
-    d = run_config_to_dict(cfg.base)
-    d["sweep"] = {
-        "gamma_values": list(cfg.gamma_values),
-        "parallel_workers": cfg.parallel_workers,
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(d, fh, sort_keys=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Field, GridSpec, extend, k_dot, volume_norm_sq, wavevectors
+from .grid import Field, GridSpec, k_dot, to_physical, volume_norm_sq, wavevectors
 
 
 class ForcingError(ValueError):
@@ -120,7 +120,7 @@ def compute_F(f: Field) -> float:
 
 def _sup_norm(grid: GridSpec, s: np.ndarray) -> float:
     """Largest pointwise Euclidean norm over the samples of compact coefficients `s`."""
-    p = np.fft.irfftn(extend(grid, s), s=grid.shape, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+    p = to_physical(grid, s)
     return float(np.sqrt(np.max(np.sum(p * p, axis=0))))
 
 

@@ -4,11 +4,11 @@ A field is held by its spectral coefficients on the modes the 2/3 rule
 keeps (Orszag 1971), |m_j| <= `GridSpec.cutoff` = c: the compact layout,
 shape `GridSpec.compact_shape` = (2c+1,)*(dim-1) + (c+1,). Its full axes
 hold m = 0..c, -c..-1 and its last axis m = 0..c, so it is the kept part of
-the real-to-complex half spectrum (numpy ``rfftn``) and conjugate symmetry
-is structural. The force, the initial and restart states, the MMS targets
-and every stage of a run live on it. `extend` scatters it into the
-half-spectrum only for a checkpoint payload and for physical samples;
-`restrict` gathers it back.
+the real-to-complex half spectrum (numpy's n-d real transform) and
+conjugate symmetry is structural. The force, the initial and restart
+states, the MMS targets, every stage of a run and the checkpoint payload
+live on it. `to_compact` and `to_physical` are the one transform pair
+between it and the samples.
 
 Normalization: spectral coefficients are true Fourier-series coefficients,
 ``u(x) = sum_k uhat_k exp(i k.x)``, i.e. forward transform divided by the
@@ -19,7 +19,6 @@ conjugate partner is not stored and ``w_k = 1`` on the m_last = 0 plane.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,11 +58,6 @@ class GridSpec:
         return (self.n,) * self.dim
 
     @property
-    def spectral_shape(self) -> tuple:
-        """Shape of the half-spectrum (numpy rfftn) of one component."""
-        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
-
-    @property
     def compact_shape(self) -> tuple:
         """Shape of the kept modes of one component."""
         c = self.cutoff
@@ -86,38 +80,31 @@ def halves(grid: GridSpec) -> tuple:
     return (slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1))
 
 
-@lru_cache(maxsize=None)
-def blocks(grid: GridSpec) -> tuple:
-    """(half-spectrum, compact) basic slices, one pair per sign pattern of the dim - 1 full axes."""
-    last = slice(0, grid.cutoff + 1)
-    return tuple(
-        ((Ellipsis,) + tuple(h[0] for h in hs) + (last,), (Ellipsis,) + tuple(h[1] for h in hs) + (last,))
-        for hs in itertools.product(halves(grid), repeat=grid.dim - 1))
-
-
-def restrict(grid: GridSpec, full: np.ndarray) -> np.ndarray:
-    """The kept modes of a half-spectrum array (any leading axes), as a new compact array."""
-    out = np.empty(full.shape[:-grid.dim] + grid.compact_shape, dtype=full.dtype)
-    for f, c in blocks(grid):
-        out[c] = full[f]
-    return out
-
-
-def extend(grid: GridSpec, compact: np.ndarray) -> np.ndarray:
-    """The half-spectrum array that holds `compact` on the kept modes and +0 elsewhere."""
-    out = np.zeros(compact.shape[:-grid.dim] + grid.spectral_shape, dtype=compact.dtype)
-    for f, c in blocks(grid):
-        out[f] = compact[c]
-    return out
-
-
 def to_compact(grid: GridSpec, phys: np.ndarray) -> np.ndarray:
-    """The kept coefficients of samples (components first): restrict(rfftn(phys))'s passes, bitwise."""
+    """The kept coefficients of samples (components first), bitwise as the n-d real transform's.
+
+    Each full axis drops its removed lines right after its pass, so later passes skip them.
+    """
     x = np.fft.rfft(phys, axis=grid.dim, norm="forward")[..., :grid.cutoff + 1]
     for j in range(grid.dim - 1, 0, -1):
         x = np.fft.fft(x, axis=j, norm="forward")
         x = np.concatenate([x[(slice(None),) * j + (f,)] for f, _ in halves(grid)], axis=j)
     return x
+
+
+def to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
+    """The samples of compact coefficients (components first), bitwise as the n-d inverse of them zero-padded.
+
+    Each full axis is padded to n with +0 between its m >= 0 and m < 0 halves right before its
+    pass, so no pass transforms a line that is all padding; irfft pads the last axis itself.
+    """
+    x = spec
+    for j in range(1, grid.dim):
+        pre = (slice(None),) * j
+        lo, hi = (x[pre + (c,)] for _, c in halves(grid))
+        pad = np.zeros(x.shape[:j] + (grid.n - 2 * grid.cutoff - 1,) + x.shape[j + 1:], dtype=x.dtype)
+        x = np.fft.ifft(np.concatenate([lo, pad, hi], axis=j), axis=j, norm="forward")
+    return np.fft.irfft(x, grid.n, axis=grid.dim, norm="forward")
 
 
 @lru_cache(maxsize=None)

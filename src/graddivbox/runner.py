@@ -12,16 +12,14 @@ statistics after burn-in, and writes three artifacts into output_dir:
                      admissible gamma windows
     final.ckpt       restartable binary checkpoint of the end state
 
-The force, the initial or restart state and the state of every step are
-compact coefficients, on the modes the 2/3 rule keeps (the layout of
-`grid`); `checkpoint` alone extends the state to the half-spectrum, and
-refuses a restart file with a nonzero coefficient off the kept modes. The
-mean (k = 0) mode of a fresh run stays exactly 0. Time is the step index i,
-reported as i * dt. All floats in the CSV are printed with 17 significant
-digits, so a serial rerun (or a checkpoint restart) reproduces rows
-bitwise. A restart must start on the step grid and before t_end, and
-resumes the step index there; anything else is refused before a file is
-written.
+The force, the initial or restart state, the state of every step and the
+checkpoint payload are compact coefficients, on the modes the 2/3 rule
+keeps (the layout of `grid`). The mean (k = 0) mode of a fresh run stays
+exactly 0. Time is the step index i, reported as i * dt. All floats in the
+CSV are printed with 17 significant digits, so a serial rerun (or a
+checkpoint restart) reproduces rows bitwise. A restart must start on the
+step grid and before t_end, and resumes the step index there; anything
+else is refused before a file is written.
 """
 
 from __future__ import annotations

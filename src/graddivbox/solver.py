@@ -12,8 +12,8 @@ with 2/3-rule dealiasing before and after products. Every product is
 quadratic, so under the 2/3 rule (Orszag 1971) the two forms agree on every
 retained mode, and the energy inner product of the term with u vanishes to
 roundoff even when div u != 0. One evaluation transforms [u, omega, div u]
-and [omega x u + (1/2)(div u) u, |u|^2 / 2] in one 1-D pass per axis that
-skips the lines of the 2/3 rule's zero padding, bitwise as irfftn/rfftn.
+to samples and [omega x u + (1/2)(div u) u, |u|^2 / 2] back with the grid's
+transform pair, which skips the lines of the 2/3 rule's zero padding.
 
 Time stepping is the L-stable two-stage second-order IMEX Runge-Kutta
 scheme ARS(2,2,2): advection explicit, nu*lap + gamma*grad div implicit.
@@ -26,10 +26,11 @@ the blow-up check reads the new spectral state without transforming it.
 Run state: the state, the force and every stage are compact arrays, the
 coefficients of the modes the 2/3 rule keeps (the layout of `grid`), as
 every `Field` is. One `SpectralOperator`, built from (grid, params, dt),
-holds the step's constants and work buffers. The buffers are overwritten
-on every call and no result aliases them (the MMS force calls
-`nonlinear_term` inside a stage); two threads must not step with one
-operator at once.
+holds the step's constants and work buffers: the spectral [u, omega, div u]
+stack, the physical products and two scratch arrays; the transforms
+allocate their own results. The buffers are overwritten on every call and
+no result aliases them (the MMS force calls `nonlinear_term` inside a
+stage); two threads must not step with one operator at once.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
-    halves,
     k_dot,
     k_parallel_coef,
     parseval_weights,
     safe_wavenumber_sq,
     to_compact,
+    to_physical,
     volume_norm_sq,
     wavenumber_sq,
     wavevectors,
@@ -138,7 +139,7 @@ class SpectralOperator:
 
     def __init__(self, grid: GridSpec, params: FlowParams, dt: float):
         self.grid, self.params, self.dt = grid, params, dt
-        n, dim, shape = grid.n, grid.dim, grid.compact_shape
+        dim, shape = grid.dim, grid.compact_shape
         self.k = wavevectors(grid)
         ksq = wavenumber_sq(grid)
         self.safe_ksq = safe_wavenumber_sq(ksq)
@@ -150,26 +151,10 @@ class SpectralOperator:
         self.denom_par = 1.0 + c_ars * (params.nu + params.gamma) * ksq
         ncurl = 1 if dim == 2 else 3
         self.stack = np.empty((dim + ncurl + 1,) + shape, dtype=complex)  # [u, omega, div u]
-        # pass j pads full axis j of the stack to n; only its kept blocks are ever written
-        self.passes = [np.zeros(self.stack.shape[:1] + (n,) * j + shape[j:], dtype=complex)
-                       for j in range(1, dim)]
         self.products = np.empty((dim + 1,) + grid.shape)
         self.rtmp = np.empty(grid.shape)
         self.ctmp = np.empty(shape, dtype=complex)
         _retain_freed_heap()  # set before the buffers were allocated, it raised peak RSS by 0.3 MB
-
-    def to_physical(self, stack: np.ndarray) -> np.ndarray:
-        """Samples of the compact [u, omega, div u] stack: irfftn(extend(stack))'s passes, bitwise.
-
-        Each full axis is padded to n in its pass buffer; irfft zero-pads the last axis itself.
-        """
-        x = stack
-        for j, buf in enumerate(self.passes, start=1):
-            pre = (slice(None),) * j
-            for f, c in halves(self.grid):
-                buf[pre + (f,)] = x[pre + (c,)]
-            x = np.fft.ifft(buf, axis=j, norm="forward")
-        return np.fft.irfft(x, self.grid.n, axis=self.grid.dim, norm="forward")
 
 
 def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
@@ -195,7 +180,7 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
         w_hat -= np.multiply(k[b], u[a], out=ctmp)
         np.multiply(1j, w_hat, out=w_hat)
     np.multiply(1j, k_dot(k, u), out=s[-1])
-    phys = op.to_physical(s)
+    phys = to_physical(op.grid, s)
     up, w, div = phys[:dim], phys[dim:-1], phys[-1]
 
     # physical [omega x u + (1/2)(div u) u, |u|^2 / 2]; |u|^2 first, while rhs[:dim] is free

@@ -2,8 +2,10 @@ import functools
 
 import numpy as np
 import pytest
+import yaml
 
-from graddivbox.grid import Field, GridSpec, extend, k_dot, parseval_weights, to_compact, wavevectors
+from graddivbox.config import SweepConfig, run_config_to_dict
+from graddivbox.grid import Field, GridSpec, k_dot, mode_numbers, parseval_weights, to_compact, wavevectors
 from graddivbox.solver import FlowParams, SpectralOperator, imex_step, nonlinear_term
 from graddivbox.stats import diagnostics
 
@@ -35,6 +37,39 @@ def coords(grid):
     """Meshgrid of sample coordinates, ij indexing."""
     x = np.arange(grid.n) * grid.spacing
     return np.meshgrid(*([x] * grid.dim), indexing="ij")
+
+
+def spectral_shape(grid):
+    """Shape of the half-spectrum (numpy rfftn) of one component."""
+    return (grid.n,) * (grid.dim - 1) + (grid.n // 2 + 1,)
+
+
+def half_index(grid):
+    """Where each compact mode sits in the half-spectrum: m_j mod n along every axis."""
+    return tuple(m.astype(int) % grid.n for m in mode_numbers(grid))
+
+
+def restrict(grid, full):
+    """Reference: the kept modes of a half-spectrum array (any leading axes), as a compact array."""
+    return full[(Ellipsis,) + half_index(grid)]
+
+
+def extend(grid, compact):
+    """Reference: the half-spectrum array that holds `compact` on the kept modes and +0 elsewhere."""
+    out = np.zeros(compact.shape[:-grid.dim] + spectral_shape(grid), dtype=compact.dtype)
+    out[(Ellipsis,) + half_index(grid)] = compact
+    return out
+
+
+def write_config(path, cfg):
+    """Write a RunConfig, or a SweepConfig with its sweep section, as the YAML a user would."""
+    if isinstance(cfg, SweepConfig):
+        d = run_config_to_dict(cfg.base)
+        d["sweep"] = {"gamma_values": list(cfg.gamma_values), "parallel_workers": cfg.parallel_workers}
+    else:
+        d = run_config_to_dict(cfg)
+    with open(path, "w") as fh:
+        yaml.safe_dump(d, fh, sort_keys=False)
 
 
 def from_samples(grid, phys):

@@ -1,8 +1,8 @@
 """Properties of the checkpoint format over random compact states, grids and header values.
 
 A write followed by a read gives back the state, the time and the flow
-parameters bit for bit, and a payload with any nonzero coefficient above
-the 2/3-rule cutoff is refused.
+parameters bit for bit, in an array the caller owns, from a file that holds
+the header and the compact coefficients and nothing else.
 """
 
 import struct
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graddivbox.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from graddivbox.grid import Field, GridSpec, extend
+from graddivbox.checkpoint import read_checkpoint, write_checkpoint
+from graddivbox.grid import Field, GridSpec
 from graddivbox.solver import FlowParams
 
 HEADER_BYTES = 4 + 3 * 4 + 4 * 8
@@ -47,25 +47,11 @@ def bits(*values):
 def test_round_trip_keeps_every_bit(path, checkpoint):
     u, t, params = checkpoint
     write_checkpoint(path, u, t, params)
+    dim, c = u.grid.dim, u.grid.cutoff
+    assert path.stat().st_size == HEADER_BYTES + 16 * dim * (2 * c + 1) ** (dim - 1) * (c + 1)
     grid, back, t_back, params_back = read_checkpoint(path)
     assert (grid.dim, grid.n) == (u.grid.dim, u.grid.n)
     assert back.spec.dtype == u.spec.dtype and back.spec.tobytes() == u.spec.tobytes()
+    assert back.spec.flags.writeable and back.spec.flags.owndata
     assert bits(grid.box_length, t_back, params_back.nu, params_back.gamma) == bits(
         u.grid.box_length, t, params.nu, params.gamma)
-
-
-@settings(max_examples=60, deadline=None)
-@given(checkpoints(), st.data())
-def test_a_coefficient_above_the_cutoff_is_refused(path, checkpoint, data):
-    u, t, params = checkpoint
-    grid = u.grid
-    write_checkpoint(path, u, t, params)
-    full = extend(grid, u.spec)
-    kept = extend(grid, np.ones((1,) + grid.compact_shape, dtype=bool))[0]
-    removed = np.argwhere(~kept)
-    where = tuple(removed[data.draw(st.integers(0, len(removed) - 1))])
-    full[(data.draw(st.integers(0, grid.dim - 1)),) + where] = data.draw(
-        st.complex_numbers(allow_nan=True, allow_infinity=True).filter(lambda z: z != 0))
-    path.write_bytes(path.read_bytes()[:HEADER_BYTES] + full.astype("<c16").tobytes())
-    with pytest.raises(CheckpointError, match="nonzero coefficient above the 2/3-rule cutoff"):
-        read_checkpoint(path)

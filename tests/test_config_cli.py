@@ -17,16 +17,14 @@ from graddivbox.config import (
     load_run_config,
     load_sweep_config,
     run_config_to_dict,
-    save_run_config,
-    save_sweep_config,
 )
 from graddivbox.forcing import ForcingSpec
-from graddivbox.grid import GridSpec, extend, volume_norm_sq
+from graddivbox.grid import GridSpec, volume_norm_sq
 from graddivbox import checkpoint, runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
 
-from conftest import TWO_PI, random_state_field, shear_field, zeros
+from conftest import TWO_PI, extend, random_state_field, shear_field, write_config, zeros
 
 
 HEADER_BYTES = 4 + 3 * 4 + 4 * 8
@@ -55,14 +53,14 @@ class TestConfigRoundTrip:
     def test_run_config_round_trips(self, tmp_path):
         cfg = small_run_config(tmp_path)
         path = tmp_path / "run.yaml"
-        save_run_config(cfg, path)
+        write_config(path, cfg)
         assert load_run_config(path) == cfg
 
     def test_sweep_config_round_trips(self, tmp_path):
         sweep = SweepConfig(base=small_run_config(tmp_path),
                             gamma_values=(0.0, 0.5, 2.0), parallel_workers=2)
         path = tmp_path / "sweep.yaml"
-        save_sweep_config(sweep, path)
+        write_config(path, sweep)
         assert load_sweep_config(path) == sweep
 
     def test_missing_key_names_offender(self, tmp_path):
@@ -74,7 +72,7 @@ class TestConfigRoundTrip:
 
     def test_invalid_grid_reported(self, tmp_path):
         cfg = small_run_config(tmp_path)
-        save_run_config(cfg, tmp_path / "g.yaml")
+        write_config(tmp_path / "g.yaml", cfg)
         d = yaml.safe_load(open(tmp_path / "g.yaml"))
         d["grid"]["n"] = 37
         with open(tmp_path / "g.yaml", "w") as fh:
@@ -120,6 +118,24 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=f"^{section}: {key} must be .* and finite, got {value}$"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("key, value, t_end", [
+        ("stats.burn_in", math.nan, True), ("stats.burn_in", math.inf, True), ("stats.window", math.inf, True),
+        ("stats.burn_in", math.nan, False), ("stats.window", math.nan, False), ("seed", -1, True),
+    ], ids=["burn_in-nan", "burn_in-inf", "window-inf", "burn_in-nan-no-t_end", "window-nan-no-t_end",
+            "seed-negative"])
+    def test_non_finite_stats_value_or_negative_seed_is_a_config_error(self, tmp_path, capsys, key, value, t_end):
+        # without t_end the stats values make its default, so they are checked before the stepper
+        d = run_config_to_dict(small_run_config(tmp_path, n=8))
+        *section, name = key.split(".")
+        (d[section[0]] if section else d)[name] = value
+        if not t_end:
+            del d["stepper"]["t_end"]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+        assert not os.path.exists(tmp_path / "out")
+
     def test_unknown_mode_key_names_offender(self, tmp_path):
         d = run_config_to_dict(small_run_config(tmp_path))
         d["forcing"]["modes"][1]["phase"] = 0.5
@@ -131,7 +147,7 @@ class TestConfigRoundTrip:
     def test_sweep_section_allowed_in_run_config(self, tmp_path):
         sweep = SweepConfig(base=small_run_config(tmp_path), gamma_values=(0.0, 1.0))
         path = tmp_path / "sweep.yaml"
-        save_sweep_config(sweep, path)
+        write_config(path, sweep)
         assert load_run_config(path) == sweep.base
 
 
@@ -202,6 +218,17 @@ class TestSweepValidation:
     def test_negative_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="nonnegative"):
             SweepConfig(base=small_run_config(tmp_path), gamma_values=(-1.0, 0.0))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_is_a_config_error(self, tmp_path, capsys, gamma):
+        # the first gamma would run before the second one failed, and no sweep.csv be written
+        d = run_config_to_dict(small_run_config(tmp_path, n=8))
+        d["sweep"] = {"gamma_values": [0.0, gamma]}
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["sweep", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.gamma_values must be nonnegative and finite")
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestRunSingle:
@@ -347,7 +374,7 @@ class TestSweep:
         monkeypatch.setattr(runner, "run_single", blows_up_at_gamma_one)
         base = small_run_config(tmp_path, t_end=0.02, window=0.02)
         path = tmp_path / "sweep.yaml"
-        save_sweep_config(SweepConfig(base=base, gamma_values=(0.0, 1.0)), path)
+        write_config(path, SweepConfig(base=base, gamma_values=(0.0, 1.0)))
         assert main(["sweep", str(path)]) == 4
         capsys.readouterr()
         out = json.load(open(os.path.join(base.output_dir, "sweep.json")))
@@ -364,7 +391,7 @@ class TestCheckpoint:
         params = FlowParams(nu=0.2, gamma=3.0)
         path = tmp_path / "s.ckpt"
         write_checkpoint(path, u, 1.25, params)
-        assert path.stat().st_size == HEADER_BYTES + 2 * 16 * 9 * 16  # the half-spectrum payload
+        assert path.stat().st_size == HEADER_BYTES + 2 * 11 * 6 * 16  # the compact payload: c = 5
         grid2, u2, t2, params2 = read_checkpoint(path)
         assert (grid2.dim, grid2.n, grid2.box_length) == (2, 16, 1.0)
         assert t2 == 1.25
@@ -372,10 +399,15 @@ class TestCheckpoint:
         np.testing.assert_array_equal(u2.spec, u.spec)
 
     def test_version_1_is_refused(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(struct.pack("<4sIIIdddd", b"GDPB", 1, 3, 8, 2.0, 0.75, 0.1, 4.0) + bytes(8 * 3 * 8 ** 3))
-        with pytest.raises(CheckpointError, match="unsupported format version 1"):
-            read_checkpoint(path)
+        # version 1 held the samples, version 2 the zero-padded half-spectrum; neither is read
+        grid = GridSpec(dim=3, n=8, box_length=2.0)
+        payloads = {1: bytes(8 * 3 * 8 ** 3),
+                    2: extend(grid, random_state_field(grid).spec).astype("<c16").tobytes()}
+        for version, payload in payloads.items():
+            path = tmp_path / f"v{version}.ckpt"
+            path.write_bytes(struct.pack("<4sIIIdddd", b"GDPB", version, 3, 8, 2.0, 0.75, 0.1, 4.0) + payload)
+            with pytest.raises(CheckpointError, match=f"^{path}: unsupported format version {version}$"):
+                read_checkpoint(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
@@ -445,8 +477,8 @@ class TestCheckpoint:
     def test_invalid_header_value_names_the_file(self, tmp_path, header, message):
         dim, n, box_length, nu, gamma = header
         path = tmp_path / "bad-header.ckpt"
-        payload = bytes(16 * 2 * 16 * 9)  # a dim = 2, n = 16 payload: only the header is wrong
-        path.write_bytes(struct.pack("<4sIIIdddd", b"GDPB", 2, dim, n, box_length, 0.0, nu, gamma) + payload)
+        payload = bytes(16 * 2 * 11 * 6)  # a dim = 2, n = 16 payload: only the header is wrong
+        path.write_bytes(struct.pack("<4sIIIdddd", b"GDPB", 3, dim, n, box_length, 0.0, nu, gamma) + payload)
         with pytest.raises(CheckpointError, match=f"^{path}: invalid header: {message}$"):
             read_checkpoint(path)
 
@@ -471,7 +503,7 @@ class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, t_end=0.02, window=0.02)
         path = tmp_path / "run.yaml"
-        save_run_config(cfg, path)
+        write_config(path, cfg)
         assert main(["run", str(path)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert "eps_avg" in summary
@@ -515,30 +547,15 @@ class TestCli:
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_option_is_a_config_error(self, tmp_path, capsys, workers):
         path = tmp_path / "sweep.yaml"
-        save_sweep_config(SweepConfig(base=small_run_config(tmp_path), gamma_values=(0.0,)), path)
+        write_config(path, SweepConfig(base=small_run_config(tmp_path), gamma_values=(0.0,)))
         assert main(["sweep", str(path), "--workers", workers]) == 2
         assert capsys.readouterr().err == f"config error: --workers must be >= 1, got {workers}\n"
         assert not os.path.exists(tmp_path / "out")
 
-    def test_restart_with_a_coefficient_above_the_cutoff_is_refused(self, tmp_path, capsys):
-        cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2)
-        path = tmp_path / "ok.yaml"
-        save_run_config(cfg, path)
-        ck = tmp_path / "high.ckpt"
-        write_checkpoint(ck, shear_field(cfg.grid), 0.0, cfg.params)
-        full = extend(cfg.grid, shear_field(cfg.grid).spec)
-        full[0, 11, 0] = 1e-3  # m = (11, 0); n = 32 keeps |m_j| <= 10
-        ck.write_bytes(ck.read_bytes()[:HEADER_BYTES] + full.astype("<c16").tobytes())
-        with pytest.raises(CheckpointError, match=r"^checkpoint has a nonzero coefficient above the 2/3-rule cutoff"):
-            run_single(cfg, restart_path=str(ck))
-        assert not os.path.exists(cfg.output_dir)
-        assert main(["run", str(path), "--restart", str(ck)]) == 5
-        assert capsys.readouterr().err.startswith("error: checkpoint has a nonzero coefficient")
-
     def test_restart_from_other_grid_is_refused_not_a_config_error(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2)
         path = tmp_path / "ok.yaml"
-        save_run_config(cfg, path)
+        write_config(path, cfg)
         ck = tmp_path / "other-grid.ckpt"
         other = GridSpec(dim=2, n=16, box_length=TWO_PI)
         write_checkpoint(ck, shear_field(other), 0.0, cfg.params)
@@ -557,14 +574,14 @@ class TestCli:
             modes=(((1, 1), (-2.5e7j, 2.5e7j)), ((1, -1), (-2.5e7j, -2.5e7j))),
             subdir="blow")
         path = tmp_path / "blow.yaml"
-        save_run_config(cfg, path)
+        write_config(path, cfg)
         assert main(["run", str(path)]) == 3
         assert os.path.exists(os.path.join(cfg.output_dir, "blowup.ckpt"))
 
     def test_output_dir_option_overrides_config(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, t_end=0.02, window=0.02)
         path = tmp_path / "run.yaml"
-        save_run_config(cfg, path)
+        write_config(path, cfg)
         override = tmp_path / "elsewhere"
         assert main(["run", str(path), "--output-dir", str(override)]) == 0
         capsys.readouterr()
@@ -574,7 +591,7 @@ class TestCli:
     def test_mms_subcommand(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dt=4e-3, t_end=0.2, window=0.2)
         path = tmp_path / "mms.yaml"
-        save_run_config(cfg, path)
+        write_config(path, cfg)
         assert main(["mms", str(path), "--levels", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["levels"]) == 2
@@ -585,7 +602,7 @@ class TestCli:
         # the dt = 2 level goes non-finite at t = 12; it used to report an order of -187
         cfg = small_run_config(tmp_path, n=16, nu=1e-6, gamma=0.0, dt=2.0, t_end=40.0, window=40.0)
         path = tmp_path / "mms.yaml"
-        save_run_config(cfg, path)
+        write_config(path, cfg)
         assert main(["mms", str(path), "--levels", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -595,7 +612,7 @@ class TestCli:
         base = small_run_config(tmp_path, t_end=0.02, window=0.02)
         sweep = SweepConfig(base=base, gamma_values=(0.0, 1.0))
         path = tmp_path / "sweep.yaml"
-        save_sweep_config(sweep, path)
+        write_config(path, sweep)
         assert main(["sweep", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["failures"] == {}

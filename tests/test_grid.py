@@ -6,9 +6,7 @@ import pytest
 from graddivbox.grid import (
     Field,
     GridSpec,
-    extend,
     project_divergence_free,
-    restrict,
     to_compact,
     volume_norm_sq,
     wavevectors,
@@ -19,11 +17,14 @@ from graddivbox.stats import diagnostics
 from conftest import (
     coords,
     divergence,
+    extend,
     from_samples,
     operator,
     random_state_field,
+    restrict,
     samples,
     shear_field,
+    spectral_shape,
     zeros,
 )
 
@@ -32,7 +33,6 @@ class TestGridSpec:
     def test_valid(self):
         g = GridSpec(dim=3, n=64, box_length=1.5)
         assert g.shape == (64, 64, 64)
-        assert g.spectral_shape == (64, 64, 33)
         assert g.compact_shape == (43, 43, 22)
         assert g.spacing == pytest.approx(1.5 / 64)
 
@@ -144,16 +144,19 @@ class TestLinearOperators:
 
 
 class TestDealias:
-    """The 2/3 rule's cut: restrict keeps |m_j| <= cutoff of a half-spectrum, extend pads with +0."""
+    """The 2/3 rule's cut of the reference in conftest that the transform tests compare against.
+
+    restrict keeps |m_j| <= cutoff of a half-spectrum, extend pads with +0.
+    """
 
     def test_low_modes_unchanged(self, grid2d):
-        s = np.zeros((1,) + grid2d.spectral_shape, dtype=complex)
+        s = np.zeros((1,) + spectral_shape(grid2d), dtype=complex)
         s[0][3, 0] = 0.5
         s[0][-3, 0] = 0.5
         np.testing.assert_array_equal(extend(grid2d, restrict(grid2d, s)), s)
 
     def test_highest_mode_zeroed(self, grid2d):
-        s = np.zeros((1,) + grid2d.spectral_shape, dtype=complex)
+        s = np.zeros((1,) + spectral_shape(grid2d), dtype=complex)
         s[0][grid2d.n // 2, 0] = 1.0
         assert np.all(restrict(grid2d, s) == 0.0)
 
