@@ -103,6 +103,8 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_mms(args) -> int:
     cfg = load_run_config(args.config)
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be >= 1, got {args.levels}")
     target = divergent_mms_target(cfg.grid)
     reports = []
     for level in range(args.levels):

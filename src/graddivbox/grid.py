@@ -97,13 +97,15 @@ def to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
 
     Each full axis is padded to n with +0 between its m >= 0 and m < 0 halves right before its
     pass, so no pass transforms a line that is all padding; irfft pads the last axis itself.
+    No view of an earlier pass's result outlives the padding, so each pass frees the one before it.
     """
     x = spec
+    (_, lo), (_, hi) = halves(grid)
     for j in range(1, grid.dim):
         pre = (slice(None),) * j
-        lo, hi = (x[pre + (c,)] for _, c in halves(grid))
-        pad = np.zeros(x.shape[:j] + (grid.n - 2 * grid.cutoff - 1,) + x.shape[j + 1:], dtype=x.dtype)
-        x = np.fft.ifft(np.concatenate([lo, pad, hi], axis=j), axis=j, norm="forward")
+        pad = x.shape[:j] + (grid.n - 2 * grid.cutoff - 1,) + x.shape[j + 1:]
+        x = np.concatenate([x[pre + (lo,)], np.zeros(pad, dtype=x.dtype), x[pre + (hi,)]], axis=j)
+        x = np.fft.ifft(x, axis=j, norm="forward")
     return np.fft.irfft(x, grid.n, axis=grid.dim, norm="forward")
 
 

@@ -28,7 +28,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -220,6 +219,7 @@ def run_sweep(sweep: SweepConfig) -> dict:
     os.makedirs(base.output_dir, exist_ok=True)
     jobs = [(base, g, i) for i, g in enumerate(sweep.gamma_values)]
     if sweep.parallel_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 2 MB RSS, so only when a pool runs
         with ProcessPoolExecutor(max_workers=sweep.parallel_workers) as pool:
             results = list(pool.map(_run_for_sweep, jobs))
     else:

@@ -25,19 +25,20 @@ the blow-up check reads the new spectral state without transforming it.
 
 Run state: the state, the force and every stage are compact arrays, the
 coefficients of the modes the 2/3 rule keeps (the layout of `grid`), as
-every `Field` is. One `SpectralOperator`, built from (grid, params, dt),
-holds the step's constants and work buffers: the spectral [u, omega, div u]
-stack, the physical products and two scratch arrays; the transforms
-allocate their own results. The buffers are overwritten on every call and
-no result aliases them (the MMS force calls `nonlinear_term` inside a
-stage); two threads must not step with one operator at once.
+every `Field` is. `nonlinear_term` and `_apply_linear` also take a batch
+of states, (dim,) + batch + compact_shape, bitwise per state: the MMS study
+builds its target's states and forces MMS_BLOCK steps at a time. One
+`SpectralOperator`, built from (grid, params, dt), holds the step's
+constants and, per batch shape, its work buffers: the spectral
+[u, omega, div u] stack, the physical products and two scratch arrays. The
+buffers are overwritten on every call and no result aliases them; two
+threads must not step with one operator at once.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,26 +136,41 @@ class SpectralOperator:
     """The frozen per-run constants of the step on the compact layout, and its work buffers.
 
     The ARS divisors are arrays, not reciprocals: x / d and x * (1 / d) differ in the last bit.
+    Constants that meet complex coefficients are complex: numpy casts a float operand exactly
+    on every mixed operation, so the bits are the same and the cast is paid once.
     """
 
     def __init__(self, grid: GridSpec, params: FlowParams, dt: float):
         self.grid, self.params, self.dt = grid, params, dt
-        dim, shape = grid.dim, grid.compact_shape
-        self.k = wavevectors(grid)
+        self.k = tuple(kj.astype(complex) for kj in wavevectors(grid))
         ksq = wavenumber_sq(grid)
-        self.safe_ksq = safe_wavenumber_sq(ksq)
+        self.safe_ksq = safe_wavenumber_sq(ksq).astype(complex)
         self.weights = parseval_weights(grid)
         self.weighted_ksq = self.weights * ksq
-        self.neg_nu_ksq = -params.nu * ksq
+        self.neg_nu_ksq = (-params.nu * ksq).astype(complex)
         c_ars = _ARS_GAMMA * dt
-        self.denom_perp = 1.0 + c_ars * params.nu * ksq
-        self.denom_par = 1.0 + c_ars * (params.nu + params.gamma) * ksq
-        ncurl = 1 if dim == 2 else 3
-        self.stack = np.empty((dim + ncurl + 1,) + shape, dtype=complex)  # [u, omega, div u]
-        self.products = np.empty((dim + 1,) + grid.shape)
-        self.rtmp = np.empty(grid.shape)
-        self.ctmp = np.empty(shape, dtype=complex)
+        self.denom_perp = (1.0 + c_ars * params.nu * ksq).astype(complex)
+        self.denom_par = (1.0 + c_ars * (params.nu + params.gamma) * ksq).astype(complex)
+        self._work = {}
+        self.stack, self.products, self.rtmp, self.ctmp = self.work(())
         _retain_freed_heap()  # set before the buffers were allocated, it raised peak RSS by 0.3 MB
+
+    def work(self, batch: tuple) -> tuple:
+        """The work buffers of a call on a `batch` of states: [u, omega, div u], products, scratch."""
+        if batch not in self._work:
+            g, compact = self.grid, batch + self.grid.compact_shape
+            ncurl = 1 if g.dim == 2 else 3
+            self._work[batch] = (np.empty((g.dim + ncurl + 1,) + compact, dtype=complex),
+                                 np.empty((g.dim + 1,) + batch + g.shape), np.empty(batch + g.shape),
+                                 np.empty(compact, dtype=complex))
+        return self._work[batch]
+
+
+def _transform(fn, grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """`fn` (`to_physical` or `to_compact`) of (ncomp,) + batch + one component's shape, as one stack."""
+    lead = x.shape[:x.ndim - grid.dim]
+    y = fn(grid, x.reshape((-1,) + x.shape[len(lead):]))
+    return y.reshape(lead + y.shape[1:])
 
 
 def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
@@ -165,12 +181,14 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
     omega u_x). The compact input holds only the kept modes, so `to_physical`
     sees a dealiased input by construction, and `to_compact` keeps only the
     kept modes of the products, dealiasing them again: only alias-free
-    Galerkin modes survive. The mean (k = 0) mode is exactly 0.
+    Galerkin modes survive. The mean (k = 0) mode is exactly 0. `u` is
+    (dim,) + batch + compact_shape, all states through one transform pair.
     """
-    dim = op.grid.dim
-    k = op.k
+    grid, k = op.grid, op.k
+    dim = grid.dim
     ncurl = 1 if dim == 2 else 3
-    s, rhs, rtmp, ctmp = op.stack, op.products, op.rtmp, op.ctmp
+    batch = u.shape[1:u.ndim - dim]
+    s, rhs, rtmp, ctmp = op.work(batch)
 
     # spectral [u, omega, div u] on the kept modes
     s[:dim] = u
@@ -180,7 +198,7 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
         w_hat -= np.multiply(k[b], u[a], out=ctmp)
         np.multiply(1j, w_hat, out=w_hat)
     np.multiply(1j, k_dot(k, u), out=s[-1])
-    phys = to_physical(op.grid, s)
+    phys = _transform(to_physical, grid, s)
     up, w, div = phys[:dim], phys[dim:-1], phys[-1]
 
     # physical [omega x u + (1/2)(div u) u, |u|^2 / 2]; |u|^2 first, while rhs[:dim] is free
@@ -195,12 +213,13 @@ def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
             np.multiply(w[a], up[b], out=rhs[i])
             rhs[i] -= np.multiply(w[b], up[a], out=rtmp)
     rhs[:dim] += np.multiply(np.multiply(0.5, div, out=rtmp), up, out=up)
-    p_hat = to_compact(op.grid, rhs)
+    del phys, up, w, div  # the samples are free before the forward transform allocates
+    p_hat = _transform(to_compact, grid, rhs)
 
     out = p_hat[:dim]
     for j in range(dim):
         out[j] += np.multiply(np.multiply(1j, k[j], out=ctmp), p_hat[dim], out=ctmp)
-    out[(slice(None),) + (0,) * dim] = 0.0
+    out[(Ellipsis,) + (0,) * dim] = 0.0
     return out
 
 
@@ -217,7 +236,7 @@ def _solve_shifted(b_hat: np.ndarray, op: SpectralOperator) -> np.ndarray:
 
 
 def _apply_linear(v_hat: np.ndarray, op: SpectralOperator) -> np.ndarray:
-    """Apply nu lap + gamma grad div to compact spectral coefficients."""
+    """Apply nu lap + gamma grad div to compact spectral coefficients, (dim,) + batch + compact_shape."""
     k = op.k
     kdotv = k_dot(k, v_hat)
     out = np.empty_like(v_hat)
@@ -229,14 +248,15 @@ def _apply_linear(v_hat: np.ndarray, op: SpectralOperator) -> np.ndarray:
 def imex_step(u_hat: np.ndarray, t: float, op: SpectralOperator, force_hat) -> np.ndarray:
     """One ARS(2,2,2) step of size op.dt on compact spectral coefficients.
 
-    `force_hat` is either a constant compact array or a callable t -> array
-    (time-dependent forcing is used by the manufactured-solution harness).
+    `force_hat` is either a constant compact array or a dict from each stage
+    time to its force, keyed by the exact floats passed: t and t + ARS gamma * dt
+    (the manufactured-solution harness); a missing time is a KeyError.
     Raises BlowUpError, at t + dt, if the new coefficients are not finite.
     """
     g, d, dt = _ARS_GAMMA, _ARS_DELTA, op.dt
 
     def explicit(v_hat, tv):
-        fh = force_hat(tv) if callable(force_hat) else force_hat
+        fh = force_hat[tv] if isinstance(force_hat, dict) else force_hat
         return fh - nonlinear_term(v_hat, op)
 
     e0 = explicit(u_hat, t)
@@ -259,17 +279,25 @@ class ManufacturedSolution:
     and each state is built as a(t) w and transformed, rather than scaled
     as a(t) w_hat: the two differ in the last bits, and the MMS errors
     (about 1e-8) are checked to 1e-9 relative, about 100 ulps of the state.
+    `states` builds the states of many times in one transform, each with
+    the bits of its own; `state` is its one-time case.
     """
 
     def __init__(self, grid: GridSpec, shape_phys: np.ndarray, amp, amp_dot):
         self.grid = grid
         self.shape_phys = np.asarray(shape_phys, dtype=float)
+        self.shape_hat = to_compact(grid, self.shape_phys)
         self.amp = amp
         self.amp_dot = amp_dot
 
+    def states(self, times) -> np.ndarray:
+        """The compact coefficients of a(t) w at each of `times`: (dim, len(times)) + compact_shape."""
+        a = np.reshape([self.amp(t) for t in times], (-1,) + (1,) * self.grid.dim)
+        return _transform(to_compact, self.grid, a * self.shape_phys[:, None])
+
     def state(self, t: float) -> Field:
         """The compact coefficients of a(t) w."""
-        return Field(self.grid, to_compact(self.grid, self.amp(t) * self.shape_phys))
+        return Field(self.grid, self.states([t])[:, 0])
 
 
 def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 0.5):
@@ -290,47 +318,53 @@ def divergent_mms_target(grid: GridSpec, omega: float = 1.3, amplitude: float = 
     )
 
 
-def mms_states(target: ManufacturedSolution):
-    """t -> compact a(t) w; step i's end state is step i + 1's first stage, so it is kept once."""
-    return lru_cache(maxsize=1)(lambda t: target.state(t).spec)
+# steps whose target states and forces are built together; 8 was slower at 2d n=32
+MMS_BLOCK = 4
 
 
-def mms_force_hat(target: ManufacturedSolution, op: SpectralOperator, state):
-    """Compact spectral forcing that makes `target` an exact solution of the discrete model.
+def mms_block(target: ManufacturedSolution, op: SpectralOperator, times) -> tuple:
+    """(states, forces) of `target` at each of `times`, both (dim, len(times)) + compact_shape.
 
-    f = u*_t + N(u*) - nu lap u* - gamma grad div u*, with u*(t) read from
-    `state` (`mms_states`). This force is in general not divergence-free;
-    that restriction is deliberately waived for verification runs.
+    The force f = u*_t + N(u*) - nu lap u* - gamma grad div u* makes the target an exact
+    solution of the discrete model; it is in general not divergence-free, a restriction
+    waived for verification runs. One forward transform builds the states and one
+    `nonlinear_term` call the forces, each slice bitwise as a one-time build (f is summed
+    in place onto N(u*): addition commutes).
     """
-    shape_hat = to_compact(op.grid, target.shape_phys)
-
-    def fhat(t):
-        u = state(t)
-        return target.amp_dot(t) * shape_hat + nonlinear_term(u, op) - _apply_linear(u, op)
-
-    return fhat
+    u = target.states(times)
+    adot = np.reshape([target.amp_dot(t) for t in times], (-1,) + (1,) * op.grid.dim)
+    f = nonlinear_term(u, op)
+    f += adot * target.shape_hat[:, None]
+    f -= _apply_linear(u, op)
+    return u, f
 
 
 def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig) -> dict:
     """Integrate against the manufactured force; report the worst-in-time error.
 
-    Returns a dict with the max volume-normalized L2 error, the number of
-    steps, and the error normalized by the target's peak norm, all over
-    the kept modes.
+    The target's states and forces are built MMS_BLOCK steps at a time,
+    at each step's second-stage and end times; a step's end force is the
+    next step's first. Returns a dict with the max volume-normalized L2
+    error, the number of steps, and the error normalized by the target's
+    peak norm, all over the kept modes.
     """
-    grid = target.grid
-    op = SpectralOperator(grid, params, cfg.dt)
-    state = mms_states(target)
-    fhat = mms_force_hat(target, op, state)
-    u_hat = state(0.0)
-    max_err = 0.0
-    max_ref = np.sqrt(volume_norm_sq(Field(grid, u_hat)))
-    for i in range(cfg.n_steps):
-        t = i * cfg.dt
-        u_hat = imex_step(u_hat, t, op, fhat)
-        exact = state((i + 1) * cfg.dt)
-        max_err = max(max_err, np.sqrt(volume_norm_sq(Field(grid, u_hat - exact))))
-        max_ref = max(max_ref, np.sqrt(volume_norm_sq(Field(grid, exact))))
+    grid, dt = target.grid, cfg.dt
+    op = SpectralOperator(grid, params, dt)
+    u, f = mms_block(target, op, [0.0])
+    u_hat, carry = u[:, 0], f[:, 0]
+    max_err, max_ref = 0.0, np.sqrt(volume_norm_sq(Field(grid, u_hat)))
+    for start in range(0, cfg.n_steps, MMS_BLOCK):
+        steps = range(start, min(start + MMS_BLOCK, cfg.n_steps))
+        times = [t for i in steps for t in (i * dt + _ARS_GAMMA * dt, (i + 1) * dt)]
+        exact, f = mms_block(target, op, times)
+        forces = {start * dt: carry, **{t: f[:, b] for b, t in enumerate(times)}}
+        for b, i in enumerate(steps):
+            u_hat = imex_step(u_hat, i * dt, op, forces)
+            end = exact[:, 2 * b + 1]
+            max_err = max(max_err, np.sqrt(volume_norm_sq(Field(grid, u_hat - end))))
+            max_ref = max(max_ref, np.sqrt(volume_norm_sq(Field(grid, end))))
+        carry = f[:, -1].copy()
+        del exact, f, forces, end  # the next block is built without this one's arrays
     return {
         "steps": cfg.n_steps,
         "dt": cfg.dt,

@@ -597,6 +597,16 @@ class TestCli:
         assert len(report["levels"]) == 2
         assert report["observed_orders"][0] >= 1.9
 
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_nonpositive_levels_option_is_a_config_error(self, tmp_path, capsys, levels):
+        # it used to exit 0 with no level run and no order
+        path = tmp_path / "mms.yaml"
+        write_config(path, small_run_config(tmp_path, dt=4e-3, t_end=0.2, window=0.2))
+        assert main(["mms", str(path), "--levels", levels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --levels must be >= 1, got {levels}\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_mms_blow_up_exit_code(self, tmp_path, capsys):
         # the dt = 2 level goes non-finite at t = 12; it used to report an order of -187

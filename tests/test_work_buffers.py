@@ -32,11 +32,11 @@ from graddivbox.solver import (
     FlowParams,
     SpectralOperator,
     StepperConfig,
+    _apply_linear,
     _solve_shifted,
     divergent_mms_target,
     imex_step,
-    mms_force_hat,
-    mms_states,
+    mms_block,
     nonlinear_term,
     run_mms,
 )
@@ -283,31 +283,35 @@ class TestSameBitsAsReference:
         assert same_bits(got, ref_imex_step(u, 0.3, DT, PARAMS, g, f))
 
     def test_step_with_mms_force(self, op):
-        # the force calls nonlinear_term inside each stage, between the stage's own calls;
+        # the block's states and forces are built together, a table keyed by the stage times;
         # the reference carries the transform's roundoff on the removed modes, where it stays
         g = op.grid
         target = divergent_mms_target(g)
         u = ref_state(target, 0.1)
         assert same_bits(target.state(0.1).spec, restrict(g, u))
-        got = imex_step(restrict(g, u), 0.1, op, mms_force_hat(target, op, mms_states(target)))
+        times = [0.1, 0.1 + solver._ARS_GAMMA * DT]
+        states, forces = mms_block(target, op, times)
+        assert same_bits(states[:, 0], restrict(g, u))
+        got = imex_step(states[:, 0], 0.1, op, {t: forces[:, b] for b, t in enumerate(times)})
         ref = ref_imex_step(u, 0.1, DT, PARAMS, g, ref_mms_force_hat(target, PARAMS))
         assert same_bits(got, restrict(g, ref))
 
-    def test_run_mms(self):
-        # every state of the run matches the reference bitwise; the error sums run over the
-        # kept modes only, so they move at roundoff against the half-spectrum sums
+    @pytest.mark.parametrize("t_end", [4e-3, 0.02], ids=["1-step", "5-steps"])
+    def test_run_mms(self, monkeypatch, t_end):
+        # every state of the run, in whole and partial blocks, matches the reference bitwise; the
+        # error sums run over the kept modes only, so they move at roundoff against the half-spectrum
         grid2 = GridSpec(dim=2, n=16, box_length=TWO_PI)
         target = divergent_mms_target(grid2)
-        cfg = StepperConfig(dt=4e-3, t_end=0.04)
-        op = SpectralOperator(grid2, PARAMS, cfg.dt)
-        f, f_ref = mms_force_hat(target, op, mms_states(target)), ref_mms_force_hat(target, PARAMS)
-        u_ref = ref_state(target, 0.0)
-        u = restrict(grid2, u_ref)
-        for i in range(cfg.n_steps):
-            u = imex_step(u, i * cfg.dt, op, f)
-            u_ref = ref_imex_step(u_ref, i * cfg.dt, cfg.dt, PARAMS, grid2, f_ref)
-            assert same_bits(u, restrict(grid2, u_ref))
+        cfg = StepperConfig(dt=4e-3, t_end=t_end)
+        steps, step = [], solver.imex_step
+        monkeypatch.setattr(solver, "imex_step", lambda *a: steps.append(step(*a)) or steps[-1])
         got = run_mms(target, PARAMS, cfg)["max_l2_error"]
+        assert len(steps) == cfg.n_steps
+        f_ref = ref_mms_force_hat(target, PARAMS)
+        u_ref = ref_state(target, 0.0)
+        for i in range(cfg.n_steps):
+            u_ref = ref_imex_step(u_ref, i * cfg.dt, cfg.dt, PARAMS, grid2, f_ref)
+            assert same_bits(steps[i], restrict(grid2, u_ref))
         assert got == pytest.approx(ref_run_mms(target, PARAMS, cfg), rel=1e-12, abs=0.0)
 
     def test_k_dot_keeps_the_sign_of_zero(self, grid):
@@ -333,18 +337,36 @@ class TestSameBitsAsReference:
         assert d.eps_gamma == PARAMS.gamma * d.div_sq
 
 
+class TestBatchedKernels:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_each_slice_is_the_one_state_call(self, dim, n, batch):
+        # a batch axis after the component axis: every slice has the bits of its own call
+        g = GridSpec(dim=dim, n=n, box_length=TWO_PI)
+        op = SpectralOperator(g, PARAMS, DT)
+        u = np.stack([random_state(g, seed=20 + b) for b in range(batch)], axis=1)
+        got_n, got_l = nonlinear_term(u, op), _apply_linear(u, op)
+        assert got_n.shape == got_l.shape == u.shape
+        for b in range(batch):
+            assert same_bits(np.ascontiguousarray(got_n[:, b]), nonlinear_term(u[:, b].copy(), op))
+            assert same_bits(np.ascontiguousarray(got_l[:, b]), _apply_linear(u[:, b].copy(), op))
+        assert not any(np.shares_memory(got_n, buf) for buf in op.work((batch,)))
+
+
 class TestCachedConstants:
     def test_equal_to_the_inline_expressions(self, op):
+        # the constants that meet complex coefficients are held cast to complex
         grid = op.grid
         ksq = restrict(grid, half_ksq(grid))
-        assert all(same_bits(kc, restrict(grid, kf)) for kc, kf in zip(op.k, half_k(grid)))
-        assert same_bits(op.safe_ksq, np.where(ksq > 0, ksq, 1.0))
+        assert all(same_bits(kc, restrict(grid, kf).astype(complex)) for kc, kf in zip(op.k, half_k(grid)))
+        assert same_bits(op.safe_ksq, np.where(ksq > 0, ksq, 1.0).astype(complex))
         assert same_bits(op.weights, restrict(grid, half_weights(grid)))
         assert same_bits(op.weighted_ksq, restrict(grid, half_weights(grid) * half_ksq(grid)))
-        assert same_bits(op.neg_nu_ksq, -PARAMS.nu * ksq)
+        assert same_bits(op.neg_nu_ksq, (-PARAMS.nu * ksq).astype(complex))
         c = solver._ARS_GAMMA * DT
-        assert same_bits(op.denom_perp, 1.0 + c * PARAMS.nu * ksq)
-        assert same_bits(op.denom_par, 1.0 + c * (PARAMS.nu + PARAMS.gamma) * ksq)
+        assert same_bits(op.denom_perp, (1.0 + c * PARAMS.nu * ksq).astype(complex))
+        assert same_bits(op.denom_par, (1.0 + c * (PARAMS.nu + PARAMS.gamma) * ksq).astype(complex))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
