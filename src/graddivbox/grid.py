@@ -81,32 +81,35 @@ def halves(grid: GridSpec) -> tuple:
 
 
 def to_compact(grid: GridSpec, phys: np.ndarray) -> np.ndarray:
-    """The kept coefficients of samples (components first), bitwise as the n-d real transform's.
+    """The kept coefficients of samples on the last `dim` axes, bitwise as the n-d real transform's.
 
-    Each full axis drops its removed lines right after its pass, so later passes skip them.
+    Leading axes (components, a batch) pass through. Each full axis drops its removed lines right
+    after its pass, so later passes skip them.
     """
-    x = np.fft.rfft(phys, axis=grid.dim, norm="forward")[..., :grid.cutoff + 1]
-    for j in range(grid.dim - 1, 0, -1):
+    x = np.fft.rfft(phys, axis=-1, norm="forward")[..., :grid.cutoff + 1]
+    for j in range(-2, -grid.dim - 1, -1):
         x = np.fft.fft(x, axis=j, norm="forward")
-        x = np.concatenate([x[(slice(None),) * j + (f,)] for f, _ in halves(grid)], axis=j)
+        x = np.concatenate([x[(Ellipsis, f) + (slice(None),) * (-1 - j)] for f, _ in halves(grid)], axis=j)
     return x
 
 
 def to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
-    """The samples of compact coefficients (components first), bitwise as the n-d inverse of them zero-padded.
+    """The samples of compact coefficients on the last `dim` axes, bitwise as the n-d inverse of them zero-padded.
 
-    Each full axis is padded to n with +0 between its m >= 0 and m < 0 halves right before its
-    pass, so no pass transforms a line that is all padding; irfft pads the last axis itself.
-    No view of an earlier pass's result outlives the padding, so each pass frees the one before it.
+    Leading axes pass through. Each full axis is padded to n with +0 between its m >= 0 and m < 0
+    halves right before its pass, so no pass transforms a line that is all padding; irfft pads the
+    last axis itself. No view of an earlier pass's result outlives the padding, so each pass frees
+    the one before it.
     """
     x = spec
     (_, lo), (_, hi) = halves(grid)
-    for j in range(1, grid.dim):
-        pre = (slice(None),) * j
+    for j in range(-grid.dim, -1):
+        post = (slice(None),) * (-1 - j)
         pad = x.shape[:j] + (grid.n - 2 * grid.cutoff - 1,) + x.shape[j + 1:]
-        x = np.concatenate([x[pre + (lo,)], np.zeros(pad, dtype=x.dtype), x[pre + (hi,)]], axis=j)
+        x = np.concatenate([x[(Ellipsis, lo) + post], np.zeros(pad, dtype=x.dtype), x[(Ellipsis, hi) + post]],
+                           axis=j)
         x = np.fft.ifft(x, axis=j, norm="forward")
-    return np.fft.irfft(x, grid.n, axis=grid.dim, norm="forward")
+    return np.fft.irfft(x, grid.n, axis=-1, norm="forward")
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,9 @@ exactly 0. Time is the step index i, reported as i * dt. All floats in the
 CSV are printed with 17 significant digits, so a serial rerun (or a
 checkpoint restart) reproduces rows bitwise. A restart must start on the
 step grid and before t_end, and resumes the step index there; anything
-else is refused before a file is written.
+else is refused before a file is written. A restart into an output_dir
+holding a timeseries.csv keeps its rows up to t0 (the t0 row must hold the
+restored state's diagnostics bitwise) and appends after them.
 """
 
 from __future__ import annotations
@@ -52,6 +54,17 @@ def _fmt(x: float) -> str:
 def _csv_row(t: float, d: Diagnostics, residual: float) -> str:
     values = (t, 0.5 * d.u_sq, d.eps_nu, d.eps_gamma, d.div_sq, residual)
     return ",".join(_fmt(v) for v in values) + "\n"
+
+
+def _rows_up_to(csv_path: str, t0: float, d: Diagnostics) -> str:
+    """Header and rows up to t0 of an earlier timeseries.csv, whose t0 row must hold `d` bitwise."""
+    with open(csv_path) as fh:
+        lines = fh.readlines()
+    state = _csv_row(t0, d, 0.0).rsplit(",", 1)[0] + ","  # t through div_norm_sq
+    at = [i for i, row in enumerate(lines) if row.startswith(state)]
+    if lines[:1] != [CSV_HEADER + "\n"] or not at:
+        raise ValueError(f"{csv_path} has no row at the checkpoint time t0 = {t0} that holds the restored state")
+    return "".join(lines[:at[0] + 1])
 
 
 def json_safe(obj):
@@ -130,18 +143,19 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         u = initial_condition(cfg, force).spec
         start_step = 0
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     stats = RunningStats(burn_in=cfg.burn_in, step=start_step)
     d = diagnostics(u, op)
     csv_path = os.path.join(cfg.output_dir, "timeseries.csv")
+    head = CSV_HEADER + "\n" + (_csv_row(0.0, d, 0.0) if start_step == 0 else "")
+    if restart_path is not None and os.path.exists(csv_path):
+        head = _rows_up_to(csv_path, start_step * dt, d)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     with open(csv_path, "w") as csv:
-        csv.write(CSV_HEADER + "\n")
-        if start_step == 0:
-            csv.write(_csv_row(0.0, d, 0.0))
+        csv.write(head)
         for i in range(start_step, n_steps):
             t = i * dt
             try:
-                u_next = imex_step(u, t, op, f)
+                u_next = imex_step(u, t, op, f, f)
             except BlowUpError:
                 write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), Field(grid, u), t, params)
                 raise

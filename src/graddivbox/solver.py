@@ -28,11 +28,9 @@ coefficients of the modes the 2/3 rule keeps (the layout of `grid`), as
 every `Field` is. `nonlinear_term` and `_apply_linear` also take a batch
 of states, (dim,) + batch + compact_shape, bitwise per state: the MMS study
 builds its target's states and forces MMS_BLOCK steps at a time. One
-`SpectralOperator`, built from (grid, params, dt), holds the step's
-constants and, per batch shape, its work buffers: the spectral
-[u, omega, div u] stack, the physical products and two scratch arrays. The
-buffers are overwritten on every call and no result aliases them; two
-threads must not step with one operator at once.
+`SpectralOperator`, built from (grid, params, dt), holds the step's frozen
+constants. The kernels only read it and allocate their own arrays, so it
+is immutable, and threads may step with one operator at once.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ def _retain_freed_heap() -> None:
 
 
 class SpectralOperator:
-    """The frozen per-run constants of the step on the compact layout, and its work buffers.
+    """The frozen per-run constants of the step on the compact layout.
 
     The ARS divisors are arrays, not reciprocals: x / d and x * (1 / d) differ in the last bit.
     Constants that meet complex coefficients are complex: numpy casts a float operand exactly
@@ -151,74 +149,45 @@ class SpectralOperator:
         c_ars = _ARS_GAMMA * dt
         self.denom_perp = (1.0 + c_ars * params.nu * ksq).astype(complex)
         self.denom_par = (1.0 + c_ars * (params.nu + params.gamma) * ksq).astype(complex)
-        self._work = {}
-        self.stack, self.products, self.rtmp, self.ctmp = self.work(())
-        _retain_freed_heap()  # set before the buffers were allocated, it raised peak RSS by 0.3 MB
-
-    def work(self, batch: tuple) -> tuple:
-        """The work buffers of a call on a `batch` of states: [u, omega, div u], products, scratch."""
-        if batch not in self._work:
-            g, compact = self.grid, batch + self.grid.compact_shape
-            ncurl = 1 if g.dim == 2 else 3
-            self._work[batch] = (np.empty((g.dim + ncurl + 1,) + compact, dtype=complex),
-                                 np.empty((g.dim + 1,) + batch + g.shape), np.empty(batch + g.shape),
-                                 np.empty(compact, dtype=complex))
-        return self._work[batch]
-
-
-def _transform(fn, grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """`fn` (`to_physical` or `to_compact`) of (ncomp,) + batch + one component's shape, as one stack."""
-    lead = x.shape[:x.ndim - grid.dim]
-    y = fn(grid, x.reshape((-1,) + x.shape[len(lead):]))
-    return y.reshape(lead + y.shape[1:])
+        _retain_freed_heap()
 
 
 def nonlinear_term(u: np.ndarray, op: SpectralOperator) -> np.ndarray:
     """Compact spectral coefficients of N(u) = div(u x u) - (1/2)(div u) u.
 
-    N is assembled as omega x u + grad(|u|^2 / 2) + (1/2)(div u) u. In 2d
-    omega is the scalar d_x u_y - d_y u_x and omega x u = (-omega u_y,
-    omega u_x). The compact input holds only the kept modes, so `to_physical`
-    sees a dealiased input by construction, and `to_compact` keeps only the
-    kept modes of the products, dealiasing them again: only alias-free
-    Galerkin modes survive. The mean (k = 0) mode is exactly 0. `u` is
-    (dim,) + batch + compact_shape, all states through one transform pair.
+    Assembled as omega x u + grad(|u|^2 / 2) + (1/2)(div u) u; in 2d omega is the scalar
+    d_x u_y - d_y u_x. The compact ends of the transform pair dealias before and after the
+    products. The k = 0 mode is exactly 0. `u` is (dim,) + batch + compact_shape.
     """
     grid, k = op.grid, op.k
     dim = grid.dim
-    ncurl = 1 if dim == 2 else 3
-    batch = u.shape[1:u.ndim - dim]
-    s, rhs, rtmp, ctmp = op.work(batch)
-
+    pairs = [(0, 1)] if dim == 2 else [((i + 1) % 3, (i + 2) % 3) for i in range(3)]
     # spectral [u, omega, div u] on the kept modes
+    s = np.empty((dim + len(pairs) + 1,) + u.shape[1:], dtype=complex)
     s[:dim] = u
-    for i in range(ncurl):
-        a, b = (0, 1) if dim == 2 else ((i + 1) % 3, (i + 2) % 3)
+    for i, (a, b) in enumerate(pairs):
         w_hat = np.multiply(k[a], u[b], out=s[dim + i])
-        w_hat -= np.multiply(k[b], u[a], out=ctmp)
-        np.multiply(1j, w_hat, out=w_hat)
+        w_hat -= k[b] * u[a]
+        w_hat *= 1j
     np.multiply(1j, k_dot(k, u), out=s[-1])
-    phys = _transform(to_physical, grid, s)
+    phys = to_physical(grid, s)
     up, w, div = phys[:dim], phys[dim:-1], phys[-1]
-
     # physical [omega x u + (1/2)(div u) u, |u|^2 / 2]; |u|^2 first, while rhs[:dim] is free
-    usq = np.sum(np.multiply(up, up, out=rhs[:dim]), axis=0, out=rhs[dim])
-    np.multiply(0.5, usq, out=usq)
+    rhs = np.empty((dim + 1,) + div.shape)
+    np.multiply(0.5, np.sum(np.multiply(up, up, out=rhs[:dim]), axis=0), out=rhs[dim])
     if dim == 2:
-        np.multiply(np.negative(w[0], out=rtmp), up[1], out=rhs[0])
+        np.multiply(-w[0], up[1], out=rhs[0])
         np.multiply(w[0], up[0], out=rhs[1])
     else:
-        for i in range(3):
-            a, b = (i + 1) % 3, (i + 2) % 3
+        for i, (a, b) in enumerate(pairs):
             np.multiply(w[a], up[b], out=rhs[i])
-            rhs[i] -= np.multiply(w[b], up[a], out=rtmp)
-    rhs[:dim] += np.multiply(np.multiply(0.5, div, out=rtmp), up, out=up)
+            rhs[i] -= w[b] * up[a]
+    rhs[:dim] += np.multiply(0.5 * div, up, out=up)  # up is not read again
     del phys, up, w, div  # the samples are free before the forward transform allocates
-    p_hat = _transform(to_compact, grid, rhs)
-
+    p_hat = to_compact(grid, rhs)
     out = p_hat[:dim]
     for j in range(dim):
-        out[j] += np.multiply(np.multiply(1j, k[j], out=ctmp), p_hat[dim], out=ctmp)
+        out[j] += 1j * k[j] * p_hat[dim]
     out[(Ellipsis,) + (0,) * dim] = 0.0
     return out
 
@@ -229,7 +198,7 @@ def _solve_shifted(b_hat: np.ndarray, op: SpectralOperator) -> np.ndarray:
     coef = k_parallel_coef(k, op.safe_ksq, b_hat)
     out = np.empty_like(b_hat)
     for j in range(len(k)):
-        b_par = np.multiply(k[j], coef, out=op.ctmp)
+        b_par = k[j] * coef
         np.divide(np.subtract(b_hat[j], b_par, out=out[j]), op.denom_perp, out=out[j])
         out[j] += np.divide(b_par, op.denom_par, out=b_par)
     return out
@@ -245,23 +214,17 @@ def _apply_linear(v_hat: np.ndarray, op: SpectralOperator) -> np.ndarray:
     return out
 
 
-def imex_step(u_hat: np.ndarray, t: float, op: SpectralOperator, force_hat) -> np.ndarray:
-    """One ARS(2,2,2) step of size op.dt on compact spectral coefficients.
+def imex_step(u_hat: np.ndarray, t: float, op: SpectralOperator, f0, f1) -> np.ndarray:
+    """One ARS(2,2,2) step of size op.dt from time t on compact spectral coefficients.
 
-    `force_hat` is either a constant compact array or a dict from each stage
-    time to its force, keyed by the exact floats passed: t and t + ARS gamma * dt
-    (the manufactured-solution harness); a missing time is a KeyError.
-    Raises BlowUpError, at t + dt, if the new coefficients are not finite.
+    `f0` is the compact force at t and `f1` the force at the second stage, t + ARS gamma * dt;
+    a constant force passes the same array twice. Raises BlowUpError, at t + dt, if the new
+    coefficients are not finite.
     """
     g, d, dt = _ARS_GAMMA, _ARS_DELTA, op.dt
-
-    def explicit(v_hat, tv):
-        fh = force_hat[tv] if isinstance(force_hat, dict) else force_hat
-        return fh - nonlinear_term(v_hat, op)
-
-    e0 = explicit(u_hat, t)
+    e0 = f0 - nonlinear_term(u_hat, op)
     u1 = _solve_shifted(u_hat + dt * g * e0, op)
-    e1 = explicit(u1, t + g * dt)
+    e1 = f1 - nonlinear_term(u1, op)
     lu1 = _apply_linear(u1, op)
     b = u_hat + dt * (d * e0 + (1.0 - d) * e1 + (1.0 - g) * lu1)
     u_next = _solve_shifted(b, op)
@@ -293,7 +256,7 @@ class ManufacturedSolution:
     def states(self, times) -> np.ndarray:
         """The compact coefficients of a(t) w at each of `times`: (dim, len(times)) + compact_shape."""
         a = np.reshape([self.amp(t) for t in times], (-1,) + (1,) * self.grid.dim)
-        return _transform(to_compact, self.grid, a * self.shape_phys[:, None])
+        return to_compact(self.grid, a * self.shape_phys[:, None])
 
     def state(self, t: float) -> Field:
         """The compact coefficients of a(t) w."""
@@ -342,11 +305,12 @@ def mms_block(target: ManufacturedSolution, op: SpectralOperator, times) -> tupl
 def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig) -> dict:
     """Integrate against the manufactured force; report the worst-in-time error.
 
-    The target's states and forces are built MMS_BLOCK steps at a time,
-    at each step's second-stage and end times; a step's end force is the
-    next step's first. Returns a dict with the max volume-normalized L2
-    error, the number of steps, and the error normalized by the target's
-    peak norm, all over the kept modes.
+    The target's states and forces are built MMS_BLOCK steps at a time by
+    `mms_block`, at each step's second-stage and end times: step b of a block
+    takes forces 2b - 1 and 2b as `f0` and `f1`, and a block's first step the
+    last force of the block before. Returns a dict with the max
+    volume-normalized L2 error, the number of steps, and the error normalized
+    by the target's peak norm, all over the kept modes.
     """
     grid, dt = target.grid, cfg.dt
     op = SpectralOperator(grid, params, dt)
@@ -357,14 +321,13 @@ def run_mms(target: ManufacturedSolution, params: FlowParams, cfg: StepperConfig
         steps = range(start, min(start + MMS_BLOCK, cfg.n_steps))
         times = [t for i in steps for t in (i * dt + _ARS_GAMMA * dt, (i + 1) * dt)]
         exact, f = mms_block(target, op, times)
-        forces = {start * dt: carry, **{t: f[:, b] for b, t in enumerate(times)}}
         for b, i in enumerate(steps):
-            u_hat = imex_step(u_hat, i * dt, op, forces)
+            u_hat = imex_step(u_hat, i * dt, op, carry if b == 0 else f[:, 2 * b - 1], f[:, 2 * b])
             end = exact[:, 2 * b + 1]
             max_err = max(max_err, np.sqrt(volume_norm_sq(Field(grid, u_hat - end))))
             max_ref = max(max_ref, np.sqrt(volume_norm_sq(Field(grid, end))))
         carry = f[:, -1].copy()
-        del exact, f, forces, end  # the next block is built without this one's arrays
+        del exact, f, end  # the next block is built without this one's arrays
     return {
         "steps": cfg.n_steps,
         "dt": cfg.dt,

@@ -126,8 +126,8 @@ def operator(grid, params=FlowParams(nu=1.0), dt=1.0):
 
 
 def step(u, params, f, cfg, t=0.0):
-    """One imex_step of the Field u under the Field force f."""
-    return Field(u.grid, imex_step(u.spec, t, operator(u.grid, params, cfg.dt), f.spec))
+    """One imex_step of the Field u under the constant Field force f."""
+    return Field(u.grid, imex_step(u.spec, t, operator(u.grid, params, cfg.dt), f.spec, f.spec))
 
 
 def nonlinear_field(u):

@@ -233,5 +233,12 @@ def test_criterion_9_determinism(bound_check_run, tmp_path):
     tail = open(os.path.join(resumed.output_dir, "timeseries.csv")).read().splitlines()[1:]
     bitwise_tail = primary_csv.splitlines()[-len(tail):] == tail
 
-    _report(9, "determinism", bitwise_rerun and bitwise_tail,
-            f"rerun bitwise = {bitwise_rerun}, restart tail bitwise = {bitwise_tail}")
+    # resumed in place, the half run's directory holds the primary run's whole file
+    run_single(dataclasses.replace(cfg, output_dir=half.output_dir),
+               restart_path=os.path.join(half.output_dir, "final.ckpt"))
+    in_place_csv = open(os.path.join(half.output_dir, "timeseries.csv")).read()
+    bitwise_file = in_place_csv == primary_csv
+
+    _report(9, "determinism", bitwise_rerun and bitwise_tail and bitwise_file,
+            f"rerun bitwise = {bitwise_rerun}, restart tail bitwise = {bitwise_tail}, "
+            f"in-place restart file bitwise = {bitwise_file}")

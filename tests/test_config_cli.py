@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -277,6 +278,44 @@ class TestRunSingle:
         n_tail = len(res_rows) - 1  # minus header
         assert n_tail > 0
         assert full_rows[-n_tail:] == res_rows[1:]
+
+    def test_restart_in_place_writes_the_uninterrupted_timeseries(self, tmp_path):
+        # a half run into D resumed into D keeps D's rows up to t0 and appends the rest
+        full = small_run_config(tmp_path, t_end=0.08, window=0.08, subdir="full")
+        run_single(full)
+        half = dataclasses.replace(
+            full, stepper=dataclasses.replace(full.stepper, t_end=0.04),
+            output_dir=str(tmp_path / "d"), window=0.04,
+        )
+        run_single(half)
+        run_single(dataclasses.replace(full, output_dir=half.output_dir),
+                   restart_path=os.path.join(half.output_dir, "final.ckpt"))
+        full_csv = open(os.path.join(full.output_dir, "timeseries.csv"), "rb").read()
+        assert open(os.path.join(half.output_dir, "timeseries.csv"), "rb").read() == full_csv
+
+    @pytest.mark.parametrize("other", ["other_seed", "cut_short"])
+    def test_restart_in_place_refuses_a_timeseries_without_the_restored_state(self, tmp_path, capsys, other):
+        # the t0 row must hold the checkpoint state's diagnostics; otherwise nothing is written
+        half = small_run_config(tmp_path, t_end=0.04, window=0.04, subdir="d")
+        run_single(half)
+        csv_path = os.path.join(half.output_dir, "timeseries.csv")
+        if other == "other_seed":
+            run_single(dataclasses.replace(half, seed=2, output_dir=str(tmp_path / "e")))
+            shutil.copy(os.path.join(tmp_path, "e", "timeseries.csv"), csv_path)
+        else:
+            rows = open(csv_path).readlines()
+            open(csv_path, "w").writelines(rows[:-1])
+
+        def files():
+            return {name: open(os.path.join(half.output_dir, name), "rb").read()
+                    for name in os.listdir(half.output_dir)}
+
+        before = files()
+        path = tmp_path / "full.yaml"
+        write_config(path, dataclasses.replace(half, stepper=dataclasses.replace(half.stepper, t_end=0.08), window=0.08))
+        assert main(["run", str(path), "--restart", os.path.join(half.output_dir, "final.ckpt")]) == 5
+        assert capsys.readouterr().err.startswith(f"error: {csv_path} has no row at the checkpoint time t0")
+        assert files() == before
 
     def test_final_checkpoint_keeps_zero_mean_exactly(self, tmp_path):
         cfg = small_run_config(tmp_path, t_end=0.02, window=0.02)
