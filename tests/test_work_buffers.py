@@ -424,7 +424,7 @@ class TestPrunedTransforms:
         # the step's [u, omega, div u] stack (omega has 1 component in 2d, 3 in 3d), and the
         # force gradient's dim^2 components
         g = GridSpec(dim=dim, n=n, box_length=TWO_PI)
-        for i, ncomp in enumerate((g.dim + (1 if g.dim == 2 else 3) + 1, dim * dim)):
+        for i, ncomp in enumerate((dim + (1 if dim == 2 else 3) + 1, dim * dim)):
             for s in self.inputs(g, ncomp, seed=n + dim + 100 * i):
                 phys = to_physical(g, s)
                 assert same_bits(phys, inverse(g, extend(g, s)))
