@@ -124,12 +124,18 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_run_config(d: dict) -> RunConfig:
     _check_keys(d)
     try:
         grid = GridSpec(
-            dim=_get(d, "grid.dim", kind=int),
-            n=_get(d, "grid.n", kind=int),
+            dim=_get(d, "grid.dim", kind=_integer),
+            n=_get(d, "grid.n", kind=_integer),
             box_length=_get(d, "grid.box_length", kind=float),
         )
     except ValueError as e:
@@ -148,13 +154,13 @@ def _build_run_config(d: dict) -> RunConfig:
             if key not in ("m", "amplitude"):
                 raise ConfigError(f"unknown config key: forcing.modes[{i}].{key}")
         try:
-            m = tuple(int(v) for v in entry["m"])
+            m = tuple(_integer(v) for v in entry["m"])
             amp = tuple(complex(re, im) for re, im in entry["amplitude"])
         except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"forcing.modes[{i}]: expected m and amplitude [[re, im], ...] ({e})") from e
+            raise ConfigError(f"forcing.modes[{i}]: expected integers m and amplitude [[re, im], ...] ({e})") from e
         modes.append((m, amp))
     try:
-        forcing = ForcingSpec(grid=grid, modes=tuple(modes), n_low=_get(d, "forcing.n_low", 2, int))
+        forcing = ForcingSpec(grid=grid, modes=tuple(modes), n_low=_get(d, "forcing.n_low", 2, _integer))
     except ValueError as e:
         raise ConfigError(f"forcing: {e}") from e
 
@@ -176,7 +182,7 @@ def _build_run_config(d: dict) -> RunConfig:
         stepper=stepper,
         burn_in=burn_in,
         window=window,
-        seed=_get(d, "seed", 0, int),
+        seed=_get(d, "seed", 0, _integer),
         output_dir=_get(d, "output_dir", "out", str),
     )
 
@@ -222,5 +228,5 @@ def load_sweep_config(path) -> SweepConfig:
     return SweepConfig(
         base=_build_run_config(d),
         gamma_values=_get(d, "sweep.gamma_values", kind=lambda v: tuple(float(g) for g in v)),
-        parallel_workers=_get(d, "sweep.parallel_workers", 1, int),
+        parallel_workers=_get(d, "sweep.parallel_workers", 1, _integer),
     )

@@ -2,8 +2,8 @@
 
 A single run realizes the configured force, builds a reproducible initial
 condition (force shape at unit rms plus a small seeded divergence-free
-perturbation), advances the solver with a fixed step, accumulates window
-statistics after burn-in, and writes three artifacts into output_dir:
+perturbation), advances the solver with a fixed step, keeps one record per
+state, averages the records after burn-in, and writes into output_dir:
 
     timeseries.csv   one row per step: t, kinetic_energy, eps_nu,
                      eps_gamma, div_norm_sq, budget_residual
@@ -18,10 +18,10 @@ keeps (the layout of `grid`). The mean (k = 0) mode of a fresh run stays
 exactly 0. Time is the step index i, reported as i * dt. All floats in the
 CSV are printed with 17 significant digits, so a serial rerun (or a
 checkpoint restart) reproduces rows bitwise. A restart must start on the
-step grid and before t_end, and resumes the step index there; anything
-else is refused before a file is written. A restart into an output_dir
-holding a timeseries.csv keeps its rows up to t0 (the t0 row must hold the
-restored state's diagnostics bitwise) and appends after them.
+step grid in [0, t_end) and resumes the step index there; anything else
+is refused before a file is written. A restart into an output_dir holding
+a timeseries.csv keeps and averages its rows up to t0 (the t0 row holding
+the restored state bitwise); into a fresh output_dir it averages from t0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .config import RunConfig, SweepConfig
 from .forcing import check_divergence_free, force_stats, realize_force
 from .grid import Field, mode_numbers, project_divergence_free, to_compact, volume_norm_sq
 from .solver import BlowUpError, SpectralOperator, imex_step, step_index
-from .stats import Diagnostics, RunningStats, diagnostics, finalize, update
+from .stats import Diagnostics, diagnostics, finalize, update
 
 PERTURBATION_RMS = 0.01
 PERTURBATION_MAX_MODE = 4
@@ -56,15 +56,26 @@ def _csv_row(t: float, d: Diagnostics, residual: float) -> str:
     return ",".join(_fmt(v) for v in values) + "\n"
 
 
-def _rows_up_to(csv_path: str, t0: float, d: Diagnostics) -> str:
-    """Header and rows up to t0 of an earlier timeseries.csv, whose t0 row must hold `d` bitwise."""
+def _rows_up_to(csv_path: str, start_step: int, dt: float, d: Diagnostics) -> tuple[str, list]:
+    """Header, rows and records of an earlier timeseries.csv up to start_step, whose row holds `d` bitwise."""
     with open(csv_path) as fh:
         lines = fh.readlines()
+    t0 = start_step * dt
     state = _csv_row(t0, d, 0.0).rsplit(",", 1)[0] + ","  # t through div_norm_sq
-    at = [i for i, row in enumerate(lines) if row.startswith(state)]
+    at = next((i for i, row in enumerate(lines) if row.startswith(state)), 0)  # the header is line 0
     if lines[:1] != [CSV_HEADER + "\n"] or not at:
         raise ValueError(f"{csv_path} has no row at the checkpoint time t0 = {t0} that holds the restored state")
-    return "".join(lines[:at[0] + 1])
+    records = []
+    for i, row in enumerate(lines[1:at + 1], start_step + 1 - at):
+        try:
+            t, kinetic_energy, eps_nu, eps_gamma, div_sq, residual = map(float, row.split(","))
+            if i < 0 or t != i * dt:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{csv_path} row {row.strip()!r} is not six floats at t = {i} * dt") from None
+        # kinetic_energy is u_sq / 2 printed round-trip, so doubling it is exact
+        records.append((Diagnostics(2 * kinetic_energy, eps_nu, eps_gamma, div_sq), residual))
+    return "".join(lines[:at + 1]), records
 
 
 def json_safe(obj):
@@ -135,20 +146,19 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         if ck_params != params:
             raise ValueError("checkpoint flow parameters do not match the configured flow")
         start_step = step_index(t0, dt, "checkpoint time t0")
-        if start_step >= n_steps:
-            raise ValueError(f"checkpoint time t0 = {t0} leaves no step of dt = {dt} "
-                             f"before t_end = {stepper.t_end}")
+        if not 0 <= start_step < n_steps:
+            raise ValueError(f"checkpoint time t0 = {t0} starts no step of the run, at or after t = 0 "
+                             f"with dt = {dt} before t_end = {stepper.t_end}")
         u = u_ck.spec
     else:
         u = initial_condition(cfg, force).spec
         start_step = 0
 
-    stats = RunningStats(burn_in=cfg.burn_in, step=start_step)
-    d = diagnostics(u, op)
+    records = [(diagnostics(u, op), 0.0)]
     csv_path = os.path.join(cfg.output_dir, "timeseries.csv")
-    head = CSV_HEADER + "\n" + (_csv_row(0.0, d, 0.0) if start_step == 0 else "")
+    head = CSV_HEADER + "\n" + (_csv_row(0.0, *records[0]) if start_step == 0 else "")
     if restart_path is not None and os.path.exists(csv_path):
-        head = _rows_up_to(csv_path, start_step * dt, d)
+        head, records = _rows_up_to(csv_path, start_step, dt, records[0][0])
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(csv_path, "w") as csv:
         csv.write(head)
@@ -159,21 +169,21 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
             except BlowUpError:
                 write_checkpoint(os.path.join(cfg.output_dir, "blowup.ckpt"), Field(grid, u), t, params)
                 raise
-            d_next = diagnostics(u_next, op)
-            update(stats, u, d, u_next, d_next, op, f)
-            csv.write(_csv_row((i + 1) * dt, d_next, stats.last_residual))
-            u, d = u_next, d_next
+            update(records, u, u_next, diagnostics(u_next, op), op, f)
+            csv.write(_csv_row((i + 1) * dt, *records[-1]))
+            u = u_next
 
     write_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"), Field(grid, u), n_steps * dt, params)
 
-    summary = _summarize(cfg, fstats, stats)
+    summary = _summarize(cfg, fstats, records)
     with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
         json.dump(json_safe(summary), fh, indent=2)
     return summary
 
 
-def _summarize(cfg: RunConfig, fstats, stats: RunningStats) -> dict:
-    averages = finalize(stats, fstats)
+def _summarize(cfg: RunConfig, fstats, records: list) -> dict:
+    # the records are of consecutive states, the last at step n_steps
+    averages = finalize(cfg.stepper.n_steps + 1 - len(records), records, cfg.stepper.dt, cfg.burn_in, fstats)
     u_t = averages["U_T"]
     report = None
     if fstats is not None and u_t > 0:

@@ -1,15 +1,15 @@
 """Time-averaged flow statistics and the per-step energy-budget audit.
 
-Accumulates trapezoid-in-time integrals of the dissipation rate
+Folds a run's records, one (`diagnostics`, budget residual) pair per state
+as in timeseries.csv, into trapezoid-in-time integrals of the dissipation rate
 
     eps(u) = (1/|box|) int nu |grad u|^2 + gamma |div u|^2 dx,
 
 of the mean-square velocity (giving the finite-window velocity scale U_T),
-and of the mean-square divergence, read from one `diagnostics` record per
-state, all Parseval sums over the kept modes of the compact run state.
-Time is the step index: step i starts at i * dt; `averaged` picks the
-window's steps (for the config check too) and `t_accum` sums their dt. Each
-step is also audited against the discrete energy inequality: the residual
+and of the mean-square divergence, all Parseval sums over the kept modes of
+the compact run state. Time is the step index: step i starts at i * dt;
+`averaged` picks the window's steps (for the config check too). `update`
+audits each step against the discrete energy inequality: the residual
 
     r = 1/2 ||u_next||^2 - 1/2 ||u_prev||^2
         + dt (nu ||grad u_mid||^2 + gamma ||div u_mid||^2) - dt (f, u_mid)
@@ -21,7 +21,7 @@ of the inequality direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +35,6 @@ BURN_IN_TOL = 1e-12
 def averaged(step: int, dt: float, burn_in: float) -> bool:
     """Whether the step that starts at step * dt lies in the averaging window."""
     return step * dt >= burn_in - BURN_IN_TOL
-
-
-@dataclass
-class RunningStats:
-    """Single-writer accumulator for one averaging window; `step` is the next step's index."""
-
-    burn_in: float = 0.0
-    step: int = 0
-    t_accum: float = 0.0
-    int_eps_nu: float = 0.0
-    int_eps_gamma: float = 0.0
-    int_u_sq: float = 0.0
-    int_div_sq: float = 0.0
-    budget_residual_max: float = 0.0
-    last_residual: float = field(default=0.0, repr=False)
 
 
 @dataclass(frozen=True)
@@ -82,53 +67,51 @@ def diagnostics(u: np.ndarray, op: SpectralOperator) -> Diagnostics:
     return Diagnostics(float(np.sum(op.weights * energy)), eps_nu, eps_gamma, div_sq)
 
 
-def update(stats: RunningStats, u_prev: np.ndarray, d_prev: Diagnostics, u_next: np.ndarray,
-           d_next: Diagnostics, op: SpectralOperator, f: np.ndarray) -> RunningStats:
-    """Fold one solver step of size op.dt into the accumulator (trapezoid in time).
+def update(records: list, u_prev: np.ndarray, u_next: np.ndarray, d_next: Diagnostics,
+           op: SpectralOperator, f: np.ndarray) -> None:
+    """Audit one solver step of size op.dt and append its record `(d_next, r)` to `records`.
 
-    `u_prev`, `u_next` and the force `f` are compact coefficients; `d_prev`
-    and `d_next` are the diagnostics records of `u_prev` and `u_next`. The
-    step is number `stats.step`, averaged if it starts in the window. The
-    budget audit runs on every step; its signed residual, positive on a
-    violation, is left in `stats.last_residual`.
+    `u_prev`, `u_next` and the force `f` are compact coefficients; the last
+    of `records` holds the diagnostics of `u_prev`, and `d_next` those of
+    `u_next`. The budget residual r is signed, positive on a violation.
     """
     dt = op.dt
     mid = 0.5 * (u_prev + u_next)
     _, eps_nu_mid, eps_gamma_mid, _ = _dissipation(mid, op)
     f_dot_mid = float(np.sum(op.weights * np.sum((np.conj(f) * mid).real, axis=0)))
-    r = (0.5 * d_next.u_sq - 0.5 * d_prev.u_sq
+    r = (0.5 * d_next.u_sq - 0.5 * records[-1][0].u_sq
          + dt * (eps_nu_mid + eps_gamma_mid) - dt * f_dot_mid)
-    stats.last_residual = r
-    stats.budget_residual_max = max(stats.budget_residual_max, r)
-    if averaged(stats.step, dt, stats.burn_in):
-        stats.int_eps_nu += 0.5 * dt * (d_prev.eps_nu + d_next.eps_nu)
-        stats.int_eps_gamma += 0.5 * dt * (d_prev.eps_gamma + d_next.eps_gamma)
-        stats.int_u_sq += 0.5 * dt * (d_prev.u_sq + d_next.u_sq)
-        stats.int_div_sq += 0.5 * dt * (d_prev.div_sq + d_next.div_sq)
-        stats.t_accum += dt
-    stats.step += 1
-    return stats
+    records.append((d_next, r))
 
 
-def finalize(stats: RunningStats, force_stats=None) -> dict:
-    """Window averages: eps_avg, its nu/gamma split, U_T, mean-square divergence.
+def finalize(first_step: int, records: list, dt: float, burn_in: float, force_stats=None) -> dict:
+    """Window averages of `records`: eps_avg, its nu/gamma split, U_T, mean-square divergence.
 
-    With ForceStats supplied, also reports eps_avg normalized by U_T^3 / L.
-    U_T is a finite-window estimate of the infinite-time velocity scale.
+    `records[j]` is of the state at step first_step + j. With ForceStats
+    supplied, also reports eps_avg normalized by U_T^3 / L. U_T is a
+    finite-window estimate of the infinite-time velocity scale.
     """
-    if stats.t_accum <= 0:
+    t_accum = int_eps_nu = int_eps_gamma = int_u_sq = int_div_sq = 0.0
+    for step, ((a, _), (b, _)) in enumerate(zip(records, records[1:]), first_step):
+        if averaged(step, dt, burn_in):
+            int_eps_nu += 0.5 * dt * (a.eps_nu + b.eps_nu)
+            int_eps_gamma += 0.5 * dt * (a.eps_gamma + b.eps_gamma)
+            int_u_sq += 0.5 * dt * (a.u_sq + b.u_sq)
+            int_div_sq += 0.5 * dt * (a.div_sq + b.div_sq)
+            t_accum += dt
+    if t_accum <= 0:
         raise ValueError("no averaging window: t_accum = 0")
-    eps_nu = stats.int_eps_nu / stats.t_accum
-    eps_gamma = stats.int_eps_gamma / stats.t_accum
-    u_t = float(np.sqrt(stats.int_u_sq / stats.t_accum))
+    eps_nu = int_eps_nu / t_accum
+    eps_gamma = int_eps_gamma / t_accum
+    u_t = float(np.sqrt(int_u_sq / t_accum))
     out = {
         "eps_avg": eps_nu + eps_gamma,
         "eps_nu_avg": eps_nu,
         "eps_gamma_avg": eps_gamma,
         "U_T": u_t,
-        "div_norm_sq_avg": stats.int_div_sq / stats.t_accum,
-        "window": stats.t_accum,
-        "budget_residual_max": stats.budget_residual_max,
+        "div_norm_sq_avg": int_div_sq / t_accum,
+        "window": t_accum,
+        "budget_residual_max": max(0.0, *(r for _, r in records)),
     }
     if force_stats is not None and u_t > 0:
         out["eps_normalized"] = (eps_nu + eps_gamma) * force_stats.L / u_t ** 3

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import struct
 
@@ -107,6 +108,34 @@ class TestConfigRoundTrip:
         path.write_text(yaml.safe_dump(d))
         with pytest.raises(ConfigError, match=f"^{name}: "):
             load_sweep_config(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("grid.dim", 2.5), ("grid.dim", True), ("grid.n", 32.7), ("grid.n", math.inf), ("forcing.n_low", 2.5),
+        ("forcing.modes[0].m", 1.6), ("forcing.modes[0].m", True), ("seed", 2.9), ("seed", True),
+        ("sweep.parallel_workers", 1.5), ("sweep.parallel_workers", False),
+    ])
+    def test_non_integer_value_names_offender(self, tmp_path, name, value):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d["sweep"] = {"gamma_values": [0.0, 1.0]}
+        if name == "forcing.modes[0].m":
+            d["forcing"]["modes"][0]["m"] = [value, 0]
+            name = "forcing.modes[0]: expected integers m"
+        else:
+            *section, key = name.split(".")
+            (d[section[0]] if section else d)[key] = value
+        path = tmp_path / "value.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=f"{re.escape(name)}.*must be an integer, got {value!r}"):
+            load_sweep_config(path)
+
+    def test_integral_float_loads_as_int(self, tmp_path):
+        cfg = small_run_config(tmp_path)
+        d = run_config_to_dict(cfg)
+        d["grid"]["n"], d["seed"] = 32.0, 1.0
+        path = tmp_path / "value.yaml"
+        path.write_text(yaml.safe_dump(d))
+        loaded = load_run_config(path)
+        assert loaded == cfg and type(loaded.grid.n) is int and type(loaded.seed) is int
 
     @pytest.mark.parametrize("section, key, value", [
         ("grid", "box_length", math.inf), ("flow", "nu", math.inf), ("flow", "gamma", math.nan),
@@ -290,8 +319,51 @@ class TestRunSingle:
         run_single(half)
         run_single(dataclasses.replace(full, output_dir=half.output_dir),
                    restart_path=os.path.join(half.output_dir, "final.ckpt"))
-        full_csv = open(os.path.join(full.output_dir, "timeseries.csv"), "rb").read()
-        assert open(os.path.join(half.output_dir, "timeseries.csv"), "rb").read() == full_csv
+        for name in ("timeseries.csv", "summary.json", "final.ckpt"):
+            full_file = open(os.path.join(full.output_dir, name), "rb").read()
+            assert open(os.path.join(half.output_dir, name), "rb").read() == full_file, name
+
+    def test_restart_into_a_fresh_directory_averages_from_t0(self, tmp_path):
+        full = small_run_config(tmp_path, t_end=0.08, window=0.08, subdir="full")
+        half = dataclasses.replace(
+            full, stepper=dataclasses.replace(full.stepper, t_end=0.04),
+            output_dir=str(tmp_path / "half"), window=0.04,
+        )
+        run_single(half)
+        resumed = run_single(dataclasses.replace(full, output_dir=str(tmp_path / "resumed")),
+                             restart_path=os.path.join(half.output_dir, "final.ckpt"))
+        assert resumed["window"] == pytest.approx(0.04)
+
+    @pytest.mark.parametrize("fault", ["five_cells", "word", "shifted_t", "missing_row", "row_before_t_zero"])
+    def test_restart_in_place_refuses_malformed_kept_rows(self, tmp_path, capsys, fault):
+        # kept rows are six floats at t = i * dt of consecutive steps i ending at t0; otherwise nothing is written
+        half = small_run_config(tmp_path, t_end=0.04, window=0.04, subdir="d")
+        run_single(half)
+        csv_path = os.path.join(half.output_dir, "timeseries.csv")
+        rows = open(csv_path).readlines()
+        cells = rows[3].split(",")
+        if fault == "five_cells":
+            rows[3] = ",".join(cells[:5]) + "\n"
+        elif fault == "word":
+            rows[3] = ",".join(cells[:2] + ["x"] + cells[3:])
+        elif fault == "shifted_t":
+            rows[3] = ",".join([repr(float(cells[0]) + 1e-9)] + cells[1:])
+        elif fault == "missing_row":
+            del rows[3]
+        else:
+            rows.insert(1, ",".join([repr(-half.stepper.dt)] + rows[1].split(",")[1:]))
+        open(csv_path, "w").writelines(rows)
+
+        def files():
+            return {name: open(os.path.join(half.output_dir, name), "rb").read()
+                    for name in os.listdir(half.output_dir)}
+
+        before = files()
+        path = tmp_path / "full.yaml"
+        write_config(path, dataclasses.replace(half, stepper=dataclasses.replace(half.stepper, t_end=0.08), window=0.08))
+        assert main(["run", str(path), "--restart", os.path.join(half.output_dir, "final.ckpt")]) == 5
+        assert capsys.readouterr().err.startswith(f"error: {csv_path} row ")
+        assert files() == before
 
     @pytest.mark.parametrize("other", ["other_seed", "cut_short"])
     def test_restart_in_place_refuses_a_timeseries_without_the_restored_state(self, tmp_path, capsys, other):
@@ -338,6 +410,12 @@ class TestRunSingle:
     def test_restart_past_t_end_rejected(self, tmp_path):
         cfg, ck = self._checkpoint_at(tmp_path, 0.5)
         with pytest.raises(ValueError, match=r"t0 = 0\.5 .*dt = 0\.01 before t_end = 0\.2"):
+            run_single(cfg, restart_path=ck)
+        assert not os.path.exists(cfg.output_dir)
+
+    def test_restart_before_t_zero_rejected(self, tmp_path):
+        cfg, ck = self._checkpoint_at(tmp_path, -0.03)
+        with pytest.raises(ValueError, match=r"t0 = -0\.03 starts no step of the run, at or after t = 0"):
             run_single(cfg, restart_path=ck)
         assert not os.path.exists(cfg.output_dir)
 

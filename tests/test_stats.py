@@ -5,7 +5,7 @@ import pytest
 
 from graddivbox.grid import Field, volume_norm_sq, wavevectors
 from graddivbox.solver import FlowParams, StepperConfig
-from graddivbox.stats import Diagnostics, RunningStats, diagnostics, finalize, update
+from graddivbox.stats import Diagnostics, diagnostics, finalize, update
 from graddivbox.forcing import ForceStats
 
 from conftest import (
@@ -22,11 +22,13 @@ from conftest import (
 )
 
 
-def fold(stats, u_prev, u_next, params, f, dt):
-    """update() with the diagnostics records a run would carry for both states."""
+def fold(records, u_prev, u_next, params, f, dt):
+    """update() from `u_prev`, whose record a run would hold (the first when `records` is empty), to `u_next`."""
     op = operator(u_prev.grid, params, dt)
-    up, un = u_prev.spec, u_next.spec
-    return update(stats, up, diagnostics(up, op), un, diagnostics(un, op), op, f.spec)
+    if not records:
+        records.append((diagnostics(u_prev.spec, op), 0.0))
+    update(records, u_prev.spec, u_next.spec, diagnostics(u_next.spec, op), op, f.spec)
+    return records
 
 
 class TestDissipationRate:
@@ -80,107 +82,121 @@ class TestUpdate:
         res = []
         for dt in (4e-3, 2e-3):
             u1 = step(u0, params, f, StepperConfig(dt=dt, t_end=1.0), t=0.0)
-            res.append(abs(fold(RunningStats(), u0, u1, params, f, dt).last_residual))
+            res.append(abs(fold([], u0, u1, params, f, dt)[-1][1]))
         assert res[1] <= 0.2 * res[0]
 
     def test_trapezoid_sums_read_the_records(self, grid2d):
-        # the integrands come from the records passed in; only the midpoint is recomputed
+        # update appends the step's record, its residual from the records and the midpoint only
         op = operator(grid2d, FlowParams(nu=1.0, gamma=0.0), 0.5)
         u = shear_field(grid2d).spec
-        stats = update(RunningStats(), u, Diagnostics(1.0, 2.0, 3.0, 4.0), u,
-                       Diagnostics(5.0, 6.0, 7.0, 8.0), op, np.zeros_like(u))
-        assert (stats.int_u_sq, stats.int_eps_nu, stats.int_eps_gamma, stats.int_div_sq) == (1.5, 2.0, 2.5, 3.0)
+        records = [(Diagnostics(1.0, 2.0, 3.0, 4.0), 0.0)]
+        update(records, u, u, Diagnostics(5.0, 6.0, 7.0, 8.0), op, np.zeros_like(u))
         # 1/2 (5 - 1) + dt eps(mid), with eps(mid) = 1/2 for unit shear at nu = 1
-        assert stats.last_residual == pytest.approx(2.25, rel=1e-12)
+        assert records[1][0] == Diagnostics(5.0, 6.0, 7.0, 8.0)
+        assert records[1][1] == pytest.approx(2.25, rel=1e-12)
+        # finalize sums the records alone: over a window of 0.5, each average is the mean of the pair
+        out = finalize(0, records, 0.5, 0.0)
+        assert (out["U_T"], out["eps_nu_avg"], out["eps_gamma_avg"], out["div_norm_sq_avg"]) == (np.sqrt(3.0), 4.0, 5.0, 6.0)
+        assert (out["window"], out["budget_residual_max"]) == (0.5, records[1][1])
 
     def test_stationary_integral_grows_linearly(self, grid2d):
         u = shear_field(grid2d)
         params = FlowParams(nu=1.0, gamma=0.0)
         f = zeros(grid2d)
-        stats = RunningStats(burn_in=0.0)
+        records = []
         for _ in range(10):
-            fold(stats, u, u, params, f, dt=0.1)
+            fold(records, u, u, params, f, dt=0.1)
+        out = finalize(0, records, 0.1, 0.0)
         # constant integrand eps = 0.5 accumulated over t = 1
-        assert stats.int_eps_nu + stats.int_eps_gamma == pytest.approx(0.5, rel=1e-12)
-        assert stats.t_accum == pytest.approx(1.0)
+        assert out["eps_avg"] * out["window"] == pytest.approx(0.5, rel=1e-12)
+        assert out["window"] == pytest.approx(1.0)
 
     def test_burn_in_excludes_accumulation(self, grid2d):
         u = shear_field(grid2d)
         params = FlowParams(nu=1.0, gamma=0.0)
         f = zeros(grid2d)
-        stats = RunningStats(burn_in=0.5)
+        records = []
         for _ in range(4):
-            fold(stats, u, u, params, f, dt=0.1)
-        assert stats.t_accum == 0.0
-        assert stats.int_eps_nu + stats.int_eps_gamma == 0.0
+            fold(records, u, u, params, f, dt=0.1)
+        with pytest.raises(ValueError, match="no averaging window"):
+            finalize(0, records, 0.1, 0.5)
         for _ in range(6):
-            fold(stats, u, u, params, f, dt=0.1)
-        assert stats.t_accum == pytest.approx(0.5)
+            fold(records, u, u, params, f, dt=0.1)
+        assert finalize(0, records, 0.1, 0.5)["window"] == pytest.approx(0.5)
 
     def test_clock_is_the_step_index(self, grid2d):
         # 929 additions of 0.1 give 92.899999999999, short of burn_in; 929 * 0.1 is not
         u = shear_field(grid2d)
-        stats = RunningStats(burn_in=92.9, step=929)
-        fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=0.1)
-        assert (stats.step, stats.t_accum) == (930, 0.1)
+        records = fold([], u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=0.1)
+        assert finalize(929, records, 0.1, 92.9)["window"] == 0.1
 
     def test_accumulator_split_consistent(self, grid2d):
         params = FlowParams(nu=0.3, gamma=0.9)
         f = zeros(grid2d)
-        stats = RunningStats(burn_in=0.0)
+        records = []
         u = random_state_field(grid2d, seed=7)
         cfg = StepperConfig(dt=1e-3, t_end=1.0)
         for i in range(5):
             un = step(u, params, f, cfg, t=i * cfg.dt)
-            fold(stats, u, un, params, f, cfg.dt)
+            fold(records, u, un, params, f, cfg.dt)
             u = un
-        assert stats.int_eps_nu >= 0 and stats.int_eps_gamma >= 0 and stats.int_u_sq >= 0
+        out = finalize(0, records, cfg.dt, 0.0)
+        assert out["eps_nu_avg"] >= 0 and out["eps_gamma_avg"] >= 0 and out["U_T"] >= 0
+        assert out["eps_avg"] == out["eps_nu_avg"] + out["eps_gamma_avg"]
 
 
 class TestFinalize:
     def test_constant_dissipation(self, grid2d):
         u = shear_field(grid2d)
         params = FlowParams(nu=1.0, gamma=0.0)
-        stats = RunningStats(burn_in=0.0)
+        records = []
         for _ in range(20):
-            fold(stats, u, u, params, zeros(grid2d), dt=0.05)
-        out = finalize(stats)
+            fold(records, u, u, params, zeros(grid2d), dt=0.05)
+        out = finalize(0, records, 0.05, 0.0)
         assert out["eps_avg"] == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_velocity_scale(self, grid2d):
         u = shear_field(grid2d, amplitude=3.0)
-        stats = RunningStats(burn_in=0.0)
+        records = []
         for _ in range(8):
-            fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=0.1)
-        out = finalize(stats)
+            fold(records, u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=0.1)
+        out = finalize(0, records, 0.1, 0.0)
         # ||u||^2 volume mean is amplitude^2 / 2
         assert out["U_T"] == pytest.approx(3.0 / np.sqrt(2), rel=1e-12)
 
     def test_empty_window_errors(self):
+        # one record is a state and no step
         with pytest.raises(ValueError, match="window"):
-            finalize(RunningStats(burn_in=0.0))
+            finalize(0, [(Diagnostics(1.0, 1.0, 1.0, 1.0), 0.0)], 0.1, 0.0)
 
     def test_normalized_dissipation_with_force_stats(self, grid2d):
         u = shear_field(grid2d)
-        stats = RunningStats(burn_in=0.0)
-        fold(stats, u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=1.0)
+        records = fold([], u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=1.0)
         fstats = ForceStats(F=1.0, L=2.0, L_branch="box_length", kappa=1.4,
                             grad_f_sup=1.0, grad_f_l2=1.0)
-        out = finalize(stats, fstats)
+        out = finalize(0, records, 1.0, 0.0, fstats)
         assert out["eps_normalized"] == pytest.approx(out["eps_avg"] * 2.0 / out["U_T"] ** 3)
+        assert "eps_normalized" not in finalize(0, records, 1.0, 0.0)
 
     def test_window_doubling_stationary(self, grid2d):
         # stationarity diagnostic: doubling the window barely moves the average
         u = shear_field(grid2d)
         params = FlowParams(nu=1.0, gamma=0.0)
-        s1 = RunningStats(burn_in=0.0)
-        s2 = RunningStats(burn_in=0.0)
+        r1, r2 = [], []
         for _ in range(10):
-            fold(s1, u, u, params, zeros(grid2d), dt=0.1)
+            fold(r1, u, u, params, zeros(grid2d), dt=0.1)
         for _ in range(20):
-            fold(s2, u, u, params, zeros(grid2d), dt=0.1)
-        a, b = finalize(s1)["eps_avg"], finalize(s2)["eps_avg"]
+            fold(r2, u, u, params, zeros(grid2d), dt=0.1)
+        a, b = finalize(0, r1, 0.1, 0.0)["eps_avg"], finalize(0, r2, 0.1, 0.0)["eps_avg"]
         assert abs(a - b) <= 0.05 * abs(a)
+
+    def test_budget_residual_max_is_over_all_records_and_nonnegative(self):
+        def records(*residuals):
+            return [(Diagnostics(1.0, 1.0, 1.0, 1.0), r) for r in residuals]
+
+        # the largest residual counts even when its step lies before the window
+        assert finalize(0, records(0.0, 3.0, -1.0, 0.5), 0.1, 0.2)["budget_residual_max"] == 3.0
+        assert finalize(0, records(0.0, -1.0, -2.0), 0.1, 0.0)["budget_residual_max"] == 0.0
 
 
 class TestEnergyOverTime:
