@@ -1,24 +1,19 @@
 """Run and sweep configuration: YAML schema, validation, round-trip serialization.
 
-Schema (flat key paths shown as they appear in error messages):
-
-    grid.dim, grid.n, grid.box_length
-    flow.nu, flow.gamma
-    forcing.n_low, forcing.modes  (list of {m: [...], amplitude: [[re, im], ...]})
-    stepper.dt, stepper.t_end
-    stats.burn_in, stats.window
-    seed, output_dir
-    sweep.gamma_values, sweep.parallel_workers   (read by sweep configs only)
-
-Any other key is rejected. Physical parameters (viscosity, gamma, forcing,
-box size) have no defaults; forcing.n_low defaults to 2, stats.burn_in to 0.
-stepper.t_end may be left out: it is whole steps of stepper.dt, as many as
-stats.burn_in + stats.window, and a step must start in the window (`averaged`).
+`_SCHEMA` is the one declaration of the schema (README "Config schema" shows
+it as YAML): every section's keys, or a top-level scalar, with the converter
+and the default of each. It drives the key check, which rejects any other
+key, the conversion, which names the key it refuses (flat paths such as
+`grid.n`), the defaults and the keys `run_config_to_dict` dumps. Physical
+parameters (viscosity, gamma, forcing, box size) have no defaults;
+forcing.n_low defaults to 2, stats.burn_in to 0. stepper.t_end may be left
+out: it is whole steps of stepper.dt, as many as stats.burn_in +
+stats.window, and a step must start in the window (`averaged`). The sweep
+section is read by sweep configs only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -78,45 +73,6 @@ class SweepConfig:
         object.__setattr__(self, "gamma_values", gv)
 
 
-_REQUIRED = object()
-
-# Keys of each section; None marks a top-level scalar.
-_SCHEMA = {
-    "grid": ("dim", "n", "box_length"),
-    "flow": ("nu", "gamma"),
-    "forcing": ("n_low", "modes"),
-    "stepper": ("dt", "t_end"),
-    "stats": ("burn_in", "window"),
-    "seed": None,
-    "output_dir": None,
-    "sweep": ("gamma_values", "parallel_workers"),
-}
-
-
-def _check_keys(d: dict) -> None:
-    for key, value in d.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key: {key}")
-        for sub in value if _SCHEMA[key] and isinstance(value, dict) else ():
-            if sub not in _SCHEMA[key]:
-                raise ConfigError(f"unknown config key: {key}.{sub}")
-
-
-def _get(d: dict, path: str, default=_REQUIRED, kind=lambda v: v):
-    """The value at `path` converted by `kind`, or `default` when it is absent."""
-    cur = d
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required config key: {path}")
-            return default
-        cur = cur[part]
-    try:
-        return kind(cur)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from e
-
-
 def _finite(value) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -130,26 +86,12 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _build_run_config(d: dict) -> RunConfig:
-    _check_keys(d)
-    try:
-        grid = GridSpec(
-            dim=_get(d, "grid.dim", kind=_integer),
-            n=_get(d, "grid.n", kind=_integer),
-            box_length=_get(d, "grid.box_length", kind=float),
-        )
-    except ValueError as e:
-        raise ConfigError(f"grid: {e}") from e
-    try:
-        params = FlowParams(nu=_get(d, "flow.nu", kind=float), gamma=_get(d, "flow.gamma", kind=float))
-    except ValueError as e:
-        raise ConfigError(f"flow: {e}") from e
-
-    raw_modes = _get(d, "forcing.modes")
-    if not isinstance(raw_modes, list):
+def _modes(raw) -> tuple:
+    """forcing.modes, a list of {m: [...], amplitude: [[re, im], ...]}, as ((m, amplitude), ...)."""
+    if not isinstance(raw, list):
         raise ConfigError("forcing.modes must be a list")
     modes = []
-    for i, entry in enumerate(raw_modes):
+    for i, entry in enumerate(raw):
         for key in entry if isinstance(entry, dict) else ():
             if key not in ("m", "amplitude"):
                 raise ConfigError(f"unknown config key: forcing.modes[{i}].{key}")
@@ -159,53 +101,93 @@ def _build_run_config(d: dict) -> RunConfig:
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"forcing.modes[{i}]: expected integers m and amplitude [[re, im], ...] ({e})") from e
         modes.append((m, amp))
-    try:
-        forcing = ForcingSpec(grid=grid, modes=tuple(modes), n_low=_get(d, "forcing.n_low", 2, _integer))
-    except ValueError as e:
-        raise ConfigError(f"forcing: {e}") from e
+    return tuple(modes)
 
-    # finite before they make the default t_end, so a bad value is named as stats.*
-    burn_in = _get(d, "stats.burn_in", 0.0, _finite)
-    window = _get(d, "stats.window", kind=_finite)
-    try:
-        stepper = StepperConfig(
-            dt=_get(d, "stepper.dt", kind=float),
-            t_end=_get(d, "stepper.t_end", burn_in + window, float),
-        )
-    except ValueError as e:
-        raise ConfigError(f"stepper: {e}") from e
 
-    return RunConfig(
-        grid=grid,
-        params=params,
-        forcing=forcing,
-        stepper=stepper,
-        burn_in=burn_in,
-        window=window,
-        seed=_get(d, "seed", 0, _integer),
-        output_dir=_get(d, "output_dir", "out", str),
-    )
+_REQUIRED = object()
+
+# The schema: each section's keys, or a top-level scalar, as (converter, default), in the order
+# of the dump. stepper.t_end's default, burn_in + window, is given where the section is read.
+_SCHEMA = {
+    "grid": {"dim": (_integer, _REQUIRED), "n": (_integer, _REQUIRED), "box_length": (float, _REQUIRED)},
+    "flow": {"nu": (float, _REQUIRED), "gamma": (float, _REQUIRED)},
+    "forcing": {"n_low": (_integer, 2), "modes": (_modes, _REQUIRED)},
+    "stepper": {"dt": (float, _REQUIRED), "t_end": (float, None)},
+    # finite: they make the default t_end, so a bad value is refused as stats.*, not as stepper.t_end
+    "stats": {"burn_in": (_finite, 0.0), "window": (_finite, _REQUIRED)},
+    "seed": (_integer, 0),
+    "output_dir": (str, "out"),
+    "sweep": {"gamma_values": (lambda v: tuple(float(g) for g in v), _REQUIRED), "parallel_workers": (_integer, 1)},
+}
+
+
+def _check_keys(d: dict) -> None:
+    for key, value in d.items():
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown config key: {key}")
+        for sub in value if isinstance(_SCHEMA[key], dict) and isinstance(value, dict) else ():
+            if sub not in _SCHEMA[key]:
+                raise ConfigError(f"unknown config key: {key}.{sub}")
+
+
+def _get(d: dict, path: str, kind, default=_REQUIRED):
+    """The value at `path` converted by `kind`, or `default` when it is absent.
+
+    A refusal of `kind` is named by `path`, unless it is a ConfigError, which names its key itself.
+    """
+    cur = d
+    for part in path.split("."):
+        if not isinstance(cur, dict) or part not in cur:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required config key: {path}")
+            return default
+        cur = cur[part]
+    try:
+        return kind(cur)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _section(d: dict, name: str, **defaults):
+    """The converted value of top-level scalar `name`, or the dict of section `name`'s values.
+
+    `defaults` replace the table's defaults of the keys they name.
+    """
+    spec = _SCHEMA[name]
+    if not isinstance(spec, dict):
+        return _get(d, name, *spec)
+    return {key: _get(d, f"{name}.{key}", kind, defaults.get(key, default)) for key, (kind, default) in spec.items()}
+
+
+def _build(name: str, cls, **values):
+    """`cls(**values)`, with its refusal named by the config section `name`."""
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ConfigError(f"{name}: {e}") from e
+
+
+def _build_run_config(d: dict) -> RunConfig:
+    _check_keys(d)
+    grid = _build("grid", GridSpec, **_section(d, "grid"))
+    params = _build("flow", FlowParams, **_section(d, "flow"))
+    forcing = _build("forcing", ForcingSpec, grid=grid, **_section(d, "forcing"))
+    stats = _section(d, "stats")  # before the stepper: its values make the default t_end
+    stepper = _build("stepper", StepperConfig, **_section(d, "stepper", t_end=stats["burn_in"] + stats["window"]))
+    return RunConfig(grid=grid, params=params, forcing=forcing, stepper=stepper, **stats,
+                     seed=_section(d, "seed"), output_dir=_section(d, "output_dir"))
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "grid": dataclasses.asdict(cfg.grid),
-        "flow": {"nu": cfg.params.nu, "gamma": cfg.params.gamma},
-        "forcing": {
-            "n_low": cfg.forcing.n_low,
-            "modes": [
-                {"m": list(m), "amplitude": [[a.real, a.imag] for a in amp]}
-                for m, amp in cfg.forcing.modes
-            ],
-        },
-        "stepper": {
-            "dt": cfg.stepper.dt,
-            "t_end": cfg.stepper.t_end,
-        },
-        "stats": {"burn_in": cfg.burn_in, "window": cfg.window},
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
+    """The mapping a run config loads from: every key of the table but the sweep's, in its order."""
+    owners = {"grid": cfg.grid, "flow": cfg.params, "forcing": cfg.forcing, "stepper": cfg.stepper, "stats": cfg}
+    d = {name: {key: getattr(owners[name], key) for key in spec} if isinstance(spec, dict) else getattr(cfg, name)
+         for name, spec in _SCHEMA.items() if name != "sweep"}
+    d["forcing"]["modes"] = [{"m": list(m), "amplitude": [[a.real, a.imag] for a in amp]}
+                             for m, amp in cfg.forcing.modes]
+    return d
 
 
 def _load(path) -> dict:
@@ -225,8 +207,4 @@ def load_run_config(path) -> RunConfig:
 
 def load_sweep_config(path) -> SweepConfig:
     d = _load(path)
-    return SweepConfig(
-        base=_build_run_config(d),
-        gamma_values=_get(d, "sweep.gamma_values", kind=lambda v: tuple(float(g) for g in v)),
-        parallel_workers=_get(d, "sweep.parallel_workers", 1, _integer),
-    )
+    return SweepConfig(base=_build_run_config(d), **_section(d, "sweep"))

@@ -162,10 +162,18 @@ def k_dot(k, s):
     return out
 
 
+def parseval_sum(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
+    """(1/|box|) integral of |u|^2 over the kept modes of each state of (ncomp,) + batch + compact_shape.
+
+    Each state's sum is bitwise the sum of that state alone.
+    """
+    w = parseval_weights(grid) * np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
+    return np.sum(w, axis=tuple(range(-grid.dim, 0)))
+
+
 def volume_norm_sq(field: Field) -> float:
     """(1/|box|) integral of |field|^2, by Parseval over the kept modes."""
-    s = field.spec
-    return float(np.sum(parseval_weights(field.grid) * np.sum(s.real ** 2 + s.imag ** 2, axis=0)))
+    return float(parseval_sum(field.grid, field.spec))
 
 
 def safe_wavenumber_sq(ksq):

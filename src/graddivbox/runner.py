@@ -228,9 +228,9 @@ def _run_for_sweep(args):
         output_dir=os.path.join(cfg.output_dir, f"gamma_{index:03d}"),
     )
     try:
-        return index, run_single(sub), None
+        return run_single(sub), None
     except BlowUpError as e:
-        return index, None, f"blow-up at t = {e.t}"
+        return None, f"blow-up at t = {e.t}"
 
 
 def run_sweep(sweep: SweepConfig) -> dict:
@@ -252,7 +252,7 @@ def run_sweep(sweep: SweepConfig) -> dict:
     rows = []
     summaries = {}
     failures = {}
-    for (index, summary, err), gamma in zip(results, sweep.gamma_values):
+    for (summary, err), gamma in zip(results, sweep.gamma_values):
         if err is not None:
             failures[gamma] = err
             continue

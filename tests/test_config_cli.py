@@ -22,7 +22,7 @@ from graddivbox.config import (
 )
 from graddivbox.forcing import ForcingSpec
 from graddivbox.grid import GridSpec, volume_norm_sq
-from graddivbox import checkpoint, runner, stats
+from graddivbox import checkpoint, config, runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
 
@@ -127,6 +127,31 @@ class TestConfigRoundTrip:
         path.write_text(yaml.safe_dump(d))
         with pytest.raises(ConfigError, match=f"{re.escape(name)}.*must be an integer, got {value!r}"):
             load_sweep_config(path)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("grid", "n", 32.7, r"^grid\.n: must be an integer, got 32\.7$"),
+        ("forcing", "n_low", 2.5, r"^forcing\.n_low: must be an integer, got 2\.5$"),
+        ("grid", "n", 37, r"^grid: n must be a power of two"),
+    ])
+    def test_section_named_once(self, tmp_path, section, key, value, message):
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d[section][key] = value
+        path = tmp_path / "value.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)
+
+    def test_readme_schema_is_the_schema_table(self, tmp_path):
+        # the YAML block under README "Config schema" loads, and shows every key of the table
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+        block = re.search(r"### Config schema\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        load_sweep_config(path)
+
+        def keys(d):
+            return {(name, key) for name, sub in d.items() for key in (sub if isinstance(sub, dict) else [None])}
+        assert keys(yaml.safe_load(block)) == keys(config._SCHEMA)
 
     def test_integral_float_loads_as_int(self, tmp_path):
         cfg = small_run_config(tmp_path)

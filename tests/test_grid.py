@@ -6,6 +6,7 @@ import pytest
 from graddivbox.grid import (
     Field,
     GridSpec,
+    parseval_sum,
     project_divergence_free,
     to_compact,
     volume_norm_sq,
@@ -15,6 +16,7 @@ from graddivbox.solver import FlowParams, _apply_linear
 from graddivbox.stats import diagnostics
 
 from conftest import (
+    TWO_PI,
     coords,
     divergence,
     extend,
@@ -194,6 +196,14 @@ class TestVolumeNorm:
         assert volume_norm_sq(u) == diagnostics(u.spec, operator(grid3d)).u_sq
         p = samples(u)
         assert volume_norm_sq(u) == pytest.approx(float(np.mean(np.sum(p * p, axis=0))), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (2, 64), (3, 16)])
+    def test_batched_sums_are_the_per_state_sums(self, dim, n):
+        # run_mms sums a block's step-end states, a strided view, at once; each keeps its own bits
+        grid = GridSpec(dim=dim, n=n, box_length=TWO_PI)
+        states = np.stack([random_state_field(grid, seed=s).spec for s in range(8)], axis=1)
+        expected = [volume_norm_sq(Field(grid, states[:, b])) for b in range(1, 8, 2)]
+        assert parseval_sum(grid, states[:, 1::2]).tolist() == expected
 
 
 def test_projected_field_is_divergence_free(grid2d):
