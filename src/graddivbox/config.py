@@ -86,6 +86,18 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _numbers(value) -> tuple:
+    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+        raise ValueError(f"must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _nonempty_str(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"must be a nonempty string, got {value!r}")
+    return value
+
+
 def _modes(raw) -> tuple:
     """forcing.modes, a list of {m: [...], amplitude: [[re, im], ...]}, as ((m, amplitude), ...)."""
     if not isinstance(raw, list):
@@ -116,8 +128,8 @@ _SCHEMA = {
     # finite: they make the default t_end, so a bad value is refused as stats.*, not as stepper.t_end
     "stats": {"burn_in": (_finite, 0.0), "window": (_finite, _REQUIRED)},
     "seed": (_integer, 0),
-    "output_dir": (str, "out"),
-    "sweep": {"gamma_values": (lambda v: tuple(float(g) for g in v), _REQUIRED), "parallel_workers": (_integer, 1)},
+    "output_dir": (_nonempty_str, "out"),
+    "sweep": {"gamma_values": (_numbers, _REQUIRED), "parallel_workers": (_integer, 1)},
 }
 
 

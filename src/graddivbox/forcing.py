@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Field, GridSpec, k_dot, to_physical, volume_norm_sq, wavevectors
+from .grid import Field, GridSpec, k_dot, parseval_sum, to_physical, wavevectors
 
 
 class ForcingError(ValueError):
@@ -112,26 +112,26 @@ def _place_mode(coeffs, m, a, size):
 
 def compute_F(f: Field) -> float:
     """Force amplitude scale: the volume-normalized rms of f."""
-    fsq = volume_norm_sq(f)
+    fsq = parseval_sum(f.grid, f.spec)
     if fsq <= 0.0:
         raise ForcingError("degenerate forcing: F = 0")
     return float(np.sqrt(fsq))
 
 
-def _sup_norm(grid: GridSpec, s: np.ndarray) -> float:
-    """Largest pointwise Euclidean norm over the samples of compact coefficients `s`."""
-    p = to_physical(grid, s)
+def _sup_norm(p: np.ndarray) -> float:
+    """Largest pointwise Euclidean norm over samples `p`, components on the first axis."""
     return float(np.sqrt(np.max(np.sum(p * p, axis=0))))
 
 
 def force_stats(f: Field) -> ForceStats:
-    """F, L and kappa of a force, from one gradient and one sup over the samples."""
+    """F, L and kappa of a force, from one gradient and one transform of it stacked with the force."""
     grid = f.grid
     F = compute_F(f)
     # d(f_i)/dx_j at component i * dim + j
     g = (1j * np.stack(wavevectors(grid)) * f.spec[:, np.newaxis]).reshape((-1,) + grid.compact_shape)
-    sup = _sup_norm(grid, g)
-    l2 = float(np.sqrt(volume_norm_sq(Field(grid, g))))
+    p = to_physical(grid, np.concatenate([g, f.spec]))
+    sup = _sup_norm(p[:len(g)])
+    l2 = float(np.sqrt(parseval_sum(grid, g)))
     candidates = {
         "box_length": grid.box_length,
         "sup_gradient": F / sup if sup > 0 else np.inf,
@@ -142,7 +142,7 @@ def force_stats(f: Field) -> ForceStats:
         F=F,
         L=candidates[branch],
         L_branch=branch,
-        kappa=_sup_norm(grid, f.spec) / F,
+        kappa=_sup_norm(p[len(g):]) / F,
         grad_f_sup=sup,
         grad_f_l2=l2,
     )
@@ -150,8 +150,8 @@ def force_stats(f: Field) -> ForceStats:
 
 def check_divergence_free(f: Field, tol: float = 1e-12) -> float:
     """Relative divergence norm of a realized force; raises beyond `tol`."""
-    div = Field(f.grid, 1j * k_dot(wavevectors(f.grid), f.spec)[np.newaxis])
-    rel = float(np.sqrt(volume_norm_sq(div))) / max(compute_F(f), 1e-300)
+    div = 1j * k_dot(wavevectors(f.grid), f.spec)[np.newaxis]
+    rel = float(np.sqrt(parseval_sum(f.grid, div))) / compute_F(f)  # compute_F refuses F = 0
     if rel > tol:
         raise ForcingError(f"force divergence {rel:.3e} exceeds tolerance {tol:.1e}")
     return rel

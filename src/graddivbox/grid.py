@@ -7,8 +7,10 @@ hold m = 0..c, -c..-1 and its last axis m = 0..c, so it is the kept part of
 the real-to-complex half spectrum (numpy's n-d real transform) and
 conjugate symmetry is structural. The force, the initial and restart
 states, the MMS targets, every stage of a run and the checkpoint payload
-live on it. `to_compact` and `to_physical` are the one transform pair
-between it and the samples.
+live on it as bare arrays. `to_compact` and `to_physical` are the one
+transform pair between it and the samples, `parseval_sum` the one volume
+mean. A `Field` pairs an array with its grid only where `bench/workloads.py`
+holds one: the realized force, checkpoint I/O and `ManufacturedSolution.state`.
 
 Normalization: spectral coefficients are true Fourier-series coefficients,
 ``u(x) = sum_k uhat_k exp(i k.x)``, i.e. forward transform divided by the
@@ -171,11 +173,6 @@ def parseval_sum(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
     return np.sum(w, axis=tuple(range(-grid.dim, 0)))
 
 
-def volume_norm_sq(field: Field) -> float:
-    """(1/|box|) integral of |field|^2, by Parseval over the kept modes."""
-    return float(parseval_sum(field.grid, field.spec))
-
-
 def safe_wavenumber_sq(ksq):
     """|k|^2 with 1 in place of the 0 at k = 0, a divisor for every mode."""
     return np.where(ksq > 0, ksq, 1.0)
@@ -189,12 +186,11 @@ def k_parallel_coef(k, safe_ksq, s):
     return coef
 
 
-def project_divergence_free(u: Field) -> Field:
-    """Remove the k-parallel part of every mode (Leray projection)."""
-    grid = u.grid
+def project_divergence_free(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
+    """`spec` without the k-parallel part of any mode (Leray projection)."""
     k = wavevectors(grid)
-    s = u.spec.copy()
+    s = spec.copy()
     coef = k_parallel_coef(k, safe_wavenumber_sq(wavenumber_sq(grid)), s)
     for j in range(grid.dim):
         s[j] -= k[j] * coef
-    return Field(grid, s)
+    return s

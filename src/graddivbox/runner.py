@@ -37,7 +37,7 @@ from . import criterion as crit
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, SweepConfig
 from .forcing import check_divergence_free, force_stats, realize_force
-from .grid import Field, mode_numbers, project_divergence_free, to_compact, volume_norm_sq
+from .grid import Field, mode_numbers, parseval_sum, project_divergence_free, to_compact
 from .solver import BlowUpError, SpectralOperator, imex_step, step_index
 from .stats import Diagnostics, diagnostics, finalize, update
 
@@ -97,8 +97,8 @@ def json_safe(obj):
     return obj
 
 
-def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
-    """Force shape at unit rms plus a seeded divergence-free perturbation.
+def initial_condition(cfg: RunConfig, force: Field | None) -> np.ndarray:
+    """Compact coefficients of the force shape at unit rms plus a seeded divergence-free perturbation.
 
     The perturbation is the transform of seeded noise band-limited to
     |m_j| <= min(PERTURBATION_MAX_MODE, cutoff) = min(4, cutoff), with zero
@@ -108,21 +108,18 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> Field:
     rms, is the initial state.
     """
     grid = cfg.grid
-    if force is not None:
-        base = force.spec / np.sqrt(volume_norm_sq(force))
-    else:
-        base = np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
+    base = force.spec / np.sqrt(parseval_sum(grid, force.spec)) if force is not None else 0.0
     rng = np.random.default_rng(cfg.seed)
     s = to_compact(grid, rng.standard_normal((grid.dim,) + grid.shape))
     for m in mode_numbers(grid):
         s[:, np.abs(m) > min(PERTURBATION_MAX_MODE, grid.cutoff)] = 0.0
     s[(slice(None),) + (0,) * grid.dim] = 0.0
-    pert = project_divergence_free(Field(grid, s))
-    prms = np.sqrt(volume_norm_sq(pert))
+    pert = project_divergence_free(grid, s)
+    prms = np.sqrt(parseval_sum(grid, pert))
     target_rms = PERTURBATION_RMS if force is not None else 1.0
     scale = target_rms / prms if prms > 0 else 0.0
     # summed in spectral space, so the mean (k = 0) mode is exactly 0
-    return Field(grid, base + scale * pert.spec)
+    return base + scale * pert
 
 
 def run_single(cfg: RunConfig, restart_path=None) -> dict:
@@ -133,8 +130,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         check_divergence_free(force)
         fstats = force_stats(force)
     else:
-        force = None
-        fstats = None
+        force = fstats = None
     dt, n_steps = stepper.dt, stepper.n_steps
     op = SpectralOperator(grid, params, dt)
     f = force.spec if force is not None else np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
@@ -151,7 +147,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
                              f"with dt = {dt} before t_end = {stepper.t_end}")
         u = u_ck.spec
     else:
-        u = initial_condition(cfg, force).spec
+        u = initial_condition(cfg, force)
         start_step = 0
 
     records = [(diagnostics(u, op), 0.0)]

@@ -24,13 +24,14 @@ coefficients alone, so a (u_hat, t) checkpoint restarts a run bitwise, and
 the blow-up check reads the new spectral state without transforming it.
 
 Run state: the state, the force and every stage are compact arrays, the
-coefficients of the modes the 2/3 rule keeps (the layout of `grid`), as
-every `Field` is. `nonlinear_term` and `_apply_linear` also take a batch
-of states, (dim,) + batch + compact_shape, bitwise per state: the MMS study
-builds its target's states and forces MMS_BLOCK steps at a time. One
-`SpectralOperator`, built from (grid, params, dt), holds the step's frozen
-constants. The kernels only read it and allocate their own arrays, so it
-is immutable, and threads may step with one operator at once.
+coefficients of the modes the 2/3 rule keeps (the layout of `grid`); only
+`ManufacturedSolution.state`, read by the benchmark, wraps one in a `Field`.
+`nonlinear_term` and `_apply_linear` also take a batch of states, (dim,) +
+batch + compact_shape, bitwise per state: the MMS study builds its target's
+states and forces MMS_BLOCK steps at a time. One `SpectralOperator`, built
+from (grid, params, dt), holds the step's frozen constants. The kernels
+only read it and allocate their own arrays, so it is immutable, and
+threads may step with one operator at once.
 """
 
 from __future__ import annotations

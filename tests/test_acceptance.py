@@ -24,7 +24,7 @@ from graddivbox.criterion import (
     nondimensional_groups,
 )
 from graddivbox.forcing import ForcingSpec, force_stats, realize_force
-from graddivbox.grid import GridSpec, volume_norm_sq
+from graddivbox.grid import GridSpec, parseval_sum
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import (
     FlowParams,
@@ -84,7 +84,7 @@ def test_criterion_1_skew_symmetry():
             grid, rng.standard_normal((3,) + grid.shape)))
         n = conftest.nonlinear_field(u)
         rel = abs(conftest.inner(n, u)) / math.sqrt(
-            volume_norm_sq(n) * volume_norm_sq(u))
+            parseval_sum(grid, n.spec) * parseval_sum(grid, u.spec))
         worst = max(worst, rel)
     _report(1, "skew-symmetry", worst <= 1e-10, f"worst rel = {worst:.2e}")
 
@@ -113,8 +113,8 @@ def test_criterion_3_shear_decay():
         f = conftest.zeros(grid)
         for i in range(1000):
             u = conftest.step(u, params, f, cfg, t=i * dt)
-        err = math.sqrt(volume_norm_sq(conftest.from_samples(
-            grid, conftest.samples(u) - math.exp(-nu) * u0)))
+        err = math.sqrt(parseval_sum(grid, conftest.from_samples(
+            grid, conftest.samples(u) - math.exp(-nu) * u0).spec))
         worst = max(worst, err)
     _report(3, "shear-decay", worst <= 1e-6, f"worst L2 error = {worst:.2e}")
 

@@ -21,7 +21,7 @@ from graddivbox.config import (
     run_config_to_dict,
 )
 from graddivbox.forcing import ForcingSpec
-from graddivbox.grid import GridSpec, volume_norm_sq
+from graddivbox.grid import GridSpec, parseval_sum
 from graddivbox import checkpoint, config, runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
@@ -199,6 +199,20 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=r"forcing\.modes\[1\]\.phase"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("value", [None, ["a", "b"], 3, ""], ids=["null", "list", "number", "empty"])
+    def test_output_dir_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):
+        # null was read as the directory 'None', a list as its repr and 3 as '3'
+        monkeypatch.chdir(tmp_path)
+        d = run_config_to_dict(small_run_config(tmp_path, n=8))
+        d["output_dir"] = value
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=r"^output_dir: must be a nonempty string, got "):
+            load_run_config(path)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_dir: must be a nonempty string")
+        assert os.listdir(tmp_path) == ["run.yaml"]
+
     def test_sweep_section_allowed_in_run_config(self, tmp_path):
         sweep = SweepConfig(base=small_run_config(tmp_path), gamma_values=(0.0, 1.0))
         path = tmp_path / "sweep.yaml"
@@ -283,6 +297,20 @@ class TestSweepValidation:
         path.write_text(yaml.safe_dump(d))
         assert main(["sweep", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: sweep.gamma_values must be nonnegative and finite")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("value", ["12", [True, 2.0], [0.0, "1"], 1.0, None, {"g": 1.0}],
+                             ids=["string", "boolean", "string-entry", "scalar", "null", "mapping"])
+    def test_gamma_values_must_be_a_list_of_numbers(self, tmp_path, capsys, value):
+        # "12" was read as the sweep (1.0, 2.0), by iterating the string, and so was [true, 2.0]
+        d = run_config_to_dict(small_run_config(tmp_path, n=8))
+        d["sweep"] = {"gamma_values": value}
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(d))
+        with pytest.raises(ConfigError, match=r"^sweep\.gamma_values: must be a list of numbers, got "):
+            load_sweep_config(path)
+        assert main(["sweep", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.gamma_values: must be a list of numbers")
         assert not os.path.exists(tmp_path / "out")
 
 
@@ -475,7 +503,7 @@ class TestRunSingle:
     def test_unforced_initial_state_has_unit_rms_on_a_coarse_grid(self, tmp_path, dim):
         # n = 8 keeps |m_j| <= 2 of the perturbation's |m_j| <= 4; the kept part is what is scaled
         cfg = small_run_config(tmp_path, dim=dim, n=8, modes=())
-        assert volume_norm_sq(runner.initial_condition(cfg, None)) == pytest.approx(1.0, rel=1e-12)
+        assert parseval_sum(cfg.grid, runner.initial_condition(cfg, None)) == pytest.approx(1.0, rel=1e-12)
 
     def test_serial_rerun_is_bitwise(self, tmp_path):
         a = small_run_config(tmp_path, t_end=0.05, window=0.05, subdir="a")

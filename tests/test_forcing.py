@@ -8,7 +8,7 @@ from graddivbox.forcing import (
     force_stats,
     realize_force,
 )
-from graddivbox.grid import Field, GridSpec, mode_numbers, volume_norm_sq
+from graddivbox.grid import Field, GridSpec, mode_numbers, parseval_sum
 
 from conftest import TWO_PI, coords, divergence, from_samples, samples, zeros
 
@@ -73,7 +73,7 @@ class TestForcingSpec:
             a = a - k * (k @ a) / (k @ k)  # project amplitude orthogonal to k
             spec = ForcingSpec(grid=grid3d, modes=((m, tuple(a)),))
             f = realize_force(spec)
-            rel = np.sqrt(volume_norm_sq(Field(grid3d, divergence(f))) / volume_norm_sq(f))
+            rel = np.sqrt(parseval_sum(grid3d, divergence(f)) / parseval_sum(grid3d, f.spec))
             assert rel <= 1e-12
 
     def test_modes_sit_where_the_transform_of_their_samples_puts_them(self, grid3d):

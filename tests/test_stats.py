@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graddivbox.grid import Field, volume_norm_sq, wavevectors
+from graddivbox.grid import Field, parseval_sum, wavevectors
 from graddivbox.solver import FlowParams, StepperConfig
 from graddivbox.stats import Diagnostics, diagnostics, finalize, update
 from graddivbox.forcing import ForceStats
@@ -203,6 +203,6 @@ class TestEnergyOverTime:
     def test_final_energy_over_window_decays(self, grid2d):
         # ||u(T)||^2 / T halves when T doubles for statistically steady data
         u = shear_field(grid2d)
-        e = volume_norm_sq(u)
+        e = parseval_sum(grid2d, u.spec)
         t1, t2 = 1.0, 2.0
         assert e / t2 <= 0.75 * (e / t1)
