@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CriterionInput:
-    """Scales feeding the criterion algebra; h and gamma are optional."""
+    """Scales feeding the criterion algebra; h and gamma are optional, and gamma alone may be inf."""
 
     U: float
     L: float
@@ -35,15 +35,13 @@ class CriterionInput:
     h: float | None = None
 
     def __post_init__(self):
-        for name in ("U", "L", "nu"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.kappa < 1.0:
-            raise ValueError(f"kappa must be >= 1 (sup norm dominates rms), got {self.kappa}")
-        if self.gamma is not None and self.gamma < 0:
+        for name in ("U", "L", "nu") + (("h",) if self.h is not None else ()):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 1 (sup norm dominates rms), got {self.kappa}")
+        if self.gamma is not None and not self.gamma >= 0:  # inf is the projected limit
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.h is not None and not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Field, GridSpec, k_dot, parseval_sum, to_physical, wavevectors
+from .grid import TWO_PI, Field, GridSpec, k_dot, parseval_sum, to_physical, wavevectors
+
+# largest ||div f|| / ((2 pi / box_length) F) a realized force may have; the measure is free of the box size
+DIVERGENCE_TOL = 1e-12
 
 
 class ForcingError(ValueError):
@@ -30,7 +33,7 @@ class ForcingSpec:
 
     Every mode must satisfy m . a = 0 (divergence-free), m != 0 (zero mean),
     max|m_j| <= n_low so energy enters only at large scales, and max|m_j| <=
-    grid.cutoff so the 2/3 rule keeps it.
+    grid.cutoff so the 2/3 rule keeps it. A nonempty list needs a nonzero amplitude.
     """
 
     grid: GridSpec
@@ -62,6 +65,8 @@ class ForcingSpec:
                 raise ForcingError(f"duplicate or conjugate-duplicate mode {m}")
             seen.add(key)
             norm_modes.append((m, a))
+        if norm_modes and not any(aj for _, a in norm_modes for aj in a):
+            raise ForcingError("zero force: every amplitude of forcing.modes is 0")
         object.__setattr__(self, "modes", tuple(norm_modes))
 
 
@@ -148,10 +153,10 @@ def force_stats(f: Field) -> ForceStats:
     )
 
 
-def check_divergence_free(f: Field, tol: float = 1e-12) -> float:
-    """Relative divergence norm of a realized force; raises beyond `tol`."""
+def check_divergence_free(f: Field) -> float:
+    """||div f|| / ((2 pi / box_length) F) of a realized force; raises beyond DIVERGENCE_TOL."""
     div = 1j * k_dot(wavevectors(f.grid), f.spec)[np.newaxis]
-    rel = float(np.sqrt(parseval_sum(f.grid, div))) / compute_F(f)  # compute_F refuses F = 0
-    if rel > tol:
-        raise ForcingError(f"force divergence {rel:.3e} exceeds tolerance {tol:.1e}")
+    rel = float(np.sqrt(parseval_sum(f.grid, div))) / (TWO_PI / f.grid.box_length * compute_F(f))  # F > 0
+    if rel > DIVERGENCE_TOL:
+        raise ForcingError(f"force divergence {rel:.3e} exceeds tolerance {DIVERGENCE_TOL:.1e}")
     return rel

@@ -8,9 +8,11 @@ the real-to-complex half spectrum (numpy's n-d real transform) and
 conjugate symmetry is structural. The force, the initial and restart
 states, the MMS targets, every stage of a run and the checkpoint payload
 live on it as bare arrays. `to_compact` and `to_physical` are the one
-transform pair between it and the samples, `parseval_sum` the one volume
-mean. A `Field` pairs an array with its grid only where `bench/workloads.py`
-holds one: the realized force, checkpoint I/O and `ManufacturedSolution.state`.
+transform pair between it and the samples. `parseval_sum` takes the volume
+means of the force, the initial state and the MMS norms; `stats` takes
+each run state's means itself, in one |uhat|^2 pass per state. A `Field`
+pairs an array with its grid only where `bench/workloads.py` holds one: the
+realized force, checkpoint I/O and `ManufacturedSolution.state`.
 
 Normalization: spectral coefficients are true Fourier-series coefficients,
 ``u(x) = sum_k uhat_k exp(i k.x)``, i.e. forward transform divided by the
@@ -75,23 +77,18 @@ class GridSpec:
         return int(DEALIAS_FRACTION * (self.n // 2))
 
 
-@lru_cache(maxsize=None)
-def halves(grid: GridSpec) -> tuple:
-    """(half-spectrum slice, compact slice) of m = 0..c and of m = -c..-1 on a full axis."""
-    c, n = grid.cutoff, grid.n
-    return (slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, 2 * c + 1))
-
-
 def to_compact(grid: GridSpec, phys: np.ndarray) -> np.ndarray:
     """The kept coefficients of samples on the last `dim` axes, bitwise as the n-d real transform's.
 
     Leading axes (components, a batch) pass through. Each full axis drops its removed lines right
     after its pass, so later passes skip them.
     """
-    x = np.fft.rfft(phys, axis=-1, norm="forward")[..., :grid.cutoff + 1]
+    c = grid.cutoff
+    x = np.fft.rfft(phys, axis=-1, norm="forward")[..., :c + 1]
     for j in range(-2, -grid.dim - 1, -1):
         x = np.fft.fft(x, axis=j, norm="forward")
-        x = np.concatenate([x[(Ellipsis, f) + (slice(None),) * (-1 - j)] for f, _ in halves(grid)], axis=j)
+        post = (slice(None),) * (-1 - j)
+        x = np.concatenate([x[(Ellipsis, slice(0, c + 1)) + post], x[(Ellipsis, slice(-c, None)) + post]], axis=j)
     return x
 
 
@@ -103,13 +100,12 @@ def to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
     last axis itself. No view of an earlier pass's result outlives the padding, so each pass frees
     the one before it.
     """
-    x = spec
-    (_, lo), (_, hi) = halves(grid)
+    x, c = spec, grid.cutoff
     for j in range(-grid.dim, -1):
         post = (slice(None),) * (-1 - j)
-        pad = x.shape[:j] + (grid.n - 2 * grid.cutoff - 1,) + x.shape[j + 1:]
-        x = np.concatenate([x[(Ellipsis, lo) + post], np.zeros(pad, dtype=x.dtype), x[(Ellipsis, hi) + post]],
-                           axis=j)
+        pad = x.shape[:j] + (grid.n - 2 * c - 1,) + x.shape[j + 1:]
+        x = np.concatenate([x[(Ellipsis, slice(0, c + 1)) + post], np.zeros(pad, dtype=x.dtype),
+                            x[(Ellipsis, slice(c + 1, None)) + post]], axis=j)
         x = np.fft.ifft(x, axis=j, norm="forward")
     return np.fft.irfft(x, grid.n, axis=-1, norm="forward")
 

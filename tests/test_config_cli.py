@@ -708,6 +708,20 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: forcing: mode (0, 3) of forcing.modes")
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_all_zero_force_is_a_config_error(self, tmp_path, capsys, command):
+        # a nonempty mode list with F = 0 would load and then stop the run, or the sweep before its first gamma
+        cfg = small_run_config(tmp_path)
+        d = run_config_to_dict(cfg)
+        d["forcing"]["modes"] = [{"m": [0, 1], "amplitude": [[0, 0], [0, 0]]},
+                                 {"m": [1, 1], "amplitude": [[0.0, -0.0], [-0.0, 0.0]]}]
+        d["sweep"] = {"gamma_values": [0.0, 1.0]}
+        path = tmp_path / "zero.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == "config error: forcing: zero force: every amplitude of forcing.modes is 0\n"
+        assert not os.path.exists(cfg.output_dir)
+
     def test_invalid_yaml_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("grid: {dim: 2, n: 16\nflow: [\n")
@@ -736,6 +750,28 @@ class TestCli:
     def test_criterion_out_of_range_is_a_config_error(self, capsys):
         assert main(["criterion", "--U", "-1", "--L", "1", "--nu", "0.01", "--kappa", "1.5"]) == 2
         assert "config error: criterion: U must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--U", "inf", "U must be positive and finite, got inf"),
+        ("--L", "nan", "L must be positive and finite, got nan"),
+        ("--nu", "inf", "nu must be positive and finite, got inf"),
+        ("--kappa", "nan", "kappa must be finite and >= 1 (sup norm dominates rms), got nan"),
+        ("--kappa", "inf", "kappa must be finite and >= 1 (sup norm dominates rms), got inf"),
+        ("--h", "inf", "h must be positive and finite, got inf"),
+        ("--h", "nan", "h must be positive and finite, got nan"),
+        ("--gamma", "nan", "gamma must be nonnegative, got nan"),
+    ])
+    def test_criterion_non_finite_input_is_a_config_error(self, capsys, flag, value, message):
+        args = {"--U": "1", "--L": "1", "--nu": "0.01", "--kappa": "1.5", "--h": "0.0625", "--gamma": "1"}
+        args[flag] = value
+        assert main(["criterion", *(x for kv in args.items() for x in kv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: criterion: {message}\n" and captured.out == ""
+
+    def test_criterion_infinite_gamma_is_the_projected_limit(self, capsys):
+        assert main(["criterion", "--U", "1", "--L", "1", "--nu", "0.01", "--kappa", "1.5", "--gamma", "inf"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["R_gamma"] == 0.0 and report["in_window_mesh_independent"] is False
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_exit_code(self, tmp_path, capsys):

@@ -40,9 +40,12 @@ def _perpendicular(m):
 
 @st.composite
 def modes(draw, dim, bound):
-    """A divergence-free mode (m, a): 0 < max|m_j| <= bound and a a complex multiple of a vector normal to m."""
+    """A divergence-free mode (m, a): 0 < max|m_j| <= bound and a a nonzero complex multiple of a vector normal to m.
+
+    c = 0 is left out: a force whose amplitudes are all zero is not a valid config.
+    """
     m = draw(st.tuples(*[st.integers(-bound, bound)] * dim).filter(any))
-    c = complex(draw(st.floats(-10, 10)), draw(st.floats(-10, 10)))
+    c = draw(st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)).filter(lambda c: c != 0))
     return m, tuple(c * p for p in _perpendicular(m))
 
 

@@ -4,6 +4,7 @@ import pytest
 from graddivbox.forcing import (
     ForcingError,
     ForcingSpec,
+    check_divergence_free,
     compute_F,
     force_stats,
     realize_force,
@@ -58,6 +59,10 @@ class TestForcingSpec:
                 ((0, -1, 0), (1.0, 0, 0)),
             ))
 
+    def test_rejects_all_zero_amplitudes(self, grid3d):
+        with pytest.raises(ForcingError, match="zero force: every amplitude of forcing.modes is 0"):
+            ForcingSpec(grid=grid3d, modes=(((0, 1, 0), (0.0, 0, 0)), ((1, 0, 0), (0, -0.0, 0j))))
+
     def test_empty_modes_rejected_at_realization(self, grid3d):
         with pytest.raises(ForcingError, match="zero force"):
             realize_force(ForcingSpec(grid=grid3d, modes=()))
@@ -98,6 +103,29 @@ class TestForcingSpec:
     def test_zero_mean_exact(self, grid3d):
         f = realize_force(ForcingSpec(grid=grid3d, modes=(((0, 1, 0), (1.0, 0, 0)),)))
         assert np.all(f.spec[:, 0, 0, 0] == 0.0)
+
+
+class TestDivergenceCheck:
+    BOXES = [TWO_PI * 1e-5, TWO_PI * 1e-3, TWO_PI, TWO_PI * 1e5]
+
+    @pytest.mark.parametrize("box_length", BOXES)
+    def test_rounding_of_an_admissible_mode_passes_at_any_box_size(self, box_length):
+        # m . a = 0.3 - (0.1 + 0.2) = -5.6e-17 passes ForcingSpec; ||div f|| / F alone grows as 1 / box_length
+        grid = GridSpec(dim=3, n=8, box_length=box_length)
+        f = realize_force(ForcingSpec(grid=grid, modes=(((1, 1, 0), (0.3, -(0.1 + 0.2), 0.0)),)))
+        assert check_divergence_free(f) < 1e-15
+
+    @pytest.mark.parametrize("box_length", BOXES)
+    def test_divergent_force_is_refused_at_any_box_size(self, box_length):
+        grid = GridSpec(dim=3, n=8, box_length=box_length)
+        f = realize_force(ForcingSpec(grid=grid, modes=(((1, 1, 0), (1.0, -1.0, 0.0)),)))
+        tilted = Field(grid, f.spec * np.array([1.0, 1.0 - 1e-9, 1.0])[:, np.newaxis, np.newaxis, np.newaxis])
+        with pytest.raises(ForcingError, match=r"force divergence 7\.07\de-10 exceeds tolerance 1\.0e-12"):
+            check_divergence_free(tilted)
+
+    def test_measure_on_the_two_pi_box_is_the_relative_divergence(self, grid3d):
+        f = realize_force(ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (0.3, -(0.1 + 0.2), 0.0)),)))
+        assert check_divergence_free(f) == np.sqrt(parseval_sum(grid3d, divergence(f))) / compute_F(f)
 
 
 class TestForceAmplitude:
