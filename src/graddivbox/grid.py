@@ -96,7 +96,7 @@ def to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
     """The samples of compact coefficients on the last `dim` axes, bitwise as the n-d inverse of them zero-padded.
 
     Leading axes pass through. Each full axis is padded to n with +0 between its m >= 0 and m < 0
-    halves right before its pass, so no pass transforms a line that is all padding; irfft pads the
+    parts right before its pass, so no pass transforms a line that is all padding; irfft pads the
     last axis itself. No view of an earlier pass's result outlives the padding, so each pass frees
     the one before it.
     """

@@ -710,7 +710,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_all_zero_force_is_a_config_error(self, tmp_path, capsys, command):
-        # a nonempty mode list with F = 0 would load and then stop the run, or the sweep before its first gamma
+        # refused when it loads, so neither command starts and no output directory is made
         cfg = small_run_config(tmp_path)
         d = run_config_to_dict(cfg)
         d["forcing"]["modes"] = [{"m": [0, 1], "amplitude": [[0, 0], [0, 0]]},
