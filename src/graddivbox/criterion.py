@@ -25,7 +25,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CriterionInput:
-    """Scales feeding the criterion algebra; h and gamma are optional, and gamma alone may be inf."""
+    """Scales feeding the criterion algebra; h and gamma are optional, and gamma alone may be inf.
+
+    The groups the report divides by or raises to a power, Re, U^3/L,
+    kappa^2 and (h/L)^(-4/3), must be positive and finite floats.
+    """
 
     U: float
     L: float
@@ -42,6 +46,15 @@ class CriterionInput:
             raise ValueError(f"kappa must be finite and >= 1 (sup norm dominates rms), got {self.kappa}")
         if self.gamma is not None and not self.gamma >= 0:  # inf is the projected limit
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        h_group = () if self.h is None else (("(h/L)^(-4/3)", lambda: (self.h / self.L) ** (-4.0 / 3.0)),)
+        for group, value in (("Re = LU/nu", lambda: self.L * self.U / self.nu),
+                             ("U^3/L", lambda: self.U ** 3 / self.L), ("kappa^2", lambda: self.kappa ** 2)) + h_group:
+            try:
+                x = value()
+            except (OverflowError, ZeroDivisionError):  # a float power past the largest float, or 0 ** -p
+                x = math.inf
+            if not 0 < x < math.inf:
+                raise ValueError(f"{group} must be positive and finite, got {x}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +65,8 @@ class CriterionReport:
     eps_bound: float  # inf when R_gamma is inf
     eps_bound_viscous: float  # the gamma-free part (6 + 1/Re) U^3/L
     gamma_lo: float
-    gamma_hi_mesh_independent: float
-    gamma_hi_mesh_dependent: float | None
+    gamma_hi_mesh_independent: float  # below gamma_lo when Re < 1/6
+    gamma_hi_mesh_dependent: float | None  # None without h; below gamma_lo for coarse meshes, never clamped
     mesh_dependent_window_empty: bool | None
     gamma: float | None
     in_window_mesh_independent: bool | None
@@ -62,96 +75,25 @@ class CriterionReport:
     bound_satisfied: bool | None = None
 
 
-def nondimensional_groups(inp: CriterionInput):
-    """(Re, R_gamma); R_gamma is +inf when gamma is zero or not supplied."""
-    re = inp.L * inp.U / inp.nu
-    if inp.gamma is None or inp.gamma == 0.0:
-        r_gamma = math.inf
-    else:
-        r_gamma = inp.L * inp.U / inp.gamma
-    return re, r_gamma
-
-
-def eps_bound(inp: CriterionInput) -> float:
-    """Upper bound (6 + 1/Re + kappa^2 R_gamma / 4) U^3 / L on the mean dissipation.
-
-    Infinite when the grad-div channel is absent (gamma = 0); the gamma-free
-    part is available separately via eps_bound_viscous.
-    """
-    re, r_gamma = nondimensional_groups(inp)
-    if math.isinf(r_gamma):
-        return math.inf
-    return (6.0 + 1.0 / re + 0.25 * inp.kappa ** 2 * r_gamma) * inp.U ** 3 / inp.L
-
-
-def eps_bound_viscous(inp: CriterionInput) -> float:
-    """The gamma-independent part (6 + 1/Re) U^3 / L of the bound."""
-    re, _ = nondimensional_groups(inp)
-    return (6.0 + 1.0 / re) * inp.U ** 3 / inp.L
-
-
-def gamma_range_mesh_independent(inp: CriterionInput):
-    """(gamma_lo, gamma_hi) = ((kappa^2/24) LU, (kappa^2/4) Re LU); empty when Re < 1/6."""
-    re, _ = nondimensional_groups(inp)
-    lu = inp.L * inp.U
-    lo = inp.kappa ** 2 / 24.0 * lu
-    hi = inp.kappa ** 2 / 4.0 * re * lu
-    return lo, hi
-
-
-def gamma_range_mesh_dependent(inp: CriterionInput):
-    """(gamma_lo, gamma_hi) with gamma_hi = (kappa^2/4) (h/L)^(-4/3) LU.
-
-    The window may be empty for coarse meshes (h near or above L); it is
-    reported as-is, never clamped.
-    """
-    if inp.h is None:
-        raise ValueError("mesh-dependent window needs a mesh width h")
-    lu = inp.L * inp.U
-    lo = inp.kappa ** 2 / 24.0 * lu
-    hi = inp.kappa ** 2 / 4.0 * (inp.h / inp.L) ** (-4.0 / 3.0) * lu
-    return lo, hi
-
-
-def kolmogorov_eta(Re: float, L: float) -> float:
-    """Kolmogorov microscale eta = Re^(-3/4) L, so Re = (eta/L)^(-4/3)."""
-    if not Re > 0:
-        raise ValueError(f"Re must be positive, got {Re}")
-    return Re ** -0.75 * L
-
-
 def build_report(inp: CriterionInput, measured_eps_avg: float | None = None) -> CriterionReport:
-    """Assemble the full criterion report, with optional measured-dissipation check."""
-    re, r_gamma = nondimensional_groups(inp)
-    lo_mi, hi_mi = gamma_range_mesh_independent(inp)
-    hi_md = None
-    md_empty = None
-    in_md = None
-    if inp.h is not None:
-        lo_md, hi_md = gamma_range_mesh_dependent(inp)
-        md_empty = hi_md < lo_md
-    in_mi = None
-    if inp.gamma is not None:
-        in_mi = lo_mi <= inp.gamma <= hi_mi
-        if hi_md is not None:
-            in_md = lo_mi <= inp.gamma <= hi_md
-    bound = eps_bound(inp)
-    satisfied = None
-    if measured_eps_avg is not None:
-        satisfied = measured_eps_avg <= bound
+    """The report of `inp`, each group, bound and window computed once; a check is None without its input."""
+    lu = inp.L * inp.U
+    re = lu / inp.nu
+    r_gamma = lu / inp.gamma if inp.gamma else math.inf
+    k2 = inp.kappa ** 2
+    viscous = 6.0 + 1.0 / re
+    bound = math.inf if math.isinf(r_gamma) else (viscous + 0.25 * k2 * r_gamma) * inp.U ** 3 / inp.L
+    lo, hi_mi = k2 / 24.0 * lu, k2 / 4.0 * re * lu
+    hi_md = None if inp.h is None else k2 / 4.0 * (inp.h / inp.L) ** (-4.0 / 3.0) * lu
+    gamma = inp.gamma
     return CriterionReport(
-        Re=re,
-        R_gamma=r_gamma,
-        eta=kolmogorov_eta(re, inp.L),
-        eps_bound=bound,
-        eps_bound_viscous=eps_bound_viscous(inp),
-        gamma_lo=lo_mi,
-        gamma_hi_mesh_independent=hi_mi,
-        gamma_hi_mesh_dependent=hi_md,
-        mesh_dependent_window_empty=md_empty,
-        gamma=inp.gamma,
-        in_window_mesh_independent=in_mi,
-        in_window_mesh_dependent=in_md,
+        Re=re, R_gamma=r_gamma, eta=re ** -0.75 * inp.L,
+        eps_bound=bound, eps_bound_viscous=viscous * inp.U ** 3 / inp.L,
+        gamma_lo=lo, gamma_hi_mesh_independent=hi_mi, gamma_hi_mesh_dependent=hi_md,
+        mesh_dependent_window_empty=None if hi_md is None else hi_md < lo,
+        gamma=gamma,
+        in_window_mesh_independent=None if gamma is None else lo <= gamma <= hi_mi,
+        in_window_mesh_dependent=None if gamma is None or hi_md is None else lo <= gamma <= hi_md,
         measured_eps_avg=measured_eps_avg,
-        bound_satisfied=satisfied,
+        bound_satisfied=None if measured_eps_avg is None else measured_eps_avg <= bound,
     )

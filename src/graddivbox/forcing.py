@@ -33,7 +33,8 @@ class ForcingSpec:
 
     Every mode must satisfy m . a = 0 (divergence-free), m != 0 (zero mean),
     max|m_j| <= n_low so energy enters only at large scales, and max|m_j| <=
-    grid.cutoff so the 2/3 rule keeps it. A nonempty list needs a nonzero amplitude.
+    grid.cutoff so the 2/3 rule keeps it. A nonempty list needs a nonzero amplitude,
+    and every |a|^2 and their sum must be finite, the sum a normal float.
     """
 
     grid: GridSpec
@@ -44,6 +45,7 @@ class ForcingSpec:
         dim = self.grid.dim
         norm_modes = []
         seen = set()
+        a_sq_sum = 0.0
         for m, a in self.modes:
             m = tuple(int(mj) for mj in m)
             a = tuple(complex(aj) for aj in a)
@@ -55,6 +57,10 @@ class ForcingSpec:
                 raise ForcingError(f"mode {m} exceeds the large-scale cutoff n_low = {self.n_low}")
             if max(abs(mj) for mj in m) > self.grid.cutoff:
                 raise ForcingError(f"mode {m} of forcing.modes exceeds the 2/3-rule cutoff {self.grid.cutoff}")
+            a_sq = sum(aj.real * aj.real + aj.imag * aj.imag for aj in a)  # no abs: it raises past the largest float
+            if not a_sq < np.inf:
+                raise ForcingError(f"mode {m} of forcing.modes: |a|^2 = {a_sq} is not finite")
+            a_sq_sum += a_sq
             kdota = sum(mj * aj for mj, aj in zip(m, a))
             scale = max(abs(mj) for mj in m) * max(abs(aj) for aj in a)
             if scale > 0 and abs(kdota) > 1e-14 * scale:
@@ -67,6 +73,8 @@ class ForcingSpec:
             norm_modes.append((m, a))
         if norm_modes and not any(aj for _, a in norm_modes for aj in a):
             raise ForcingError("zero force: every amplitude of forcing.modes is 0")
+        if norm_modes and not np.finfo(float).tiny <= a_sq_sum < np.inf:  # F^2 = 2 a_sq_sum
+            raise ForcingError(f"forcing.modes: sum of |a|^2 = {a_sq_sum} is not a positive, finite, normal float")
         object.__setattr__(self, "modes", tuple(norm_modes))
 
 
@@ -157,6 +165,6 @@ def check_divergence_free(f: Field) -> float:
     """||div f|| / ((2 pi / box_length) F) of a realized force; raises beyond DIVERGENCE_TOL."""
     div = 1j * k_dot(wavevectors(f.grid), f.spec)[np.newaxis]
     rel = float(np.sqrt(parseval_sum(f.grid, div))) / (TWO_PI / f.grid.box_length * compute_F(f))  # F > 0
-    if rel > DIVERGENCE_TOL:
+    if not rel <= DIVERGENCE_TOL:  # nan too
         raise ForcingError(f"force divergence {rel:.3e} exceeds tolerance {DIVERGENCE_TOL:.1e}")
     return rel

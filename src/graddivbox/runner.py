@@ -179,15 +179,16 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
 
 def _summarize(cfg: RunConfig, fstats, records: list) -> dict:
     # the records are of consecutive states, the last at step n_steps
-    averages = finalize(cfg.stepper.n_steps + 1 - len(records), records, cfg.stepper.dt, cfg.burn_in, fstats)
+    averages = finalize(cfg.stepper.n_steps + 1 - len(records), records, cfg.stepper.dt, cfg.burn_in)
     u_t = averages["U_T"]
-    report = None
+    report = eps_normalized = None
     if fstats is not None and u_t > 0:
         inp = crit.CriterionInput(
             U=u_t, L=fstats.L, nu=cfg.params.nu,
             kappa=max(fstats.kappa, 1.0), gamma=cfg.params.gamma, h=cfg.grid.spacing,
         )
         report = crit.build_report(inp, measured_eps_avg=averages["eps_avg"])
+        eps_normalized = averages["eps_avg"] * fstats.L / u_t ** 3
 
     def pick(obj, *names):  # obj's attributes, or None for each when obj is None
         return {name: getattr(obj, name, None) for name in names}
@@ -206,7 +207,7 @@ def _summarize(cfg: RunConfig, fstats, records: list) -> dict:
         "eps_avg": averages["eps_avg"],
         "eps_nu_avg": averages["eps_nu_avg"],
         "eps_gamma_avg": averages["eps_gamma_avg"],
-        "eps_normalized": averages.get("eps_normalized"),
+        "eps_normalized": eps_normalized,
         **pick(report, "eps_bound", "eps_bound_viscous", "bound_satisfied"),
         "div_norm_sq_avg": averages["div_norm_sq_avg"],
         "budget_residual_max": averages["budget_residual_max"],

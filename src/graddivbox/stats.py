@@ -84,11 +84,10 @@ def update(records: list, u_prev: np.ndarray, u_next: np.ndarray, d_next: Diagno
     records.append((d_next, r))
 
 
-def finalize(first_step: int, records: list, dt: float, burn_in: float, force_stats=None) -> dict:
+def finalize(first_step: int, records: list, dt: float, burn_in: float) -> dict:
     """Window averages of `records`: eps_avg, its nu/gamma split, U_T, mean-square divergence.
 
-    `records[j]` is of the state at step first_step + j. With ForceStats
-    supplied, also reports eps_avg normalized by U_T^3 / L. U_T is a
+    `records[j]` is of the state at step first_step + j. U_T is a
     finite-window estimate of the infinite-time velocity scale.
     """
     t_accum = int_eps_nu = int_eps_gamma = int_u_sq = int_div_sq = 0.0
@@ -104,7 +103,7 @@ def finalize(first_step: int, records: list, dt: float, burn_in: float, force_st
     eps_nu = int_eps_nu / t_accum
     eps_gamma = int_eps_gamma / t_accum
     u_t = float(np.sqrt(int_u_sq / t_accum))
-    out = {
+    return {
         "eps_avg": eps_nu + eps_gamma,
         "eps_nu_avg": eps_nu,
         "eps_gamma_avg": eps_gamma,
@@ -113,6 +112,3 @@ def finalize(first_step: int, records: list, dt: float, burn_in: float, force_st
         "window": t_accum,
         "budget_residual_max": max(0.0, *(r for _, r in records)),
     }
-    if force_stats is not None and u_t > 0:
-        out["eps_normalized"] = (eps_nu + eps_gamma) * force_stats.L / u_t ** 3
-    return out

@@ -15,14 +15,7 @@ import numpy as np
 import pytest
 
 from graddivbox.config import RunConfig, SweepConfig
-from graddivbox.criterion import (
-    CriterionInput,
-    eps_bound,
-    gamma_range_mesh_dependent,
-    gamma_range_mesh_independent,
-    kolmogorov_eta,
-    nondimensional_groups,
-)
+from graddivbox.criterion import CriterionInput, build_report
 from graddivbox.forcing import ForcingSpec, force_stats, realize_force
 from graddivbox.grid import GridSpec, parseval_sum
 from graddivbox.runner import run_single, run_sweep
@@ -156,21 +149,20 @@ def test_criterion_5_dissipation_bound(bound_check_run):
 
 def test_criterion_6_criterion_algebra():
     inp = CriterionInput(U=1.0, L=1.0, nu=0.01, kappa=math.sqrt(2), gamma=1.0, h=1.0 / 16.0)
+    r = build_report(inp)
     checks = []
-    re, rg = nondimensional_groups(inp)
-    checks.append(re == pytest.approx(100.0) and rg == pytest.approx(1.0))
-    checks.append(eps_bound(inp) == pytest.approx(6.51))
-    lo, hi = gamma_range_mesh_independent(inp)
+    checks.append(r.Re == pytest.approx(100.0) and r.R_gamma == pytest.approx(1.0))
+    checks.append(r.eps_bound == pytest.approx(6.51))
+    lo, hi = r.gamma_lo, r.gamma_hi_mesh_independent
     checks.append(lo == pytest.approx(1.0 / 12.0) and hi == pytest.approx(50.0))
-    lo_d, hi_d = gamma_range_mesh_dependent(inp)
-    checks.append(lo_d == pytest.approx(1.0 / 12.0)
+    hi_d = r.gamma_hi_mesh_dependent
+    checks.append(lo == pytest.approx(1.0 / 12.0)
                   and hi_d == pytest.approx(0.5 * 16.0 ** (4.0 / 3.0)))
-    checks.append(kolmogorov_eta(1e4, 1.0) == pytest.approx(1e-3))
+    # eta = Re^(-3/4) L at Re = 1e4
+    checks.append(build_report(CriterionInput(U=1.0, L=1.0, nu=1e-4, kappa=1.0)).eta == pytest.approx(1e-3))
     # setting h to the Kolmogorov scale makes the two windows coincide
-    eta = kolmogorov_eta(re, inp.L)
-    at_eta = CriterionInput(U=1.0, L=1.0, nu=0.01, kappa=math.sqrt(2), h=eta)
-    _, hi_at_eta = gamma_range_mesh_dependent(at_eta)
-    checks.append(hi_at_eta == pytest.approx(hi, rel=1e-12))
+    at_eta = CriterionInput(U=1.0, L=1.0, nu=0.01, kappa=math.sqrt(2), h=r.eta)
+    checks.append(build_report(at_eta).gamma_hi_mesh_dependent == pytest.approx(hi, rel=1e-12))
     _report(6, "criterion-algebra", all(checks),
             f"{sum(bool(c) for c in checks)}/6 identities hold")
 

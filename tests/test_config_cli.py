@@ -722,6 +722,38 @@ class TestCli:
         assert capsys.readouterr().err == "config error: forcing: zero force: every amplitude of forcing.modes is 0\n"
         assert not os.path.exists(cfg.output_dir)
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("amplitude, message", [
+        (math.nan, "mode (0, 1) of forcing.modes: |a|^2 = nan is not finite"),
+        (math.inf, "mode (0, 1) of forcing.modes: |a|^2 = inf is not finite"),
+        (1.0e200, "mode (0, 1) of forcing.modes: |a|^2 = inf is not finite"),
+        (1.0e-170, "forcing.modes: sum of |a|^2 = 0.0 is not a positive, finite, normal float"),
+        (1.0e-160, "forcing.modes: sum of |a|^2 = 1e-320 is not a positive, finite, normal float"),
+    ], ids=["nan", "inf", "1e200", "1e-170", "1e-160"])
+    def test_force_amplitude_without_a_normal_square_is_a_config_error(self, tmp_path, capsys, command,
+                                                                       amplitude, message):
+        # these loaded before and then blew up at the first step, or ran to `degenerate forcing: F = 0`
+        cfg = small_run_config(tmp_path)
+        d = run_config_to_dict(cfg)
+        d["forcing"]["modes"] = [{"m": [0, 1], "amplitude": [[amplitude, 0.0], [0.0, 0.0]]}]
+        d["sweep"] = {"gamma_values": [0.0, 1.0]}
+        path = tmp_path / "force.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: forcing: {message}\n"
+        assert not os.path.exists(cfg.output_dir)
+
+    def test_force_whose_square_sum_overflows_is_a_config_error(self, tmp_path, capsys):
+        # each mode's |a|^2 = 1e308 is finite; their sum is not
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d["forcing"]["modes"] = [{"m": [0, 1], "amplitude": [[1.0e154, 0.0], [0.0, 0.0]]},
+                                 {"m": [1, 0], "amplitude": [[0.0, 0.0], [1.0e154, 0.0]]}]
+        path = tmp_path / "force.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: forcing: forcing.modes: sum of |a|^2 = inf is not a positive, finite, normal float\n")
+
     def test_invalid_yaml_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("grid: {dim: 2, n: 16\nflow: [\n")
@@ -767,6 +799,43 @@ class TestCli:
         assert main(["criterion", *(x for kv in args.items() for x in kv)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"config error: criterion: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("args, message", [
+        # these raised ZeroDivisionError, refused at run time with `Re must be positive`, or OverflowError
+        ("--U 1e-200 --L 1e-200 --nu 1 --kappa 1.5 --gamma 1", "Re = LU/nu must be positive and finite, got 0.0"),
+        ("--U 1e-200 --L 1e-200 --nu 1 --kappa 1.5", "Re = LU/nu must be positive and finite, got 0.0"),
+        ("--U 1e200 --L 1e200 --nu 1 --kappa 1.5", "Re = LU/nu must be positive and finite, got inf"),
+        ("--U 1e103 --L 1 --nu 1 --kappa 1.5", "U^3/L must be positive and finite, got inf"),
+        ("--U 1e100 --L 1e-10 --nu 1e100 --kappa 1.5", "U^3/L must be positive and finite, got inf"),
+        ("--U 1 --L 1 --nu 1 --kappa 1e200", "kappa^2 must be positive and finite, got inf"),
+        ("--U 1 --L 1e200 --nu 1e200 --kappa 1.5 --h 1e-200", "(h/L)^(-4/3) must be positive and finite, got inf"),
+        ("--U 1 --L 1e200 --nu 1e200 --kappa 1.5 --h 1e-50", "(h/L)^(-4/3) must be positive and finite, got inf"),
+    ], ids=["Re-underflow-gamma", "Re-underflow", "Re-overflow", "U3-overflow", "U3/L-overflow", "kappa2-overflow",
+            "h/L-underflow", "h/L-power-overflow"])
+    def test_criterion_group_out_of_range_is_a_config_error(self, capsys, args, message):
+        assert main(["criterion", *args.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: criterion: {message}\n" and captured.out == ""
+
+    def test_criterion_output_is_pinned(self, capsys):
+        assert main(["criterion", "--U", "1", "--L", "1", "--nu", "0.01", "--kappa", "1.4142135623730951",
+                     "--gamma", "1", "--h", "0.0625"]) == 0
+        assert list(json.loads(capsys.readouterr().out).items()) == [
+            ("Re", 100.0),
+            ("R_gamma", 1.0),
+            ("eta", 0.03162277660168379),
+            ("eps_bound", 6.51),
+            ("eps_bound_viscous", 6.01),
+            ("gamma_lo", 0.08333333333333336),
+            ("gamma_hi_mesh_independent", 50.000000000000014),
+            ("gamma_hi_mesh_dependent", 20.15873679831797),
+            ("mesh_dependent_window_empty", False),
+            ("gamma", 1.0),
+            ("in_window_mesh_independent", True),
+            ("in_window_mesh_dependent", True),
+            ("measured_eps_avg", None),
+            ("bound_satisfied", None),
+        ]
 
     def test_criterion_infinite_gamma_is_the_projected_limit(self, capsys):
         assert main(["criterion", "--U", "1", "--L", "1", "--nu", "0.01", "--kappa", "1.5", "--gamma", "inf"]) == 0

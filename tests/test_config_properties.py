@@ -42,10 +42,12 @@ def _perpendicular(m):
 def modes(draw, dim, bound):
     """A divergence-free mode (m, a): 0 < max|m_j| <= bound and a a nonzero complex multiple of a vector normal to m.
 
-    c = 0 is left out: a force whose amplitudes are all zero is not a valid config.
+    c = 0 is left out: a force whose amplitudes are all zero is not a valid config. So is a c whose
+    |c|^2 is below the smallest normal float: the mode list's sum of |a|^2 must be a normal float.
     """
     m = draw(st.tuples(*[st.integers(-bound, bound)] * dim).filter(any))
-    c = draw(st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)).filter(lambda c: c != 0))
+    c = draw(st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)).filter(
+        lambda c: c.real * c.real + c.imag * c.imag >= np.finfo(float).tiny))
     return m, tuple(c * p for p in _perpendicular(m))
 
 

@@ -123,6 +123,14 @@ class TestDivergenceCheck:
         with pytest.raises(ForcingError, match=r"force divergence 7\.07\de-10 exceeds tolerance 1\.0e-12"):
             check_divergence_free(tilted)
 
+    def test_nan_coefficient_is_refused(self, grid3d):
+        # rel = nan compared false against the tolerance, so the check returned nan
+        f = realize_force(ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (1.0, -1.0, 0.0)),)))
+        spec = f.spec.copy()
+        spec[2, 1, 0, 0] = np.nan
+        with pytest.raises(ForcingError, match="force divergence nan exceeds tolerance"):
+            check_divergence_free(Field(grid3d, spec))
+
     def test_measure_on_the_two_pi_box_is_the_relative_divergence(self, grid3d):
         f = realize_force(ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (0.3, -(0.1 + 0.2), 0.0)),)))
         assert check_divergence_free(f) == np.sqrt(parseval_sum(grid3d, divergence(f))) / compute_F(f)

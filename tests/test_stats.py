@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from graddivbox.config import RunConfig
 from graddivbox.grid import Field, parseval_sum, wavevectors
+from graddivbox.runner import _summarize
 from graddivbox.solver import FlowParams, StepperConfig
 from graddivbox.stats import Diagnostics, diagnostics, finalize, update
-from graddivbox.forcing import ForceStats
+from graddivbox.forcing import ForceStats, ForcingSpec
 
 from conftest import (
     coords,
@@ -169,14 +171,20 @@ class TestFinalize:
         with pytest.raises(ValueError, match="window"):
             finalize(0, [(Diagnostics(1.0, 1.0, 1.0, 1.0), 0.0)], 0.1, 0.0)
 
-    def test_normalized_dissipation_with_force_stats(self, grid2d):
+    def test_normalized_dissipation_with_force_stats(self, grid2d, tmp_path):
+        # the run summary normalizes eps_avg by U_T^3 / L when it has ForceStats
         u = shear_field(grid2d)
-        records = fold([], u, u, FlowParams(nu=1.0, gamma=0.0), zeros(grid2d), dt=1.0)
+        params = FlowParams(nu=1.0, gamma=0.0)
+        records = fold([], u, u, params, zeros(grid2d), dt=1.0)
+        cfg = RunConfig(grid=grid2d, params=params, forcing=ForcingSpec(grid=grid2d),
+                        stepper=StepperConfig(dt=1.0, t_end=1.0), burn_in=0.0, window=1.0, seed=0,
+                        output_dir=str(tmp_path))
         fstats = ForceStats(F=1.0, L=2.0, L_branch="box_length", kappa=1.4,
                             grad_f_sup=1.0, grad_f_l2=1.0)
-        out = finalize(0, records, 1.0, 0.0, fstats)
+        out = _summarize(cfg, fstats, records)
+        assert out["eps_avg"] == finalize(0, records, 1.0, 0.0)["eps_avg"]
         assert out["eps_normalized"] == pytest.approx(out["eps_avg"] * 2.0 / out["U_T"] ** 3)
-        assert "eps_normalized" not in finalize(0, records, 1.0, 0.0)
+        assert _summarize(cfg, None, records)["eps_normalized"] is None
 
     def test_window_doubling_stationary(self, grid2d):
         # stationarity diagnostic: doubling the window barely moves the average

@@ -9,6 +9,10 @@ For each seed it writes, under OUT_DIR/seed_<n>/:
     sweep2d-n64/    sweep.csv, sweep.json and one directory per gamma of
                     `runner.run_sweep`, run with one worker
     mms2d-n32.txt   the `solver.run_mms` error of each dt level, as float.hex
+    criterion.json  `criterion.build_report` of fixed and of seeded random
+                    scales, at gamma = None, 0, 1, inf and a seeded value,
+                    h = None, 0.0625 and a seeded value, each without and
+                    with a seeded measured <eps>
 
 The configs and calls are those of `bench/workloads.py`, imported from
 CHECKOUT (default: the checkout holding this script) together with its
@@ -19,21 +23,45 @@ CHECKOUT (default: the checkout holding this script) together with its
 prints nothing when the two commits write byte-identical outputs. Where
 they differ, `--compare` lists every file as byte-equal or not and gives,
 for the files that differ, the largest relative and absolute difference
-per CSV column, per float of `summary.json`/`sweep.json` (keyed by its
+per CSV column, per float of a JSON file (keyed by its
 path, list indices dropped) and per MMS error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import random
 import sys
 
 import yaml
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+# (U, L, nu, kappa) of the criterion reports; the second has Re < 1/6, an empty mesh-independent window
+CRITERION_SCALES = ((1.0, 1.0, 0.01, math.sqrt(2)), (0.37, 0.29, 0.9, 1.7), (3.1, 2.0, 1e-4, 1.0))
+CRITERION_RANDOM = 20
+
+
+def _criterion_reports(seed: int) -> list:
+    """The criterion reports of the fixed and the seeded scales, as JSON-ready dicts."""
+    from graddivbox.criterion import CriterionInput, build_report
+    from graddivbox.runner import json_safe
+
+    rng = random.Random(seed)
+    scales = list(CRITERION_SCALES) + [
+        tuple(10 ** rng.uniform(-3, 3) for _ in range(3)) + (1 + 10 * rng.random(),) for _ in range(CRITERION_RANDOM)]
+    reports = []
+    for U, L, nu, kappa in scales:
+        for gamma in (None, 0.0, 1.0, math.inf, 10 ** rng.uniform(-3, 3)):
+            for h in (None, 0.0625, 10 ** rng.uniform(-3, 1)):
+                inp = CriterionInput(U=U, L=L, nu=nu, kappa=kappa, gamma=gamma, h=h)
+                for measured in (None, 10 ** rng.uniform(-3, 3)):
+                    reports.append(json_safe(dataclasses.asdict(build_report(inp, measured_eps_avg=measured))))
+    return reports
 
 
 def _floats(path: str) -> dict:
@@ -126,6 +154,8 @@ def main(argv=None) -> int:
                 with open(os.path.join(seed_dir, f"{workload}.txt"), "w") as fh:
                     fh.writelines(float(e).hex() + "\n" for e in out["errors"])
             print(f"seed {seed}: {workload} written", file=sys.stderr)
+        with open(os.path.join(seed_dir, "criterion.json"), "w") as fh:
+            json.dump(_criterion_reports(seed), fh, indent=1)
     return 0
 
 
