@@ -9,12 +9,14 @@ parameters (viscosity, gamma, forcing, box size) have no defaults;
 forcing.n_low defaults to 2, stats.burn_in to 0. stepper.t_end may be left
 out: it is whole steps of stepper.dt, as many as stats.burn_in +
 stats.window, and a step must start in the window (`averaged`). The sweep
-section is read by sweep configs only.
+section is read by sweep configs only. The file is read by YAML 1.2's
+number rules (`_Loader`), and a float key refuses a boolean or a string.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -73,8 +75,14 @@ class SweepConfig:
         object.__setattr__(self, "gamma_values", gv)
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _finite(value) -> float:
-    x = float(value)
+    x = _number(value)
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {x}")
     return x
@@ -109,7 +117,7 @@ def _modes(raw) -> tuple:
                 raise ConfigError(f"unknown config key: forcing.modes[{i}].{key}")
         try:
             m = tuple(_integer(v) for v in entry["m"])
-            amp = tuple(complex(re, im) for re, im in entry["amplitude"])
+            amp = tuple(complex(_number(real), _number(imag)) for real, imag in entry["amplitude"])
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"forcing.modes[{i}]: expected integers m and amplitude [[re, im], ...] ({e})") from e
         modes.append((m, amp))
@@ -121,10 +129,10 @@ _REQUIRED = object()
 # The schema: each section's keys, or a top-level scalar, as (converter, default), in the order
 # of the dump. stepper.t_end's default, burn_in + window, is given where the section is read.
 _SCHEMA = {
-    "grid": {"dim": (_integer, _REQUIRED), "n": (_integer, _REQUIRED), "box_length": (float, _REQUIRED)},
-    "flow": {"nu": (float, _REQUIRED), "gamma": (float, _REQUIRED)},
+    "grid": {"dim": (_integer, _REQUIRED), "n": (_integer, _REQUIRED), "box_length": (_number, _REQUIRED)},
+    "flow": {"nu": (_number, _REQUIRED), "gamma": (_number, _REQUIRED)},
     "forcing": {"n_low": (_integer, 2), "modes": (_modes, _REQUIRED)},
-    "stepper": {"dt": (float, _REQUIRED), "t_end": (float, None)},
+    "stepper": {"dt": (_number, _REQUIRED), "t_end": (_number, None)},
     # finite: they make the default t_end, so a bad value is refused as stats.*, not as stepper.t_end
     "stats": {"burn_in": (_finite, 0.0), "window": (_finite, _REQUIRED)},
     "seed": (_integer, 0),
@@ -158,7 +166,7 @@ def _get(d: dict, path: str, kind, default=_REQUIRED):
         return kind(cur)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an int too large for a float
         raise ConfigError(f"{path}: {e}") from e
 
 
@@ -202,10 +210,23 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     return d
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML's safe loader, reading every YAML 1.2 float as a float.
+
+    YAML 1.1 reads a number with an exponent as a float only when it has a decimal point and a signed
+    exponent, so 5e-2, 1e0 and 1.0e154 would be strings. Ints and .inf, .nan resolve as before.
+    """
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)([eE][-+]?[0-9]+)?$"),
+                              list("-+0123456789."))
+
+
 def _load(path) -> dict:
     with open(path) as fh:
         try:
-            d = yaml.safe_load(fh)
+            d = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as e:
             raise ConfigError(f"config file {path} is not valid YAML: {e}") from e
     if not isinstance(d, dict):

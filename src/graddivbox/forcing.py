@@ -13,6 +13,7 @@ size), and the signal-to-noise ratio kappa = sup|f| / rms|f| >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -34,7 +35,9 @@ class ForcingSpec:
     Every mode must satisfy m . a = 0 (divergence-free), m != 0 (zero mean),
     max|m_j| <= n_low so energy enters only at large scales, and max|m_j| <=
     grid.cutoff so the 2/3 rule keeps it. A nonempty list needs a nonzero amplitude,
-    and every |a|^2 and their sum must be finite, the sum a normal float.
+    and every |a|^2 and their sum must be finite, the sum a normal float. So must
+    the squares `force_stats` takes: F^2 = 2 sum |a|^2, and the triangle-inequality
+    bounds (2 sum |a|)^2 on sup|f|^2 and (2 sum |k| |a|)^2 on sup|grad f|^2.
     """
 
     grid: GridSpec
@@ -45,7 +48,7 @@ class ForcingSpec:
         dim = self.grid.dim
         norm_modes = []
         seen = set()
-        a_sq_sum = 0.0
+        a_sq_sum = a_sum = ka_sum = 0.0
         for m, a in self.modes:
             m = tuple(int(mj) for mj in m)
             a = tuple(complex(aj) for aj in a)
@@ -61,6 +64,9 @@ class ForcingSpec:
             if not a_sq < np.inf:
                 raise ForcingError(f"mode {m} of forcing.modes: |a|^2 = {a_sq} is not finite")
             a_sq_sum += a_sq
+            a_norm = math.sqrt(a_sq)
+            a_sum += a_norm
+            ka_sum += TWO_PI / self.grid.box_length * math.hypot(*m) * a_norm  # |k| |a|
             kdota = sum(mj * aj for mj, aj in zip(m, a))
             scale = max(abs(mj) for mj in m) * max(abs(aj) for aj in a)
             if scale > 0 and abs(kdota) > 1e-14 * scale:
@@ -75,6 +81,10 @@ class ForcingSpec:
             raise ForcingError("zero force: every amplitude of forcing.modes is 0")
         if norm_modes and not np.finfo(float).tiny <= a_sq_sum < np.inf:  # F^2 = 2 a_sq_sum
             raise ForcingError(f"forcing.modes: sum of |a|^2 = {a_sq_sum} is not a positive, finite, normal float")
+        for name, square in (("F^2 = 2 sum |a|^2", 2.0 * a_sq_sum), ("sup|f|^2 <= (2 sum |a|)^2", 4.0 * a_sum * a_sum),
+                             ("sup|grad f|^2 <= (2 sum |k| |a|)^2", 4.0 * ka_sum * ka_sum)):
+            if not square < np.inf:
+                raise ForcingError(f"forcing.modes: {name} = {square} is not finite")
         object.__setattr__(self, "modes", tuple(norm_modes))
 
 

@@ -5,9 +5,8 @@ import pytest
 import yaml
 
 from graddivbox.config import SweepConfig, run_config_to_dict
-from graddivbox.grid import Field, GridSpec, k_dot, mode_numbers, parseval_weights, to_compact, wavevectors
-from graddivbox.solver import FlowParams, SpectralOperator, imex_step, nonlinear_term
-from graddivbox.stats import diagnostics
+from graddivbox.grid import GridSpec, k_dot, mode_numbers, parseval_weights, to_compact, wavevectors
+from graddivbox.solver import FlowParams, SpectralOperator
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,46 +72,45 @@ def write_config(path, cfg):
 
 
 def from_samples(grid, phys):
-    """The Field of the kept modes of physical samples (components first)."""
-    return Field(grid, to_compact(grid, np.asarray(phys, dtype=float)))
+    """The compact coefficients of the kept modes of physical samples (components first)."""
+    return to_compact(grid, np.asarray(phys, dtype=float))
 
 
-def samples(u):
-    """The physical samples of the Field u, shape (ncomp,) + grid.shape."""
-    grid = u.grid
-    return np.fft.irfftn(extend(grid, u.spec), s=grid.shape, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+def samples(grid, u):
+    """The physical samples of compact coefficients u, shape (ncomp,) + grid.shape."""
+    return np.fft.irfftn(extend(grid, u), s=grid.shape, axes=tuple(range(1, grid.dim + 1)), norm="forward")
 
 
 def zeros(grid):
-    """The zero vector Field."""
-    return Field(grid, np.zeros((grid.dim,) + grid.compact_shape, dtype=complex))
+    """The compact coefficients of the zero vector field."""
+    return np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
 
 
-def inner(u, v):
-    """Volume-normalized L2 inner product of two Fields, by Parseval over the kept modes."""
-    return float(np.sum(parseval_weights(u.grid) * np.sum((np.conj(u.spec) * v.spec).real, axis=0)))
+def inner(grid, u, v):
+    """Volume-normalized L2 inner product of compact coefficients u and v, by Parseval over the kept modes."""
+    return float(np.sum(parseval_weights(grid) * np.sum((np.conj(u) * v).real, axis=0)))
 
 
-def divergence(u):
+def divergence(grid, u):
     """The compact coefficients of div u, one component."""
-    return (1j * k_dot(wavevectors(u.grid), u.spec))[np.newaxis]
+    return (1j * k_dot(wavevectors(grid), u))[np.newaxis]
 
 
 def zero_mean(u):
-    """u with its mean (k = 0) mode set to 0."""
-    s = u.spec.copy()
-    s[(slice(None),) + (0,) * u.grid.dim] = 0.0
-    return Field(u.grid, s)
+    """Compact coefficients u with the mean (k = 0) mode set to 0."""
+    s = u.copy()
+    s[(slice(None),) + (0,) * (u.ndim - 1)] = 0.0
+    return s
 
 
-def random_state_field(grid, seed=0):
-    """Zero-mean random vector field on the kept modes (the model's state space)."""
+def random_state(grid, seed=0):
+    """Zero-mean random vector field on the kept modes (the model's state space), compact."""
     rng = np.random.default_rng(seed)
     return zero_mean(from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape)))
 
 
-def shear_field(grid, amplitude=1.0):
-    """(amplitude * sin(2 pi y / L), 0[, 0]): divergence-free unidirectional shear."""
+def shear_state(grid, amplitude=1.0):
+    """(amplitude * sin(2 pi y / L), 0[, 0]), compact: divergence-free unidirectional shear."""
     xs = coords(grid)
     scale = TWO_PI / grid.box_length
     comps = [amplitude * np.sin(scale * xs[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
@@ -124,17 +122,3 @@ def operator(grid, params=FlowParams(nu=1.0), dt=1.0):
     """The run operator of (grid, params, dt); the nonlinear term depends on the grid alone."""
     return SpectralOperator(grid, params, dt)
 
-
-def step(u, params, f, cfg, t=0.0):
-    """One imex_step of the Field u under the constant Field force f."""
-    return Field(u.grid, imex_step(u.spec, t, operator(u.grid, params, cfg.dt), f.spec, f.spec))
-
-
-def nonlinear_field(u):
-    """The nonlinear term of the Field u as a Field."""
-    return Field(u.grid, nonlinear_term(u.spec, operator(u.grid)))
-
-
-def field_diagnostics(u, params):
-    """The diagnostics record of the Field u."""
-    return diagnostics(u.spec, operator(u.grid, params))

@@ -21,15 +21,18 @@ from graddivbox.config import (
     run_config_to_dict,
 )
 from graddivbox.forcing import ForcingSpec
-from graddivbox.grid import GridSpec, parseval_sum
+from graddivbox.grid import Field, GridSpec, parseval_sum
 from graddivbox import checkpoint, config, runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
 
-from conftest import TWO_PI, extend, random_state_field, shear_field, write_config, zeros
+from conftest import TWO_PI, extend, random_state, shear_state, write_config, zeros
 
 
 HEADER_BYTES = 4 + 3 * 4 + 4 * 8
+
+FLOAT_KEYS = ["grid.box_length", "flow.nu", "flow.gamma", "stepper.dt", "stepper.t_end", "stats.burn_in",
+              "stats.window"]
 
 
 def small_run_config(tmp_path, dim=2, n=32, nu=0.05, gamma=1.0, dt=2e-3,
@@ -49,6 +52,22 @@ def small_run_config(tmp_path, dim=2, n=32, nu=0.05, gamma=1.0, dt=2e-3,
         seed=seed,
         output_dir=str(tmp_path / subdir),
     )
+
+
+def write_raw(path, d, text):
+    """Write `d` as YAML with its one "@" value replaced by the raw YAML `text`; return `path`."""
+    path.write_text(yaml.safe_dump(d).replace("'@'", text))
+    return path
+
+
+def float_key_config(tmp_path, key, text):
+    """A run config, valid with 0.05 at the float `key`, with `key` written as the raw YAML `text`."""
+    d = run_config_to_dict(small_run_config(tmp_path, dt=0.01, t_end=0.05, window=0.05))
+    if key == "stats.burn_in":
+        del d["stepper"]["t_end"]  # its default follows burn_in
+    section, name = key.split(".")
+    d[section][name] = "@"
+    return write_raw(tmp_path / "value.yaml", d, text)
 
 
 class TestConfigRoundTrip:
@@ -97,7 +116,8 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("name, value", [
         ("stats.window", "abc"), ("seed", [1]), ("stats.burn_in", None), ("sweep.parallel_workers", "two"),
-        ("sweep.gamma_values", ["a"]),
+        ("sweep.gamma_values", ["a"]), pytest.param("flow.nu", 10 ** 400, id="flow.nu-int-past-float"),
+        pytest.param("sweep.gamma_values", [10 ** 400], id="sweep.gamma_values-int-past-float"),
     ])
     def test_unconvertible_value_names_offender(self, tmp_path, name, value):
         d = run_config_to_dict(small_run_config(tmp_path))
@@ -191,6 +211,33 @@ class TestConfigRoundTrip:
         assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("spelling", ["5e-2", "5E-2", "5.0e-2", "0.05", "5.0e-02"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_key_reads_each_yaml_float_and_refuses_it_quoted(self, tmp_path, key, spelling):
+        # a quoted number loaded through float(), which also read the exponents YAML 1.1 leaves as strings
+        section, name = key.split(".")
+        assert run_config_to_dict(load_run_config(float_key_config(tmp_path, key, spelling)))[section][name] == 0.05
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be a number, got '{re.escape(spelling)}'$"):
+            load_run_config(float_key_config(tmp_path, key, f'"{spelling}"'))
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_key_refuses_a_boolean(self, tmp_path, capsys, key, value):
+        # true loaded as 1.0 and false as 0.0
+        assert main(["run", str(float_key_config(tmp_path, key, str(value).lower()))]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: must be a number, got {value}\n"
+
+    @pytest.mark.parametrize("entry", [[True, False], ["0.5", 0.0]], ids=["booleans", "string"])
+    def test_amplitude_entry_must_be_a_number(self, tmp_path, capsys, entry):
+        # [[true, false], ...] loaded as 1+0j
+        d = run_config_to_dict(small_run_config(tmp_path))
+        d["forcing"]["modes"] = [{"m": [0, 1], "amplitude": [entry, [0.0, 0.0]]}]
+        path = tmp_path / "mode.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == ("config error: forcing.modes[0]: expected integers m and amplitude "
+                                           f"[[re, im], ...] (must be a number, got {entry[0]!r})\n")
+
     def test_unknown_mode_key_names_offender(self, tmp_path):
         d = run_config_to_dict(small_run_config(tmp_path))
         d["forcing"]["modes"][1]["phase"] = 0.5
@@ -199,9 +246,10 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=r"forcing\.modes\[1\]\.phase"):
             load_run_config(path)
 
-    @pytest.mark.parametrize("value", [None, ["a", "b"], 3, ""], ids=["null", "list", "number", "empty"])
+    @pytest.mark.parametrize("value", [None, ["a", "b"], 3, "", "1e3"], ids=["null", "list", "number", "empty",
+                                                                         "unquoted-exponent"])
     def test_output_dir_must_be_a_nonempty_string(self, tmp_path, monkeypatch, capsys, value):
-        # null was read as the directory 'None', a list as its repr and 3 as '3'
+        # null was read as the directory 'None', a list as its repr and 3 as '3'; safe_dump leaves 1e3 unquoted
         monkeypatch.chdir(tmp_path)
         d = run_config_to_dict(small_run_config(tmp_path, n=8))
         d["output_dir"] = value
@@ -299,6 +347,12 @@ class TestSweepValidation:
         assert capsys.readouterr().err.startswith("config error: sweep.gamma_values must be nonnegative and finite")
         assert not os.path.exists(tmp_path / "out")
 
+    def test_gamma_values_read_exponents_without_a_point(self, tmp_path):
+        # YAML 1.1 read 1e0 as a string, so the list was refused
+        d = run_config_to_dict(small_run_config(tmp_path, n=8))
+        d["sweep"] = {"gamma_values": "@"}
+        assert load_sweep_config(write_raw(tmp_path / "sweep.yaml", d, "[1e0, 2.0]")).gamma_values == (1.0, 2.0)
+
     @pytest.mark.parametrize("value", ["12", [True, 2.0], [0.0, "1"], 1.0, None, {"g": 1.0}],
                              ids=["string", "boolean", "string-entry", "scalar", "null", "mapping"])
     def test_gamma_values_must_be_a_list_of_numbers(self, tmp_path, capsys, value):
@@ -326,7 +380,7 @@ class TestRunSingle:
             burn_in=0.0, window=1.0, seed=0, output_dir=str(tmp_path / "decay"),
         )
         ck = tmp_path / "ic.ckpt"
-        write_checkpoint(ck, shear_field(grid), 0.0, cfg.params)
+        write_checkpoint(ck, Field(grid, shear_state(grid)), 0.0, cfg.params)
         summary = run_single(cfg, restart_path=str(ck))
         expected = 0.25 * (1.0 - math.exp(-2 * nu))
         assert summary["eps_avg"] == pytest.approx(expected, rel=1e-4)
@@ -451,7 +505,7 @@ class TestRunSingle:
     def _checkpoint_at(self, tmp_path, t0):
         cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2, subdir="resumed")
         ck = tmp_path / "start.ckpt"
-        write_checkpoint(ck, shear_field(cfg.grid), t0, cfg.params)
+        write_checkpoint(ck, Field(cfg.grid, shear_state(cfg.grid)), t0, cfg.params)
         return cfg, str(ck)
 
     def test_restart_off_step_grid_rejected(self, tmp_path):
@@ -478,7 +532,7 @@ class TestRunSingle:
         grid = GridSpec(dim=2, n=16, box_length=TWO_PI) if other == "grid" else cfg.grid
         params = FlowParams(nu=1.0) if other == "flow" else cfg.params
         ck = tmp_path / "other.ckpt"
-        write_checkpoint(ck, shear_field(grid), 0.0, params)
+        write_checkpoint(ck, Field(grid, shear_state(grid)), 0.0, params)
         with pytest.raises(ValueError, match=f"checkpoint {other} .*do(es)? not match"):
             run_single(cfg, restart_path=str(ck))
         assert not os.path.exists(cfg.output_dir)
@@ -557,22 +611,22 @@ class TestSweep:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
-        u = random_state_field(grid, seed=0)
+        u = random_state(grid, seed=0)
         params = FlowParams(nu=0.2, gamma=3.0)
         path = tmp_path / "s.ckpt"
-        write_checkpoint(path, u, 1.25, params)
+        write_checkpoint(path, Field(grid, u), 1.25, params)
         assert path.stat().st_size == HEADER_BYTES + 2 * 11 * 6 * 16  # the compact payload: c = 5
         grid2, u2, t2, params2 = read_checkpoint(path)
         assert (grid2.dim, grid2.n, grid2.box_length) == (2, 16, 1.0)
         assert t2 == 1.25
         assert params2 == params
-        np.testing.assert_array_equal(u2.spec, u.spec)
+        np.testing.assert_array_equal(u2.spec, u)
 
     def test_version_1_is_refused(self, tmp_path):
         # version 1 held the samples, version 2 the zero-padded half-spectrum; neither is read
         grid = GridSpec(dim=3, n=8, box_length=2.0)
         payloads = {1: bytes(8 * 3 * 8 ** 3),
-                    2: extend(grid, random_state_field(grid).spec).astype("<c16").tobytes()}
+                    2: extend(grid, random_state(grid)).astype("<c16").tobytes()}
         for version, payload in payloads.items():
             path = tmp_path / f"v{version}.ckpt"
             path.write_bytes(struct.pack("<4sIIIdddd", b"GDPB", version, 3, 8, 2.0, 0.75, 0.1, 4.0) + payload)
@@ -582,7 +636,7 @@ class TestCheckpoint:
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
         path = tmp_path / "final.ckpt"
-        write_checkpoint(path, zeros(grid), 0.5, FlowParams(nu=1.0))
+        write_checkpoint(path, Field(grid, zeros(grid)), 0.5, FlowParams(nu=1.0))
         before = path.read_bytes()
 
         class PayloadWriteFails:
@@ -604,7 +658,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint, "open",
                             lambda *args, **kw: PayloadWriteFails(open(*args, **kw)), raising=False)
-        u = random_state_field(grid, seed=2)
+        u = Field(grid, random_state(grid, seed=2))
         with pytest.raises(OSError, match="no space"):
             write_checkpoint(path, u, 1.0, FlowParams(nu=1.0))
         monkeypatch.undo()
@@ -619,9 +673,8 @@ class TestCheckpoint:
 
     def test_truncated_rejected(self, tmp_path):
         grid = GridSpec(dim=2, n=16, box_length=1.0)
-        u = zeros(grid)
         path = tmp_path / "t.ckpt"
-        write_checkpoint(path, u, 0.0, FlowParams(nu=1.0))
+        write_checkpoint(path, Field(grid, zeros(grid)), 0.0, FlowParams(nu=1.0))
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -629,7 +682,8 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.ckpt"
-        write_checkpoint(path, zeros(GridSpec(dim=2, n=16, box_length=1.0)), 0.0, FlowParams(nu=1.0))
+        grid = GridSpec(dim=2, n=16, box_length=1.0)
+        write_checkpoint(path, Field(grid, zeros(grid)), 0.0, FlowParams(nu=1.0))
         path.write_bytes(path.read_bytes() + bytes(16))
         with pytest.raises(CheckpointError, match=f"^{path}: 16 trailing bytes after the payload$"):
             read_checkpoint(path)
@@ -754,6 +808,25 @@ class TestCli:
         assert capsys.readouterr().err == (
             "config error: forcing: forcing.modes: sum of |a|^2 = inf is not a positive, finite, normal float\n")
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("box_length, amplitude, message", [
+        (TWO_PI, "1.0e+154", "F^2 = 2 sum |a|^2 = inf is not finite"),
+        (TWO_PI, "1.0e154", "F^2 = 2 sum |a|^2 = inf is not finite"),
+        (TWO_PI, "9.0e+153", "sup|f|^2 <= (2 sum |a|)^2 = inf is not finite"),
+        (TWO_PI * 1e-3, "1.0e+152", "sup|grad f|^2 <= (2 sum |k| |a|)^2 = inf is not finite"),
+    ], ids=["F", "F-unsigned-exponent", "sup-f", "sup-grad-f"])
+    def test_force_whose_statistics_overflow_is_a_config_error(self, tmp_path, capsys, command, box_length,
+                                                               amplitude, message):
+        # these loaded; the run then blew up at its first step, or force_stats gave L = 0 or kappa = inf
+        cfg = small_run_config(tmp_path, n=16)
+        d = run_config_to_dict(cfg)
+        d["grid"]["box_length"] = box_length
+        d["forcing"]["modes"] = [{"m": [1, 0], "amplitude": [[0.0, 0.0], ["@", 0.0]]}]
+        d["sweep"] = {"gamma_values": [0.0, 1.0]}
+        assert main([command, str(write_raw(tmp_path / "force.yaml", d, amplitude))]) == 2
+        assert capsys.readouterr().err == f"config error: forcing: forcing.modes: {message}\n"
+        assert not os.path.exists(cfg.output_dir)
+
     def test_invalid_yaml_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("grid: {dim: 2, n: 16\nflow: [\n")
@@ -774,7 +847,7 @@ class TestCli:
         write_config(path, cfg)
         ck = tmp_path / "other-grid.ckpt"
         other = GridSpec(dim=2, n=16, box_length=TWO_PI)
-        write_checkpoint(ck, shear_field(other), 0.0, cfg.params)
+        write_checkpoint(ck, Field(other, shear_state(other)), 0.0, cfg.params)
         assert main(["run", str(path), "--restart", str(ck)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint grid does not match") and "config error" not in err

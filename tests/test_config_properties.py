@@ -4,6 +4,8 @@ A config dumped by `run_config_to_dict` (with a sweep section for a sweep
 config) and `yaml.safe_dump` loads back equal to itself: every key the
 table declares survives the YAML text, including output directories that
 YAML would read as another type if they were written unquoted.
+`yaml.safe_dump` quotes those by YAML 1.1's rules, so a name such as 1e3,
+which the loader reads as a YAML 1.2 float and refuses, is not drawn.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from graddivbox import config
 from graddivbox.config import RunConfig, SweepConfig, load_run_config, load_sweep_config, run_config_to_dict
 from graddivbox.forcing import ForcingSpec
 from graddivbox.grid import GridSpec
@@ -53,8 +56,9 @@ def modes(draw, dim, bound):
 
 @st.composite
 def run_configs(draw):
+    # below 1e-100 the drawn forces' bound (2 sum |k| |a|)^2 on sup|grad f|^2 can overflow, which ForcingSpec refuses
     grid = GridSpec(dim=draw(st.sampled_from([2, 3])), n=draw(st.sampled_from([4, 8, 16, 32])),
-                    box_length=draw(st.floats(**POSITIVE)))
+                    box_length=draw(st.floats(min_value=1e-100, **FINITE)))
     n_low = draw(st.integers(1, 4))
     forcing = ForcingSpec(grid=grid, n_low=n_low, modes=tuple(draw(st.lists(
         modes(grid.dim, min(n_low, grid.cutoff)), max_size=3, unique_by=lambda mode: _key(mode[0])))))
@@ -62,7 +66,8 @@ def run_configs(draw):
     burn_in, window = dt * draw(st.integers(0, 50)), dt * draw(st.integers(1, 50))
     output_dir = draw(st.one_of(
         st.sampled_from(["out", "null", "true", "1.5", "~", "a dir/with: colon", "-"]),
-        st.text(st.characters(categories=("L", "N"), include_characters="/._- "), min_size=1)))
+        st.text(st.characters(categories=("L", "N"), include_characters="/._- "), min_size=1).filter(
+            lambda name: yaml.load(yaml.safe_dump(name), Loader=config._Loader) == name)))
     params = FlowParams(nu=draw(st.floats(**POSITIVE)), gamma=draw(st.floats(0.0, **FINITE)))
     return RunConfig(grid=grid, params=params, forcing=forcing, stepper=StepperConfig(dt=dt, t_end=burn_in + window),
                      burn_in=burn_in, window=window, seed=draw(st.integers(0, 2 ** 63)), output_dir=output_dir)

@@ -11,24 +11,21 @@ from graddivbox.forcing import (
 )
 from graddivbox.grid import Field, GridSpec, mode_numbers, parseval_sum
 
-from conftest import TWO_PI, coords, divergence, from_samples, samples, zeros
+from conftest import TWO_PI, coords, divergence, from_samples, samples, shear_state, zeros
 
 
 def sinusoidal_force(grid, F0=1.0):
-    """(F0 sin(2 pi y / L), 0[, 0]) as a Field."""
-    xs = coords(grid)
-    scale = TWO_PI / grid.box_length
-    comps = [F0 * np.sin(scale * xs[1])] + [np.zeros(grid.shape)] * (grid.dim - 1)
-    return from_samples(grid, np.stack(comps))
+    """(F0 sin(2 pi y / L), 0[, 0]) as a Field, the force statistics' input."""
+    return Field(grid, shear_state(grid, F0))
 
 
 def taylor_green_force(grid, F0=1.0):
-    """F0 (sin x cos y, -cos x sin y) on a 2 pi box; |f|^2 has max 1, mean 1/2."""
+    """F0 (sin x cos y, -cos x sin y) on a 2 pi box, as a Field; |f|^2 has max 1, mean 1/2."""
     xs = coords(grid)
-    return from_samples(grid, np.stack([
+    return Field(grid, from_samples(grid, np.stack([
         F0 * np.sin(xs[0]) * np.cos(xs[1]),
         -F0 * np.cos(xs[0]) * np.sin(xs[1]),
-    ]))
+    ])))
 
 
 class TestForcingSpec:
@@ -37,8 +34,8 @@ class TestForcingSpec:
         f = realize_force(spec)
         xs = coords(grid3d)
         # a exp(iky) + conj -> 2 * 2.0 * cos(y) in the x component
-        np.testing.assert_allclose(samples(f)[0], 4.0 * np.cos(xs[1]), atol=1e-12)
-        np.testing.assert_allclose(samples(f)[1:], 0.0, atol=1e-14)
+        np.testing.assert_allclose(samples(grid3d, f.spec)[0], 4.0 * np.cos(xs[1]), atol=1e-12)
+        np.testing.assert_allclose(samples(grid3d, f.spec)[1:], 0.0, atol=1e-14)
 
     def test_rejects_non_divergence_free(self, grid3d):
         with pytest.raises(ForcingError, match="divergence-free"):
@@ -78,7 +75,7 @@ class TestForcingSpec:
             a = a - k * (k @ a) / (k @ k)  # project amplitude orthogonal to k
             spec = ForcingSpec(grid=grid3d, modes=((m, tuple(a)),))
             f = realize_force(spec)
-            rel = np.sqrt(parseval_sum(grid3d, divergence(f)) / parseval_sum(grid3d, f.spec))
+            rel = np.sqrt(parseval_sum(grid3d, divergence(grid3d, f.spec)) / parseval_sum(grid3d, f.spec))
             assert rel <= 1e-12
 
     def test_modes_sit_where_the_transform_of_their_samples_puts_them(self, grid3d):
@@ -91,7 +88,7 @@ class TestForcingSpec:
         for m, a in spec.modes:
             wave = np.exp(1j * sum(mj * x for mj, x in zip(m, xs)))
             phys += np.stack([2.0 * (aj * wave).real for aj in a])
-        np.testing.assert_allclose(realize_force(spec).spec, from_samples(grid3d, phys).spec, atol=1e-14)
+        np.testing.assert_allclose(realize_force(spec).spec, from_samples(grid3d, phys), atol=1e-14)
 
     def test_band_limited(self, grid3d):
         spec = ForcingSpec(grid=grid3d, modes=(((0, 1, 0), (1.0, 0, 0)),), n_low=2)
@@ -133,7 +130,7 @@ class TestDivergenceCheck:
 
     def test_measure_on_the_two_pi_box_is_the_relative_divergence(self, grid3d):
         f = realize_force(ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (0.3, -(0.1 + 0.2), 0.0)),)))
-        assert check_divergence_free(f) == np.sqrt(parseval_sum(grid3d, divergence(f))) / compute_F(f)
+        assert check_divergence_free(f) == np.sqrt(parseval_sum(grid3d, divergence(grid3d, f.spec))) / compute_F(f)
 
 
 class TestForceAmplitude:
@@ -150,13 +147,13 @@ class TestForceAmplitude:
         # |f| = F0 everywhere: (F0 cos y, F0 sin y); zero-mean but not div-free
         xs = coords(grid2d)
         F0 = 2.5
-        f = from_samples(grid2d, np.stack([F0 * np.cos(xs[1]), F0 * np.sin(xs[1])]))
+        f = Field(grid2d, from_samples(grid2d, np.stack([F0 * np.cos(xs[1]), F0 * np.sin(xs[1])])))
         assert compute_F(f) == pytest.approx(F0, rel=1e-12)
         assert force_stats(f).kappa == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_force_rejected(self, grid2d):
         with pytest.raises(ForcingError, match="degenerate"):
-            compute_F(zeros(grid2d))
+            compute_F(Field(grid2d, zeros(grid2d)))
 
 
 class TestForceLengthScale:
@@ -173,8 +170,8 @@ class TestForceLengthScale:
 
     def test_mode_two_halves_L(self, grid2d):
         xs = coords(grid2d)
-        f1 = from_samples(grid2d, np.stack([np.sin(xs[1]), np.zeros(grid2d.shape)]))
-        f2 = from_samples(grid2d, np.stack([np.sin(2 * xs[1]), np.zeros(grid2d.shape)]))
+        f1 = Field(grid2d, from_samples(grid2d, np.stack([np.sin(xs[1]), np.zeros(grid2d.shape)])))
+        f2 = Field(grid2d, from_samples(grid2d, np.stack([np.sin(2 * xs[1]), np.zeros(grid2d.shape)])))
         assert force_stats(f2).L == pytest.approx(0.5 * force_stats(f1).L, rel=1e-12)
 
     def test_gradient_inequalities(self, grid3d):
@@ -198,7 +195,7 @@ class TestKappa:
 
     def test_translation_invariant(self, grid2d):
         f = taylor_green_force(grid2d)
-        shifted = from_samples(grid2d, np.roll(samples(f), (5, 11), axis=(1, 2)))
+        shifted = Field(grid2d, from_samples(grid2d, np.roll(samples(grid2d, f.spec), (5, 11), axis=(1, 2))))
         assert force_stats(shifted).kappa == pytest.approx(force_stats(f).kappa, rel=1e-12)
 
     def test_kappa_at_least_one(self, grid3d):

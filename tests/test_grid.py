@@ -21,10 +21,10 @@ from conftest import (
     extend,
     from_samples,
     operator,
-    random_state_field,
+    random_state,
     restrict,
     samples,
-    shear_field,
+    shear_state,
     spectral_shape,
     zeros,
 )
@@ -53,11 +53,11 @@ class TestTransforms:
     def test_single_mode_gives_one_conjugate_pair(self, grid2d):
         xs = coords(grid2d)
         f = from_samples(grid2d, np.cos(xs[0])[np.newaxis])
-        nonzero = np.abs(f.spec[0]) > 1e-14
+        nonzero = np.abs(f[0]) > 1e-14
         # cos(x) along the first (full) axis -> exactly the m = (1, 0), (-1, 0) pair
         assert nonzero.sum() == 2
-        assert f.spec[0][1, 0] == pytest.approx(0.5)
-        assert f.spec[0][-1, 0] == pytest.approx(0.5)
+        assert f[0][1, 0] == pytest.approx(0.5)
+        assert f[0][-1, 0] == pytest.approx(0.5)
 
     def test_zero_field(self, grid3d):
         z = to_compact(grid3d, np.zeros((3,) + grid3d.shape))
@@ -65,9 +65,9 @@ class TestTransforms:
 
     def test_round_trip_random(self, grid3d):
         u = from_samples(grid3d, np.random.default_rng(3).standard_normal((3,) + grid3d.shape))
-        back = from_samples(grid3d, samples(u))
-        err = np.sqrt(parseval_sum(grid3d, back.spec - u.spec))
-        assert err <= 1e-12 * np.sqrt(parseval_sum(grid3d, u.spec))
+        back = from_samples(grid3d, samples(grid3d, u))
+        err = np.sqrt(parseval_sum(grid3d, back - u))
+        assert err <= 1e-12 * np.sqrt(parseval_sum(grid3d, u))
 
     @pytest.mark.parametrize("build, shape", [
         # bare samples are a valid transform input, one component's coefficients, which Field refuses
@@ -80,29 +80,29 @@ class TestTransforms:
             build(grid2d, np.zeros(shape(grid2d)))
 
     def test_spectral_round_trip(self, grid2d):
-        u = random_state_field(grid2d, seed=5)
-        again = to_compact(grid2d, samples(u))
-        assert np.max(np.abs(again - u.spec)) < 1e-14
+        u = random_state(grid2d, seed=5)
+        again = to_compact(grid2d, samples(grid2d, u))
+        assert np.max(np.abs(again - u)) < 1e-14
 
 
 class TestDivergence:
     def test_shear_is_divergence_free(self, grid3d):
-        d = divergence(shear_field(grid3d))
+        d = divergence(grid3d, shear_state(grid3d))
         assert np.sqrt(parseval_sum(grid3d, d)) < 1e-13
 
     def test_sin_x_mode(self, grid2d):
         xs = coords(grid2d)
         u = from_samples(grid2d, np.stack([np.sin(xs[0]), np.zeros(grid2d.shape)]))
-        d = Field(grid2d, divergence(u))
-        np.testing.assert_allclose(samples(d)[0], np.cos(xs[0]), atol=1e-12)
+        d = divergence(grid2d, u)
+        np.testing.assert_allclose(samples(grid2d, d)[0], np.cos(xs[0]), atol=1e-12)
 
     def test_divergence_of_gradient_is_laplacian(self, grid2d):
         xs = coords(grid2d)
         phi = from_samples(grid2d, np.sin(xs[0])[np.newaxis])
-        grad_phi = Field(grid2d, 1j * np.stack(wavevectors(grid2d)) * phi.spec)
-        d = Field(grid2d, divergence(grad_phi))
+        grad_phi = 1j * np.stack(wavevectors(grid2d)) * phi
+        d = divergence(grid2d, grad_phi)
         # div(grad phi) = -(2 pi / L)^2 phi for the fundamental mode
-        np.testing.assert_allclose(samples(d)[0], -np.sin(xs[0]), atol=1e-12)
+        np.testing.assert_allclose(samples(grid2d, d)[0], -np.sin(xs[0]), atol=1e-12)
 
 
 class TestLinearOperators:
@@ -120,18 +120,12 @@ class TestLinearOperators:
         assert np.count_nonzero(got) == np.count_nonzero(s)
 
     def test_linearity(self, grid2d):
-        u = random_state_field(grid2d, seed=1)
-        v = random_state_field(grid2d, seed=2)
-        combo = Field(grid2d, 2.5 * u.spec - 0.7 * v.spec)
+        u = random_state(grid2d, seed=1)
+        v = random_state(grid2d, seed=2)
+        combo = 2.5 * u - 0.7 * v
         op = operator(grid2d, FlowParams(nu=0.3, gamma=1.7))
-
-        def linear(f):
-            return _apply_linear(f.spec, op)
-
-        def project(f):
-            return project_divergence_free(grid2d, f.spec)
-
-        for apply in (linear, divergence, project):
+        for apply in (lambda f: _apply_linear(f, op), lambda f: divergence(grid2d, f),
+                      lambda f: project_divergence_free(grid2d, f)):
             lhs = apply(combo)
             rhs = 2.5 * apply(u) - 0.7 * apply(v)
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
@@ -140,8 +134,8 @@ class TestLinearOperators:
         xs = coords(grid2d)
         m = 5
         f = from_samples(grid2d, np.sin(m * xs[0])[np.newaxis])
-        g = Field(grid2d, 1j * wavevectors(grid2d)[0] * f.spec)
-        np.testing.assert_allclose(samples(g)[0], m * np.cos(m * xs[0]), atol=1e-11)
+        g = 1j * wavevectors(grid2d)[0] * f
+        np.testing.assert_allclose(samples(grid2d, g)[0], m * np.cos(m * xs[0]), atol=1e-11)
 
 
 class TestDealias:
@@ -173,38 +167,38 @@ class TestVolumeNorm:
     def test_constant_field(self, grid3d):
         c = np.array([1.0, -2.0, 0.5])
         u = from_samples(grid3d, np.broadcast_to(c[:, None, None, None], (3,) + grid3d.shape))
-        assert parseval_sum(grid3d, u.spec) == pytest.approx(float(c @ c))
+        assert parseval_sum(grid3d, u) == pytest.approx(float(c @ c))
 
     def test_shear_half(self, grid3d):
-        assert parseval_sum(grid3d, shear_field(grid3d).spec) == pytest.approx(0.5, rel=1e-13)
+        assert parseval_sum(grid3d, shear_state(grid3d)) == pytest.approx(0.5, rel=1e-13)
 
     def test_parseval(self, grid2d):
-        u = random_state_field(grid2d, seed=11)
-        p = samples(u)
+        u = random_state(grid2d, seed=11)
+        p = samples(grid2d, u)
         phys_val = float(np.mean(np.sum(p * p, axis=0)))
-        assert parseval_sum(grid2d, u.spec) == pytest.approx(phys_val, rel=1e-12)
+        assert parseval_sum(grid2d, u) == pytest.approx(phys_val, rel=1e-12)
 
     def test_nonnegative_and_definite(self, grid2d):
-        assert parseval_sum(grid2d, zeros(grid2d).spec) == 0.0
-        u = random_state_field(grid2d, seed=21)
-        assert parseval_sum(grid2d, u.spec) > 0.0
+        assert parseval_sum(grid2d, zeros(grid2d)) == 0.0
+        u = random_state(grid2d, seed=21)
+        assert parseval_sum(grid2d, u) > 0.0
 
     def test_one_norm_path_for_physical_and_spectral_fields(self, grid3d):
         # a state's norm and a run's kinetic-energy record are one Parseval sum, bit for bit
-        u = random_state_field(grid3d, seed=16)
-        assert parseval_sum(grid3d, u.spec) == diagnostics(u.spec, operator(grid3d)).u_sq
-        p = samples(u)
-        assert parseval_sum(grid3d, u.spec) == pytest.approx(float(np.mean(np.sum(p * p, axis=0))), rel=1e-12)
+        u = random_state(grid3d, seed=16)
+        assert parseval_sum(grid3d, u) == diagnostics(u, operator(grid3d)).u_sq
+        p = samples(grid3d, u)
+        assert parseval_sum(grid3d, u) == pytest.approx(float(np.mean(np.sum(p * p, axis=0))), rel=1e-12)
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (2, 64), (3, 16)])
     def test_batched_sums_are_the_per_state_sums(self, dim, n):
         # run_mms sums a block's step-end states, a strided view, at once; each keeps its own bits
         grid = GridSpec(dim=dim, n=n, box_length=TWO_PI)
-        states = np.stack([random_state_field(grid, seed=s).spec for s in range(8)], axis=1)
+        states = np.stack([random_state(grid, seed=s) for s in range(8)], axis=1)
         expected = [parseval_sum(grid, states[:, b]) for b in range(1, 8, 2)]
         assert parseval_sum(grid, states[:, 1::2]).tolist() == expected
 
 
 def test_projected_field_is_divergence_free(grid2d):
-    u = Field(grid2d, project_divergence_free(grid2d, random_state_field(grid2d, seed=4).spec))
-    assert np.sqrt(parseval_sum(grid2d, divergence(u))) <= 1e-12 * np.sqrt(parseval_sum(grid2d, u.spec))
+    u = project_divergence_free(grid2d, random_state(grid2d, seed=4))
+    assert np.sqrt(parseval_sum(grid2d, divergence(grid2d, u))) <= 1e-12 * np.sqrt(parseval_sum(grid2d, u))

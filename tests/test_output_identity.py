@@ -1,0 +1,31 @@
+"""`tools/output_identity.py --compare` gates: it exits 1 unless two output trees hold the same bytes."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "output_identity.py")
+
+
+def write_tree(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return str(root)
+
+
+@pytest.mark.parametrize("change, code, line", [
+    ({}, 0, "seed_0/run/summary.json: byte-equal"),
+    ({"seed_0/run/summary.json": b'{"eps_avg": 0.126}'}, 1, "seed_0/run/summary.json: differs"),
+    ({"seed_0/extra.txt": b"0x1.0p+0\n"}, 1, "seed_0/extra.txt: only in "),
+], ids=["equal", "changed-byte", "one-side-only"])
+def test_compare_exits_1_on_any_difference(tmp_path, change, code, line):
+    files = {"seed_0/run/summary.json": b'{"eps_avg": 0.125}', "seed_0/run/timeseries.csv": b"t,u_sq\n0,1.5\n"}
+    a = write_tree(tmp_path / "a", files)
+    b = write_tree(tmp_path / "b", {**files, **change})
+    out = subprocess.run([sys.executable, TOOL, "--compare", a, b], capture_output=True, text=True, timeout=60)
+    assert out.returncode == code, out.stdout + out.stderr
+    assert line in out.stdout

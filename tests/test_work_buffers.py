@@ -44,7 +44,7 @@ from graddivbox.solver import (
 )
 from graddivbox.stats import diagnostics
 
-from conftest import TWO_PI, extend, half_index, random_state_field, restrict, spectral_shape
+from conftest import TWO_PI, extend, half_index, random_state, restrict, spectral_shape
 
 PARAMS = FlowParams(nu=0.05, gamma=1.3)
 DT = 2e-3
@@ -194,11 +194,7 @@ def same_bits(a, b):
 
 def band_limited(grid, seed):
     """A zero-mean random half-spectrum state with +0 on every mode the 2/3 rule removes."""
-    return extend(grid, random_state_field(grid, seed=seed).spec)
-
-
-def random_state(grid, seed):
-    return random_state_field(grid, seed=seed).spec
+    return extend(grid, random_state(grid, seed=seed))
 
 
 @pytest.fixture(params=[2, 3], ids=["2d", "3d"])

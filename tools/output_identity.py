@@ -24,7 +24,8 @@ prints nothing when the two commits write byte-identical outputs. Where
 they differ, `--compare` lists every file as byte-equal or not and gives,
 for the files that differ, the largest relative and absolute difference
 per CSV column, per float of a JSON file (keyed by its
-path, list indices dropped) and per MMS error.
+path, list indices dropped) and per MMS error. It exits 0 when every file
+is byte-equal and 1 when a file differs or exists in one tree only.
 """
 
 from __future__ import annotations
@@ -95,13 +96,17 @@ def _floats(path: str) -> dict:
 
 
 def compare(a_dir: str, b_dir: str) -> int:
-    """Print, per file, whether it is byte-equal, and the largest float differences where not."""
+    """Print, per file, whether it is byte-equal, and the largest float differences where not.
+
+    Returns 0 when the trees hold the same files, each byte-equal, and 1 otherwise.
+    """
     def files(root):
         return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
 
     names_a, names_b = files(a_dir), files(b_dir)
+    unequal = names_a ^ names_b
     for name in sorted(names_a | names_b):
-        if name not in names_a or name not in names_b:
+        if name in unequal:
             print(f"{name}: only in {a_dir if name in names_a else b_dir}")
             continue
         with open(os.path.join(a_dir, name), "rb") as fa, open(os.path.join(b_dir, name), "rb") as fb:
@@ -109,6 +114,7 @@ def compare(a_dir: str, b_dir: str) -> int:
                 print(f"{name}: byte-equal")
                 continue
         print(f"{name}: differs")
+        unequal.add(name)
         fa, fb = _floats(os.path.join(a_dir, name)), _floats(os.path.join(b_dir, name))
         for key in sorted(set(fa) | set(fb)):
             xs, ys = fa.get(key, []), fb.get(key, [])
@@ -120,7 +126,7 @@ def compare(a_dir: str, b_dir: str) -> int:
                 rel = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
                 absolute = max(abs(x - y) for x, y in pairs)
                 print(f"  {key}: max rel {rel:.3g}, max abs {absolute:.3g} ({len(pairs)} of {len(xs)} differ)")
-    return 0
+    return 1 if unequal else 0
 
 
 def main(argv=None) -> int:
