@@ -121,4 +121,3 @@ def shear_state(grid, amplitude=1.0):
 def operator(grid, params=FlowParams(nu=1.0), dt=1.0):
     """The run operator of (grid, params, dt); the nonlinear term depends on the grid alone."""
     return SpectralOperator(grid, params, dt)
-
