@@ -10,7 +10,8 @@ forcing.n_low defaults to 2, stats.burn_in to 0. stepper.t_end may be left
 out: it is whole steps of stepper.dt, as many as stats.burn_in +
 stats.window, and a step must start in the window (`averaged`). The sweep
 section is read by sweep configs only. The file is read by YAML 1.2's
-number rules (`_Loader`), and a float key refuses a boolean or a string.
+number rules (`_Loader`), and a float key refuses a boolean or a string;
+`Dumper` writes a `run_config_to_dict` mapping so that it loads back equal.
 """
 
 from __future__ import annotations
@@ -218,9 +219,14 @@ class _Loader(yaml.SafeLoader):
     """
 
 
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
-                              re.compile(r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)([eE][-+]?[0-9]+)?$"),
-                              list("-+0123456789."))
+class Dumper(yaml.SafeDumper):
+    """YAML's safe dumper, quoting every string `_Loader` reads as a float (1e3, 09), so a config loads back."""
+
+
+for _cls in (_Loader, Dumper):
+    _cls.add_implicit_resolver("tag:yaml.org,2002:float",
+                               re.compile(r"^[-+]?(\.[0-9]+|[0-9][0-9_]*(\.[0-9_]*)?)([eE][-+]?[0-9]+)?$"),
+                               list("-+0123456789."))
 
 
 def _load(path) -> dict:

@@ -36,8 +36,9 @@ class ForcingSpec:
     max|m_j| <= n_low so energy enters only at large scales, and max|m_j| <=
     grid.cutoff so the 2/3 rule keeps it. A nonempty list needs a nonzero amplitude,
     and every |a|^2 and their sum must be finite, the sum a normal float. So must
-    the squares `force_stats` takes: F^2 = 2 sum |a|^2, and the triangle-inequality
-    bounds (2 sum |a|)^2 on sup|f|^2 and (2 sum |k| |a|)^2 on sup|grad f|^2.
+    the triangle-inequality bounds (2 sum |a|)^2 on sup|f|^2 and (2 sum |k| |a|)^2
+    on sup|grad f|^2, the squares `force_stats` takes; the first also bounds
+    F^2 = 2 sum |a|^2 <= (2 sum |a|)^2 / 2.
     """
 
     grid: GridSpec
@@ -81,7 +82,7 @@ class ForcingSpec:
             raise ForcingError("zero force: every amplitude of forcing.modes is 0")
         if norm_modes and not np.finfo(float).tiny <= a_sq_sum < np.inf:  # F^2 = 2 a_sq_sum
             raise ForcingError(f"forcing.modes: sum of |a|^2 = {a_sq_sum} is not a positive, finite, normal float")
-        for name, square in (("F^2 = 2 sum |a|^2", 2.0 * a_sq_sum), ("sup|f|^2 <= (2 sum |a|)^2", 4.0 * a_sum * a_sum),
+        for name, square in (("sup|f|^2 <= (2 sum |a|)^2", 4.0 * a_sum * a_sum),
                              ("sup|grad f|^2 <= (2 sum |k| |a|)^2", 4.0 * ka_sum * ka_sum)):
             if not square < np.inf:
                 raise ForcingError(f"forcing.modes: {name} = {square} is not finite")

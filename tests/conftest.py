@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from graddivbox.config import SweepConfig, run_config_to_dict
+from graddivbox.config import Dumper, SweepConfig, run_config_to_dict
 from graddivbox.grid import GridSpec, k_dot, mode_numbers, parseval_weights, to_compact, wavevectors
 from graddivbox.solver import FlowParams, SpectralOperator
 
@@ -68,7 +68,7 @@ def write_config(path, cfg):
     else:
         d = run_config_to_dict(cfg)
     with open(path, "w") as fh:
-        yaml.safe_dump(d, fh, sort_keys=False)
+        yaml.dump(d, fh, Dumper=Dumper, sort_keys=False)
 
 
 def from_samples(grid, phys):

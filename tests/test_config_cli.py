@@ -77,6 +77,14 @@ class TestConfigRoundTrip:
         write_config(path, cfg)
         assert load_run_config(path) == cfg
 
+    @pytest.mark.parametrize("name", ["1e3", "09", "0_8"])
+    def test_output_dir_read_as_a_float_round_trips(self, tmp_path, name):
+        # yaml.safe_dump leaves these unquoted, and the loader reads them as YAML 1.2 floats
+        cfg = dataclasses.replace(small_run_config(tmp_path), output_dir=name)
+        path = tmp_path / "run.yaml"
+        write_config(path, cfg)
+        assert load_run_config(path) == cfg
+
     def test_sweep_config_round_trips(self, tmp_path):
         sweep = SweepConfig(base=small_run_config(tmp_path),
                             gamma_values=(0.0, 0.5, 2.0), parallel_workers=2)
@@ -810,14 +818,15 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("box_length, amplitude, message", [
-        (TWO_PI, "1.0e+154", "F^2 = 2 sum |a|^2 = inf is not finite"),
-        (TWO_PI, "1.0e154", "F^2 = 2 sum |a|^2 = inf is not finite"),
+        (TWO_PI, "1.0e+154", "sup|f|^2 <= (2 sum |a|)^2 = inf is not finite"),
+        (TWO_PI, "1.0e154", "sup|f|^2 <= (2 sum |a|)^2 = inf is not finite"),
         (TWO_PI, "9.0e+153", "sup|f|^2 <= (2 sum |a|)^2 = inf is not finite"),
         (TWO_PI * 1e-3, "1.0e+152", "sup|grad f|^2 <= (2 sum |k| |a|)^2 = inf is not finite"),
     ], ids=["F", "F-unsigned-exponent", "sup-f", "sup-grad-f"])
     def test_force_whose_statistics_overflow_is_a_config_error(self, tmp_path, capsys, command, box_length,
                                                                amplitude, message):
-        # these loaded; the run then blew up at its first step, or force_stats gave L = 0 or kappa = inf
+        # these loaded; the run then blew up at its first step, or force_stats gave L = 0 or kappa = inf.
+        # An F^2 = 2 sum |a|^2 that overflows (ids F) is caught by its bound (2 sum |a|)^2 / 2.
         cfg = small_run_config(tmp_path, n=16)
         d = run_config_to_dict(cfg)
         d["grid"]["box_length"] = box_length
