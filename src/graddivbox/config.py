@@ -6,9 +6,9 @@ and the default of each. It drives the key check, which rejects any other
 key, the conversion, which names the key it refuses (flat paths such as
 `grid.n`), the defaults and the keys `run_config_to_dict` dumps. Physical
 parameters (viscosity, gamma, forcing, box size) have no defaults;
-forcing.n_low defaults to 2, stats.burn_in to 0. stepper.t_end may be left
-out: it is whole steps of stepper.dt, as many as stats.burn_in +
-stats.window, and a step must start in the window (`averaged`). The sweep
+forcing.n_low defaults to 2, stats.burn_in to 0. stepper.t_end, stats.burn_in
+and stats.window are whole steps of stepper.dt (`solver.step_index`), the
+window at least one, and t_end defaults to burn_in + window. The sweep
 section is read by sweep configs only. The file is read by YAML 1.2's
 number rules (`_Loader`), and a float key refuses a boolean or a string;
 `Dumper` writes a `run_config_to_dict` mapping so that it loads back equal.
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import yaml
 
 from .forcing import ForcingSpec
 from .grid import GridSpec
-from .solver import FlowParams, StepperConfig
-from .stats import averaged
+from .solver import FlowParams, StepperConfig, step_index
 
 
 class ConfigError(ValueError):
@@ -42,19 +41,24 @@ class RunConfig:
     window: float
     seed: int
     output_dir: str
+    burn_in_steps: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.window > 0:
-            raise ConfigError("stats.window must be positive")
         if self.burn_in < 0:
             raise ConfigError("stats.burn_in must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        dt, n_steps = self.stepper.dt, self.stepper.n_steps
-        if n_steps != round((self.burn_in + self.window) / dt):
+        dt = self.stepper.dt
+        try:
+            burn_in_steps = step_index(self.burn_in, dt, "stats.burn_in")
+            window_steps = step_index(self.window, dt, "stats.window")
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        if window_steps < 1:  # a window that is not positive, or rounds to no step
+            raise ConfigError(f"stats.window = {self.window} must be at least one step of dt = {dt}")
+        if self.stepper.n_steps != burn_in_steps + window_steps:
             raise ConfigError("stepper.t_end must equal stats.burn_in + stats.window")
-        if not averaged(n_steps - 1, dt, self.burn_in):
-            raise ConfigError(f"stats.burn_in leaves no step of dt = {dt} to average over")
+        object.__setattr__(self, "burn_in_steps", burn_in_steps)
 
 
 @dataclass(frozen=True)

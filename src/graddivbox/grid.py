@@ -40,8 +40,8 @@ class GridSpec:
     """Uniform periodic box: `dim` axes, `n` samples per axis, side `box_length`.
 
     Wavevectors are k = (2*pi/box_length) * m for integer multi-indices m
-    with |m_j| <= cutoff. Anisotropic grids are rejected by construction
-    (single `n` for all axes).
+    with |m_j| <= cutoff, and the largest |k|^2 must be finite. Anisotropic
+    grids are rejected by construction (single `n` for all axes).
     """
 
     dim: int
@@ -56,6 +56,9 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 4, got {n}")
         if not 0 < self.box_length < np.inf:
             raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
+        k_max = TWO_PI * self.cutoff / self.box_length
+        if not self.dim * k_max * k_max < np.inf:
+            raise ValueError(f"box_length = {self.box_length} is so small that the largest |k|^2 is not finite")
 
     @property
     def shape(self) -> tuple:

@@ -101,18 +101,18 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> np.ndarray:
     """Compact coefficients of the force shape at unit rms plus a seeded divergence-free perturbation.
 
     The perturbation is the transform of seeded noise band-limited to
-    |m_j| <= min(PERTURBATION_MAX_MODE, cutoff) = min(4, cutoff), with zero
-    mean, projected divergence-free and scaled to rms PERTURBATION_RMS; the
-    whole construction is a pure function of the seed, so runs are
-    reproducible. For unforced runs the perturbation alone, scaled to unit
-    rms, is the initial state.
+    |m_j| <= PERTURBATION_MAX_MODE = 4 (each kept mode if the cutoff is at
+    most 4), with zero mean, projected divergence-free and scaled to rms
+    PERTURBATION_RMS; the whole construction is a pure function of the seed,
+    so runs are reproducible. For unforced runs the perturbation alone,
+    scaled to unit rms, is the initial state.
     """
     grid = cfg.grid
     base = force.spec / np.sqrt(parseval_sum(grid, force.spec)) if force is not None else 0.0
     rng = np.random.default_rng(cfg.seed)
     s = to_compact(grid, rng.standard_normal((grid.dim,) + grid.shape))
     for m in mode_numbers(grid):
-        s[:, np.abs(m) > min(PERTURBATION_MAX_MODE, grid.cutoff)] = 0.0
+        s[:, np.abs(m) > PERTURBATION_MAX_MODE] = 0.0
     s[(slice(None),) + (0,) * grid.dim] = 0.0
     pert = project_divergence_free(grid, s)
     prms = np.sqrt(parseval_sum(grid, pert))
@@ -179,7 +179,7 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
 
 def _summarize(cfg: RunConfig, fstats, records: list) -> dict:
     # the records are of consecutive states, the last at step n_steps
-    averages = finalize(cfg.stepper.n_steps + 1 - len(records), records, cfg.stepper.dt, cfg.burn_in)
+    averages = finalize(cfg.stepper.n_steps + 1 - len(records), records, cfg.stepper.dt, cfg.burn_in_steps)
     u_t = averages["U_T"]
     report = eps_normalized = None
     if fstats is not None and u_t > 0:

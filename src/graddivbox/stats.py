@@ -7,8 +7,8 @@ as in timeseries.csv, into trapezoid-in-time integrals of the dissipation rate
 
 of the mean-square velocity (giving the finite-window velocity scale U_T),
 and of the mean-square divergence, all Parseval sums over the kept modes of
-the compact run state. Time is the step index: step i starts at i * dt;
-`averaged` picks the window's steps (for the config check too). `update`
+the compact run state. Time is the step index: step i starts at i * dt,
+and the window is the steps from the burn-in step on. `update`
 audits each step against the discrete energy inequality: the residual
 
     r = 1/2 ||u_next||^2 - 1/2 ||u_prev||^2
@@ -27,15 +27,6 @@ import numpy as np
 
 from .grid import k_dot
 from .solver import SpectralOperator
-
-# a step is averaged when it starts at or after burn_in, less this rounding slack
-BURN_IN_TOL = 1e-12
-
-
-def averaged(step: int, dt: float, burn_in: float) -> bool:
-    """Whether the step that starts at step * dt lies in the averaging window."""
-    return step * dt >= burn_in - BURN_IN_TOL
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -84,20 +75,21 @@ def update(records: list, u_prev: np.ndarray, u_next: np.ndarray, d_next: Diagno
     records.append((d_next, r))
 
 
-def finalize(first_step: int, records: list, dt: float, burn_in: float) -> dict:
+def finalize(first_step: int, records: list, dt: float, burn_in_steps: int) -> dict:
     """Window averages of `records`: eps_avg, its nu/gamma split, U_T, mean-square divergence.
 
-    `records[j]` is of the state at step first_step + j. U_T is a
-    finite-window estimate of the infinite-time velocity scale.
+    `records[j]` is of the state at step first_step + j; the window is the
+    steps from step burn_in_steps on. U_T is a finite-window estimate of the
+    infinite-time velocity scale.
     """
+    window = records[max(0, burn_in_steps - first_step):]
     t_accum = int_eps_nu = int_eps_gamma = int_u_sq = int_div_sq = 0.0
-    for step, ((a, _), (b, _)) in enumerate(zip(records, records[1:]), first_step):
-        if averaged(step, dt, burn_in):
-            int_eps_nu += 0.5 * dt * (a.eps_nu + b.eps_nu)
-            int_eps_gamma += 0.5 * dt * (a.eps_gamma + b.eps_gamma)
-            int_u_sq += 0.5 * dt * (a.u_sq + b.u_sq)
-            int_div_sq += 0.5 * dt * (a.div_sq + b.div_sq)
-            t_accum += dt
+    for (a, _), (b, _) in zip(window, window[1:]):
+        int_eps_nu += 0.5 * dt * (a.eps_nu + b.eps_nu)
+        int_eps_gamma += 0.5 * dt * (a.eps_gamma + b.eps_gamma)
+        int_u_sq += 0.5 * dt * (a.u_sq + b.u_sq)
+        int_div_sq += 0.5 * dt * (a.div_sq + b.div_sq)
+        t_accum += dt
     if t_accum <= 0:
         raise ValueError("no averaging window: t_accum = 0")
     eps_nu = int_eps_nu / t_accum

@@ -27,8 +27,9 @@ def path(tmp_path_factory):
 @st.composite
 def checkpoints(draw):
     """(grid, u, t, params): a random compact state with one drawn value, possibly -0, inf or nan, in it."""
+    # below about 8e-153 the largest |k|^2 of a 3d n = 32 grid overflows, a box_length GridSpec refuses
     grid = GridSpec(dim=draw(st.sampled_from([2, 3])), n=draw(st.sampled_from([4, 8, 16, 32])),
-                    box_length=draw(st.floats(min_value=0.0, exclude_min=True, **FINITE)))
+                    box_length=draw(st.floats(min_value=1e-150, **FINITE)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shape = (grid.dim,) + grid.compact_shape
     spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

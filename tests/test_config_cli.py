@@ -330,6 +330,27 @@ class TestWindowValidation:
             run_sweep(SweepConfig(base=base, gamma_values=(0.0, 1.0)))
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("stats, message", [
+        ({"window": 0.204}, "stats.window = 0.204 is not on the step grid of dt = 0.01"),
+        ({"burn_in": 0.105, "window": 0.095}, "stats.burn_in = 0.105 is not on the step grid of dt = 0.01"),
+        ({"burn_in": 0.2, "window": 1e-12}, "stats.window = 1e-12 must be at least one step of dt = 0.01"),
+        ({"window": 0.0}, "stats.window = 0.0 must be at least one step of dt = 0.01"),
+        ({"window": -0.1}, "stats.window = -0.1 must be at least one step of dt = 0.01"),
+    ], ids=["window-past-t_end", "burn_in-off-grid", "window-of-no-step", "window-zero", "window-negative"])
+    def test_window_off_the_step_grid_is_a_config_error(self, tmp_path, capsys, stats, message):
+        # the first two loaded before and averaged 0.2 and 0.09 (from t = 0.11) with t_end = 0.2
+        d = run_config_to_dict(small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2))
+        d["stats"] = stats
+        path = tmp_path / "window.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_burn_in_steps_is_fixed_when_the_config_loads(self, tmp_path):
+        cfg = self._load(tmp_path, dt=0.1, t_end=93.0, burn_in=92.9, window=0.1)
+        assert cfg.burn_in_steps == 929
+
 
 class TestSweepValidation:
     def test_duplicates_rejected(self, tmp_path):
@@ -406,6 +427,10 @@ class TestRunSingle:
         data = json.load(open(os.path.join(cfg.output_dir, "summary.json")))
         assert data["R_gamma"] == "inf"
         assert data["eps_bound"] == "inf"
+
+    def test_json_safe_writes_nan_as_a_string(self):
+        assert runner.json_safe({"eps_avg": math.nan, "U_T": [np.float64("nan"), -math.inf]}) == {
+            "eps_avg": "nan", "U_T": ["nan", "-inf"]}
 
     def test_restart_reproduces_tail_bitwise(self, tmp_path):
         full = small_run_config(tmp_path, t_end=0.08, window=0.08, subdir="full")
@@ -835,6 +860,62 @@ class TestCli:
         assert main([command, str(write_raw(tmp_path / "force.yaml", d, amplitude))]) == 2
         assert capsys.readouterr().err == f"config error: forcing: forcing.modes: {message}\n"
         assert not os.path.exists(cfg.output_dir)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("box_length", ["5.0e-324", "1.0e-160"])
+    def test_box_whose_largest_wavenumber_overflows_is_a_config_error(self, tmp_path, capsys, command, box_length):
+        # these loaded; the run then exited 3 at its first step, every wavevector inf or its square inf
+        cfg = small_run_config(tmp_path, n=8, modes=())
+        d = run_config_to_dict(cfg)
+        d["grid"]["box_length"] = "@"
+        d["sweep"] = {"gamma_values": [0.0, 1.0]}
+        assert main([command, str(write_raw(tmp_path / "box.yaml", d, box_length))]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: grid: box_length = {float(box_length)} is so small that the largest |k|^2 is not finite\n")
+        assert not os.path.exists(cfg.output_dir)
+
+    def test_small_box_with_a_finite_largest_wavenumber_runs(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, n=8, modes=(), t_end=0.01, window=0.01)
+        d = run_config_to_dict(cfg)
+        d["grid"]["box_length"] = "@"
+        assert main(["run", str(write_raw(tmp_path / "box.yaml", d, "1.0e-150"))]) == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["eps_avg"])
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("run", {"forcing": {"modes": {"m": [0, 1], "amplitude": [[1.0, 0.0], [0.0, 0.0]]}}},
+         "forcing.modes must be a list"),
+        ("sweep", {"sweep": {"gamma_values": [0.0], "parallel_workers": 0}}, "sweep.parallel_workers must be >= 1"),
+        ("run", {"forcing": {"modes": [{"m": [1, 0, 0], "amplitude": [[0.0, 0.0], [1.0, 0.0]]}]}},
+         "forcing: mode (1, 0, 0) / amplitude (0j, (1+0j)) must have 2 components"),
+        ("run", {"stepper": {"dt": 0, "t_end": 0.1}}, "stepper: dt must be positive, got 0.0"),
+        ("run", {"stepper": {"dt": 2e-3, "t_end": -1}}, "stepper: t_end must be positive, got -1.0"),
+    ], ids=["modes-not-a-list", "parallel_workers-zero", "mode-of-three-components-in-2d", "dt-zero",
+            "t_end-negative"])
+    def test_refusal_names_its_key(self, tmp_path, capsys, command, edit, message):
+        cfg = small_run_config(tmp_path)
+        d = run_config_to_dict(cfg)
+        for section, values in edit.items():
+            d.setdefault(section, {}).update(values)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not os.path.exists(cfg.output_dir)
+
+    def test_config_that_is_not_a_mapping_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- grid\n- flow\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: config file {path} is not a mapping\n"
+
+    def test_restart_from_a_file_shorter_than_the_header_is_refused(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2)
+        path = tmp_path / "ok.yaml"
+        write_config(path, cfg)
+        ck = tmp_path / "short.ckpt"
+        ck.write_bytes(b"GDPB" + bytes(HEADER_BYTES - 5))
+        assert main(["run", str(path), "--restart", str(ck)]) == 5
+        assert capsys.readouterr().err == f"error: {ck}: truncated header\n"
 
     def test_invalid_yaml_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

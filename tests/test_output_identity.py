@@ -1,4 +1,4 @@
-"""`tools/output_identity.py --compare` gates: it exits 1 unless two output trees hold the same bytes."""
+"""`tools/output_identity.py --compare` gates: it exits 1 unless two output trees hold the same bytes, and ends with a summary line."""
 
 import os
 import subprocess
@@ -29,3 +29,19 @@ def test_compare_exits_1_on_any_difference(tmp_path, change, code, line):
     out = subprocess.run([sys.executable, TOOL, "--compare", a, b], capture_output=True, text=True, timeout=60)
     assert out.returncode == code, out.stdout + out.stderr
     assert line in out.stdout
+
+
+@pytest.mark.parametrize("change, summary", [
+    ({}, "0 of 2 files differ"),
+    ({"seed_0/run/summary.json": b'{"eps_avg": 0.126, "U_T": 2.0}',
+      "seed_0/run/timeseries.csv": b"t,u_sq\n0,1.5000001\n"},
+     "2 of 2 files differ; largest relative difference 0.00794, in seed_0/run/summary.json at eps_avg"),
+    ({"seed_0/extra.txt": b"0x1.0p+0\n"}, "1 of 3 files differ"),
+], ids=["equal", "two-files-differ", "one-side-only"])
+def test_compare_ends_with_the_count_and_the_largest_difference(tmp_path, change, summary):
+    files = {"seed_0/run/summary.json": b'{"eps_avg": 0.125, "U_T": 2.0}',
+             "seed_0/run/timeseries.csv": b"t,u_sq\n0,1.5\n"}
+    a = write_tree(tmp_path / "a", files)
+    b = write_tree(tmp_path / "b", {**files, **change})
+    out = subprocess.run([sys.executable, TOOL, "--compare", a, b], capture_output=True, text=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == summary

@@ -117,16 +117,16 @@ class TestUpdate:
         for _ in range(4):
             fold(records, u, u, op, f)
         with pytest.raises(ValueError, match="no averaging window"):
-            finalize(0, records, 0.1, 0.5)
+            finalize(0, records, 0.1, 5)
         for _ in range(6):
             fold(records, u, u, op, f)
-        assert finalize(0, records, 0.1, 0.5)["window"] == pytest.approx(0.5)
+        assert finalize(0, records, 0.1, 5)["window"] == pytest.approx(0.5)
 
     def test_clock_is_the_step_index(self, grid2d):
         # 929 additions of 0.1 give 92.899999999999, short of burn_in; 929 * 0.1 is not
         u = shear_state(grid2d)
         records = fold([], u, u, operator(grid2d, FlowParams(nu=1.0, gamma=0.0), 0.1), zeros(grid2d))
-        assert finalize(929, records, 0.1, 92.9)["window"] == 0.1
+        assert finalize(929, records, 0.1, 929)["window"] == 0.1
 
     def test_accumulator_split_consistent(self, grid2d):
         op = operator(grid2d, FlowParams(nu=0.3, gamma=0.9), 1e-3)
@@ -199,7 +199,7 @@ class TestFinalize:
             return [(Diagnostics(1.0, 1.0, 1.0, 1.0), r) for r in residuals]
 
         # the largest residual counts even when its step lies before the window
-        assert finalize(0, records(0.0, 3.0, -1.0, 0.5), 0.1, 0.2)["budget_residual_max"] == 3.0
+        assert finalize(0, records(0.0, 3.0, -1.0, 0.5), 0.1, 2)["budget_residual_max"] == 3.0
         assert finalize(0, records(0.0, -1.0, -2.0), 0.1, 0.0)["budget_residual_max"] == 0.0
 
 

@@ -24,8 +24,10 @@ prints nothing when the two commits write byte-identical outputs. Where
 they differ, `--compare` lists every file as byte-equal or not and gives,
 for the files that differ, the largest relative and absolute difference
 per CSV column, per float of a JSON file (keyed by its
-path, list indices dropped) and per MMS error. It exits 0 when every file
-is byte-equal and 1 when a file differs or exists in one tree only.
+path, list indices dropped) and per MMS error. A last line gives the number
+of files that differ and the largest relative difference over all of them,
+with its file and key. It exits 0 when every file is byte-equal and 1 when
+a file differs or exists in one tree only.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def _floats(path: str) -> dict:
 
 
 def compare(a_dir: str, b_dir: str) -> int:
-    """Print, per file, whether it is byte-equal, and the largest float differences where not.
+    """Print, per file, whether it is byte-equal, and the largest float differences where not; then a summary.
 
     Returns 0 when the trees hold the same files, each byte-equal, and 1 otherwise.
     """
@@ -105,6 +107,7 @@ def compare(a_dir: str, b_dir: str) -> int:
 
     names_a, names_b = files(a_dir), files(b_dir)
     unequal = names_a ^ names_b
+    worst = []  # (max rel, file, key) of each float key that differs
     for name in sorted(names_a | names_b):
         if name in unequal:
             print(f"{name}: only in {a_dir if name in names_a else b_dir}")
@@ -126,6 +129,12 @@ def compare(a_dir: str, b_dir: str) -> int:
                 rel = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
                 absolute = max(abs(x - y) for x, y in pairs)
                 print(f"  {key}: max rel {rel:.3g}, max abs {absolute:.3g} ({len(pairs)} of {len(xs)} differ)")
+                worst.append((rel, name, key))
+    summary = f"{len(unequal)} of {len(names_a | names_b)} files differ"
+    if worst:
+        rel, name, key = max(worst)
+        summary += f"; largest relative difference {rel:.3g}, in {name} at {key}"
+    print(summary)
     return 1 if unequal else 0
 
 
