@@ -79,28 +79,28 @@ def finalize(first_step: int, records: list, dt: float, burn_in_steps: int) -> d
     """Window averages of `records`: eps_avg, its nu/gamma split, U_T, mean-square divergence.
 
     `records[j]` is of the state at step first_step + j; the window is the
-    steps from step burn_in_steps on. U_T is a finite-window estimate of the
-    infinite-time velocity scale.
+    steps from step burn_in_steps on, and its length is their count times
+    dt. U_T is a finite-window estimate of the infinite-time velocity scale.
     """
     window = records[max(0, burn_in_steps - first_step):]
-    t_accum = int_eps_nu = int_eps_gamma = int_u_sq = int_div_sq = 0.0
+    if len(window) < 2:
+        raise ValueError(f"no averaging window: no step from step {burn_in_steps} on")
+    duration = (len(window) - 1) * dt
+    int_eps_nu = int_eps_gamma = int_u_sq = int_div_sq = 0.0
     for (a, _), (b, _) in zip(window, window[1:]):
         int_eps_nu += 0.5 * dt * (a.eps_nu + b.eps_nu)
         int_eps_gamma += 0.5 * dt * (a.eps_gamma + b.eps_gamma)
         int_u_sq += 0.5 * dt * (a.u_sq + b.u_sq)
         int_div_sq += 0.5 * dt * (a.div_sq + b.div_sq)
-        t_accum += dt
-    if t_accum <= 0:
-        raise ValueError("no averaging window: t_accum = 0")
-    eps_nu = int_eps_nu / t_accum
-    eps_gamma = int_eps_gamma / t_accum
-    u_t = float(np.sqrt(int_u_sq / t_accum))
+    eps_nu = int_eps_nu / duration
+    eps_gamma = int_eps_gamma / duration
+    u_t = float(np.sqrt(int_u_sq / duration))
     return {
         "eps_avg": eps_nu + eps_gamma,
         "eps_nu_avg": eps_nu,
         "eps_gamma_avg": eps_gamma,
         "U_T": u_t,
-        "div_norm_sq_avg": int_div_sq / t_accum,
-        "window": t_accum,
+        "div_norm_sq_avg": int_div_sq / duration,
+        "window": duration,
         "budget_residual_max": max(0.0, *(r for _, r in records)),
     }
