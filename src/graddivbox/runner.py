@@ -5,8 +5,9 @@ condition (force shape at unit rms plus a small seeded divergence-free
 perturbation), advances the solver with a fixed step, keeps one record per
 state, averages the records after burn-in, and writes into output_dir:
 
-    timeseries.csv   one row per step: t, kinetic_energy, eps_nu,
-                     eps_gamma, div_norm_sq, budget_residual
+    timeseries.csv   one row per step: t, the `COLUMNS` of its Diagnostics
+                     record (kinetic_energy, eps_nu, eps_gamma, div_norm_sq),
+                     budget_residual
     summary.json     force scales, U_T, Re, R_gamma, <eps> and its split,
                      the dissipation bound and whether it held, and the
                      admissible gamma windows
@@ -44,7 +45,15 @@ from .stats import Diagnostics, diagnostics, finalize, update
 PERTURBATION_RMS = 0.01
 PERTURBATION_MAX_MODE = 4
 
-CSV_HEADER = "t,kinetic_energy,eps_nu,eps_gamma,div_norm_sq,budget_residual"
+# timeseries.csv's column of each Diagnostics channel, in field order, with the factor it is printed at
+COLUMNS = (("kinetic_energy", 0.5), ("eps_nu", 1.0), ("eps_gamma", 1.0), ("div_norm_sq", 1.0))
+CSV_HEADER = ",".join(["t", *(name for name, _ in COLUMNS), "budget_residual"])
+_ROW = ",".join(["%.17g"] * (len(COLUMNS) + 2)) + "\n"  # t, the channels, budget_residual
+
+# sweep.csv's column of each summary.json key, after gamma, in a row per gamma that ran to the end
+SWEEP_COLUMNS = (("eps_total", "eps_avg"), ("eps_nu", "eps_nu_avg"), ("eps_gamma", "eps_gamma_avg"),
+                 ("div_norm_avg", "div_norm_sq_avg"), ("U_T", "U_T"), ("bound", "eps_bound"),
+                 ("in_window_mi", "in_window_mesh_independent"), ("in_window_md", "in_window_mesh_dependent"))
 
 
 def _fmt(x: float) -> str:
@@ -52,8 +61,7 @@ def _fmt(x: float) -> str:
 
 
 def _csv_row(t: float, d: Diagnostics, residual: float) -> str:
-    values = (t, 0.5 * d.u_sq, d.eps_nu, d.eps_gamma, d.div_sq, residual)
-    return ",".join(_fmt(v) for v in values) + "\n"
+    return _ROW % (t, *(factor * x for (_, factor), x in zip(COLUMNS, d)), residual)
 
 
 def _rows_up_to(csv_path: str, start_step: int, dt: float, d: Diagnostics) -> tuple[str, list]:
@@ -61,20 +69,22 @@ def _rows_up_to(csv_path: str, start_step: int, dt: float, d: Diagnostics) -> tu
     with open(csv_path) as fh:
         lines = fh.readlines()
     t0 = start_step * dt
-    state = _csv_row(t0, d, 0.0).rsplit(",", 1)[0] + ","  # t through div_norm_sq
+    state = _csv_row(t0, d, 0.0).rsplit(",", 1)[0] + ","  # t and the channels
     at = next((i for i, row in enumerate(lines) if row.startswith(state)), 0)  # the header is line 0
     if lines[:1] != [CSV_HEADER + "\n"] or not at:
         raise ValueError(f"{csv_path} has no row at the checkpoint time t0 = {t0} that holds the restored state")
     records = []
     for i, row in enumerate(lines[1:at + 1], start_step + 1 - at):
         try:
-            t, kinetic_energy, eps_nu, eps_gamma, div_sq, residual = map(float, row.split(","))
-            if i < 0 or t != i * dt:
+            t, *channels, residual = cells = [float(c) for c in row.split(",")]
+            if len(cells) != len(COLUMNS) + 2 or i < 0 or t != i * dt:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"{csv_path} row {row.strip()!r} is not six floats at t = {i} * dt") from None
-        # kinetic_energy is u_sq / 2 printed round-trip, so doubling it is exact
-        records.append((Diagnostics(2 * kinetic_energy, eps_nu, eps_gamma, div_sq), residual))
+            raise ValueError(f"{csv_path} row {row.strip()!r} is not {len(COLUMNS) + 2} floats "
+                             f"at t = {i} * dt") from None
+        # each channel is printed round-trip times its factor 1 or 1/2, so dividing by it is exact for normal
+        # floats; a u_sq below 2^-1021, whose half is subnormal, may lose its last bit when it is halved
+        records.append((Diagnostics(*(x / factor for (_, factor), x in zip(COLUMNS, channels))), residual))
     return "".join(lines[:at + 1]), records
 
 
@@ -246,27 +256,19 @@ def run_sweep(sweep: SweepConfig) -> dict:
     else:
         results = [_run_for_sweep(j) for j in jobs]
 
-    rows = []
     summaries = {}
     failures = {}
     for (summary, err), gamma in zip(results, sweep.gamma_values):
-        if err is not None:
+        if err is None:
+            summaries[gamma] = summary
+        else:
             failures[gamma] = err
-            continue
-        summaries[gamma] = summary
-        rows.append([
-            gamma, summary["eps_avg"], summary["eps_nu_avg"], summary["eps_gamma_avg"],
-            summary["div_norm_sq_avg"], summary["U_T"], summary["eps_bound"],
-            summary["in_window_mesh_independent"], summary["in_window_mesh_dependent"],
-        ])
 
-    csv_path = os.path.join(base.output_dir, "sweep.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("gamma,eps_total,eps_nu,eps_gamma,div_norm_avg,U_T,bound,in_window_mi,in_window_md\n")
-        for row in rows:
-            fh.write(",".join(
-                _fmt(v) if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
+    with open(os.path.join(base.output_dir, "sweep.csv"), "w") as fh:
+        fh.write(",".join(["gamma", *(name for name, _ in SWEEP_COLUMNS)]) + "\n")
+        for gamma, summary in summaries.items():
+            row = [gamma, *(summary[key] for _, key in SWEEP_COLUMNS)]
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
     out = {
         "gamma_values": list(sweep.gamma_values),

@@ -21,15 +21,14 @@ of the inequality direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import k_dot
 from .solver import SpectralOperator
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Volume means of one state: |u|^2, the two dissipation channels and (div u)^2."""
 
     u_sq: float
@@ -86,21 +85,16 @@ def finalize(first_step: int, records: list, dt: float, burn_in_steps: int) -> d
     if len(window) < 2:
         raise ValueError(f"no averaging window: no step from step {burn_in_steps} on")
     duration = (len(window) - 1) * dt
-    int_eps_nu = int_eps_gamma = int_u_sq = int_div_sq = 0.0
-    for (a, _), (b, _) in zip(window, window[1:]):
-        int_eps_nu += 0.5 * dt * (a.eps_nu + b.eps_nu)
-        int_eps_gamma += 0.5 * dt * (a.eps_gamma + b.eps_gamma)
-        int_u_sq += 0.5 * dt * (a.u_sq + b.u_sq)
-        int_div_sq += 0.5 * dt * (a.div_sq + b.div_sq)
-    eps_nu = int_eps_nu / duration
-    eps_gamma = int_eps_gamma / duration
-    u_t = float(np.sqrt(int_u_sq / duration))
+    sums = [0.0] * len(Diagnostics._fields)
+    for (a, _), (b, _) in zip(window, window[1:]):  # each channel's trapezoid sum, step by step
+        sums = [s + 0.5 * dt * (x + y) for s, x, y in zip(sums, a, b)]
+    mean = Diagnostics(*(s / duration for s in sums))
     return {
-        "eps_avg": eps_nu + eps_gamma,
-        "eps_nu_avg": eps_nu,
-        "eps_gamma_avg": eps_gamma,
-        "U_T": u_t,
-        "div_norm_sq_avg": int_div_sq / duration,
+        "eps_avg": mean.eps_nu + mean.eps_gamma,
+        "eps_nu_avg": mean.eps_nu,
+        "eps_gamma_avg": mean.eps_gamma,
+        "U_T": float(np.sqrt(mean.u_sq)),
+        "div_norm_sq_avg": mean.div_sq,
         "window": duration,
         "budget_residual_max": max(0.0, *(r for _, r in records)),
     }

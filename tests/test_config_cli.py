@@ -474,9 +474,11 @@ class TestRunSingle:
                              restart_path=os.path.join(half.output_dir, "final.ckpt"))
         assert resumed["window"] == pytest.approx(0.04)
 
-    @pytest.mark.parametrize("fault", ["five_cells", "word", "shifted_t", "missing_row", "row_before_t_zero"])
+    @pytest.mark.parametrize("fault", ["five_cells", "seven_cells", "word", "shifted_t", "missing_row",
+                                       "row_before_t_zero"])
     def test_restart_in_place_refuses_malformed_kept_rows(self, tmp_path, capsys, fault):
-        # kept rows are six floats at t = i * dt of consecutive steps i ending at t0; otherwise nothing is written
+        # kept rows are len(runner.COLUMNS) + 2 = 6 floats at t = i * dt of consecutive steps i ending at t0;
+        # otherwise nothing is written
         half = small_run_config(tmp_path, t_end=0.04, window=0.04, subdir="d")
         run_single(half)
         csv_path = os.path.join(half.output_dir, "timeseries.csv")
@@ -484,6 +486,8 @@ class TestRunSingle:
         cells = rows[3].split(",")
         if fault == "five_cells":
             rows[3] = ",".join(cells[:5]) + "\n"
+        elif fault == "seven_cells":
+            rows[3] = ",".join(cells[:5] + cells[4:])
         elif fault == "word":
             rows[3] = ",".join(cells[:2] + ["x"] + cells[3:])
         elif fault == "shifted_t":
@@ -502,7 +506,8 @@ class TestRunSingle:
         path = tmp_path / "full.yaml"
         write_config(path, dataclasses.replace(half, stepper=dataclasses.replace(half.stepper, t_end=0.08), window=0.08))
         assert main(["run", str(path), "--restart", os.path.join(half.output_dir, "final.ckpt")]) == 5
-        assert capsys.readouterr().err.startswith(f"error: {csv_path} row ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path} row ") and " is not 6 floats at t = " in err
         assert files() == before
 
     @pytest.mark.parametrize("other", ["other_seed", "cut_short"])
