@@ -50,10 +50,9 @@ COLUMNS = (("kinetic_energy", 0.5), ("eps_nu", 1.0), ("eps_gamma", 1.0), ("div_n
 CSV_HEADER = ",".join(["t", *(name for name, _ in COLUMNS), "budget_residual"])
 _ROW = ",".join(["%.17g"] * (len(COLUMNS) + 2)) + "\n"  # t, the channels, budget_residual
 
-# sweep.csv's column of each summary.json key, after gamma, in a row per gamma that ran to the end
-SWEEP_COLUMNS = (("eps_total", "eps_avg"), ("eps_nu", "eps_nu_avg"), ("eps_gamma", "eps_gamma_avg"),
-                 ("div_norm_avg", "div_norm_sq_avg"), ("U_T", "U_T"), ("bound", "eps_bound"),
-                 ("in_window_mi", "in_window_mesh_independent"), ("in_window_md", "in_window_mesh_dependent"))
+# sweep.csv's columns after gamma, named as in summary.json, in a row per gamma that ran to the end
+SWEEP_KEYS = ("eps_avg", "eps_nu_avg", "eps_gamma_avg", "div_norm_sq_avg", "U_T", "eps_bound",
+              "in_window_mesh_independent", "in_window_mesh_dependent")
 
 
 def _fmt(x: float) -> str:
@@ -265,9 +264,9 @@ def run_sweep(sweep: SweepConfig) -> dict:
             failures[gamma] = err
 
     with open(os.path.join(base.output_dir, "sweep.csv"), "w") as fh:
-        fh.write(",".join(["gamma", *(name for name, _ in SWEEP_COLUMNS)]) + "\n")
+        fh.write(",".join(["gamma", *SWEEP_KEYS]) + "\n")
         for gamma, summary in summaries.items():
-            row = [gamma, *(summary[key] for _, key in SWEEP_COLUMNS)]
+            row = [gamma, *(summary[key] for key in SWEEP_KEYS)]
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
     out = {

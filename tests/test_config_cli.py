@@ -623,7 +623,8 @@ class TestSweep:
             assert out_s["summaries"][g]["eps_avg"] == out_p["summaries"][g]["eps_avg"]
         sweep_csv = open(os.path.join(base_s.output_dir, "sweep.csv")).read()
         assert sweep_csv.splitlines()[0] == (
-            "gamma,eps_total,eps_nu,eps_gamma,div_norm_avg,U_T,bound,in_window_mi,in_window_md")
+            "gamma,eps_avg,eps_nu_avg,eps_gamma_avg,div_norm_sq_avg,U_T,eps_bound,"
+            "in_window_mesh_independent,in_window_mesh_dependent")
 
     def test_blown_up_gamma_is_recorded_and_the_rest_written(self, tmp_path, monkeypatch, capsys):
         real_run_single = runner.run_single
