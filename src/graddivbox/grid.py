@@ -1,7 +1,7 @@
 """Periodic uniform grids, the compact spectral layout and its exact operators.
 
-A field is held by its spectral coefficients on the modes the 2/3 rule
-keeps (Orszag 1971), |m_j| <= `GridSpec.cutoff` = c: the compact layout,
+On a grid of any even n >= 4 samples per axis, a field is held by its spectral coefficients
+on the modes the 2/3 rule keeps (Orszag 1971), |m_j| <= `GridSpec.cutoff` = c: the compact layout,
 shape `GridSpec.compact_shape` = (2c+1,)*(dim-1) + (c+1,). Its full axes
 hold m = 0..c, -c..-1 and its last axis m = 0..c, so it is the kept part of
 the real-to-complex half spectrum (numpy's n-d real transform) and
@@ -30,10 +30,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# 2/3 rule (Orszag 1971): products of the kept modes alias only onto removed
-# modes, which keeps the nonlinear term skew-symmetric; a larger cutoff does not.
-DEALIAS_FRACTION = 2.0 / 3.0
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -51,9 +47,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        n = self.n
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 4, got {n}")
+        if self.n < 4 or self.n % 2:
+            raise ValueError(f"n must be even and >= 4, got {self.n}")
         if not 0 < self.box_length < np.inf:
             raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
         k_max = TWO_PI * self.cutoff / self.box_length
@@ -76,8 +71,9 @@ class GridSpec:
 
     @property
     def cutoff(self) -> int:
-        """Largest |m_j| the 2/3 rule keeps (n is a power of two, so never a multiple of 3)."""
-        return int(DEALIAS_FRACTION * (self.n // 2))
+        """Largest |m_j| the 2/3 rule keeps (Orszag 1971): the largest c with 3c < n. Products of kept
+        modes reach 2c and alias onto 2c - n < -c, removed modes only, so the nonlinear term stays skew."""
+        return (self.n - 1) // 3
 
 
 def to_compact(grid: GridSpec, phys: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ def path(tmp_path_factory):
 def checkpoints(draw):
     """(grid, u, t, params): a random compact state with one drawn value, possibly -0, inf or nan, in it."""
     # below about 8e-153 the largest |k|^2 of a 3d n = 32 grid overflows, a box_length GridSpec refuses
-    grid = GridSpec(dim=draw(st.sampled_from([2, 3])), n=draw(st.sampled_from([4, 8, 16, 32])),
+    grid = GridSpec(dim=draw(st.sampled_from([2, 3])), n=draw(st.sampled_from([4, 6, 8, 12, 16, 32])),
                     box_length=draw(st.floats(min_value=1e-150, **FINITE)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shape = (grid.dim,) + grid.compact_shape
@@ -56,3 +56,15 @@ def test_round_trip_keeps_every_bit(path, checkpoint):
     assert back.spec.flags.writeable and back.spec.flags.owndata
     assert bits(grid_back.box_length, t_back, params_back.nu, params_back.gamma) == bits(
         grid.box_length, t, params.nu, params.gamma)
+
+
+def test_3d_n48_round_trip_keeps_every_bit(path):
+    grid = GridSpec(dim=3, n=48, box_length=2.0)
+    rng = np.random.default_rng(48)
+    shape = (3,) + grid.compact_shape
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    write_checkpoint(path, Field(grid, u), 0.25, FlowParams(nu=0.05, gamma=1.0))
+    grid_back, back, t_back, params_back = read_checkpoint(path)
+    assert grid_back == grid and (t_back, params_back) == (0.25, FlowParams(nu=0.05, gamma=1.0))
+    assert path.stat().st_size == HEADER_BYTES + 16 * 3 * 31 * 31 * 16
+    assert back.spec.tobytes() == u.tobytes()

@@ -106,7 +106,7 @@ class TestConfigRoundTrip:
         d["grid"]["n"] = 37
         with open(tmp_path / "g.yaml", "w") as fh:
             yaml.safe_dump(d, fh)
-        with pytest.raises(ConfigError, match="power of two"):
+        with pytest.raises(ConfigError, match="^grid: n must be even and >= 4, got 37$"):
             load_run_config(tmp_path / "g.yaml")
 
     @pytest.mark.parametrize("name", [
@@ -159,7 +159,7 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("section, key, value, message", [
         ("grid", "n", 32.7, r"^grid\.n: must be an integer, got 32\.7$"),
         ("forcing", "n_low", 2.5, r"^forcing\.n_low: must be an integer, got 2\.5$"),
-        ("grid", "n", 37, r"^grid: n must be a power of two"),
+        ("grid", "n", 37, r"^grid: n must be even and >= 4, got 37$"),
     ])
     def test_section_named_once(self, tmp_path, section, key, value, message):
         d = run_config_to_dict(small_run_config(tmp_path))
@@ -626,6 +626,14 @@ class TestSweep:
             "gamma,eps_avg,eps_nu_avg,eps_gamma_avg,div_norm_sq_avg,U_T,eps_bound,"
             "in_window_mesh_independent,in_window_mesh_dependent")
 
+    def test_unforced_sweep_writes_empty_cells_where_sweep_json_has_null(self, tmp_path):
+        # without a force, eps_bound and both window flags are null; a forced row prints True/False there
+        base = small_run_config(tmp_path, n=8, t_end=0.02, window=0.02, modes=())
+        out = run_sweep(SweepConfig(base=base, gamma_values=(0.0, 1.0)))
+        assert [out["summaries"][g]["eps_bound"] for g in ("0.0", "1.0")] == [None, None]
+        rows = open(os.path.join(base.output_dir, "sweep.csv")).read().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",,,") and "None" not in row for row in rows)
+
     def test_blown_up_gamma_is_recorded_and_the_rest_written(self, tmp_path, monkeypatch, capsys):
         real_run_single = runner.run_single
 
@@ -729,7 +737,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("header, message", [
         ((7, 16, 1.0, 1.0, 0.0), "dim must be 2 or 3, got 7"),
-        ((2, 12, 1.0, 1.0, 0.0), "n must be a power of two >= 4, got 12"),
+        ((2, 15, 1.0, 1.0, 0.0), "n must be even and >= 4, got 15"),
         ((2, 16, float("nan"), 1.0, 0.0), "box_length must be positive and finite, got nan"),
         ((2, 16, float("inf"), 1.0, 0.0), "box_length must be positive and finite, got inf"),
         ((2, 16, 1.0, 0.0, 0.0), "nu must be positive and finite, got 0.0"),
@@ -800,6 +808,20 @@ class TestCli:
             load_run_config(path)
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: forcing: mode (0, 3) of forcing.modes")
+
+    def test_force_divergence_past_the_tolerance_is_a_config_error(self, tmp_path, capsys):
+        # |m . a| = 1.7e-12 |a| passed a per-mode test of 1e-14 max|m_j| max|a_j| and then stopped the
+        # run with exit 5 at the realized force's divergence check
+        cfg = small_run_config(tmp_path, n=512)
+        d = run_config_to_dict(cfg)
+        d["forcing"] = {"n_low": 170, "modes": [{"m": [170, 1], "amplitude": [[-1 / 170 + 1e-14, 0.0], [1.0, 0.0]]}]}
+        path = tmp_path / "divergent.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: forcing: mode (170, 1) of forcing.modes: |m . a| = 1.700e-12 plus its rounding exceeds "
+            "1.0e-12 |a| (force must be divergence-free)\n")
+        assert not os.path.exists(cfg.output_dir)
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_all_zero_force_is_a_config_error(self, tmp_path, capsys, command):

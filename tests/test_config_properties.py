@@ -55,7 +55,7 @@ def modes(draw, dim, bound):
 @st.composite
 def run_configs(draw):
     # below 1e-100 the drawn forces' bound (2 sum |k| |a|)^2 on sup|grad f|^2 can overflow, which ForcingSpec refuses
-    grid = GridSpec(dim=draw(st.sampled_from([2, 3])), n=draw(st.sampled_from([4, 8, 16, 32])),
+    grid = GridSpec(dim=draw(st.sampled_from([2, 3])), n=draw(st.sampled_from([4, 6, 8, 12, 16, 32])),
                     box_length=draw(st.floats(min_value=1e-100, **FINITE)))
     n_low = draw(st.integers(1, 4))
     forcing = ForcingSpec(grid=grid, n_low=n_low, modes=tuple(draw(st.lists(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from graddivbox.forcing import (
+    DIVERGENCE_TOL,
     ForcingError,
     ForcingSpec,
     check_divergence_free,
@@ -40,6 +42,13 @@ class TestForcingSpec:
     def test_rejects_non_divergence_free(self, grid3d):
         with pytest.raises(ForcingError, match="divergence-free"):
             ForcingSpec(grid=grid3d, modes=(((1, 0, 0), (1.0, 0, 0)),))
+
+    def test_divergence_bound_scales_with_a_mode_whose_square_underflows(self, grid3d):
+        # |a|^2 = 2e-340 underflows, |a| = 1.4e-170 does not: the mode is divergence-free at every scale
+        spec = ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (1e-170, -1e-170, 0)), ((0, 1, 0), (1.0, 0, 0))))
+        assert len(spec.modes) == 2
+        with pytest.raises(ForcingError, match=r"^mode \(1, 1, 0\) of forcing.modes: \|m \. a\| = 1\.000e-170 "):
+            ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (1e-170, 0, 0)), ((0, 1, 0), (1.0, 0, 0))))
 
     def test_rejects_mean_mode(self, grid3d):
         with pytest.raises(ForcingError, match="zero-mean"):
@@ -131,6 +140,49 @@ class TestDivergenceCheck:
     def test_measure_on_the_two_pi_box_is_the_relative_divergence(self, grid3d):
         f = realize_force(ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (0.3, -(0.1 + 0.2), 0.0)),)))
         assert check_divergence_free(f) == np.sqrt(parseval_sum(grid3d, divergence(grid3d, f.spec))) / compute_F(f)
+
+
+@st.composite
+def tilted_mode_lists(draw):
+    """(grid, modes(t)): 1 to 3 modes up to the largest m the grid keeps, |m . a| = t DIVERGENCE_TOL |a| for each.
+
+    Each a is a complex multiple of a real vector with its part along m projected out in floats,
+    plus t DIVERGENCE_TOL |a| m / |m|^2, so m . a also holds the projection's rounding.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([4, 6, 8, 12, 48, 96] + ([256, 512] if dim == 2 else [])))
+    grid = GridSpec(dim=dim, n=n, box_length=draw(st.sampled_from([TWO_PI * 1e-5, 1.0, TWO_PI, 3.7e5])))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = np.array(draw(st.tuples(*[st.integers(-grid.cutoff, grid.cutoff)] * dim).filter(any)), dtype=float)
+        p = np.array(draw(st.tuples(*[st.floats(-1, 1)] * dim)))
+        p -= m * (m @ p) / (m @ m)
+        assume(p @ p > 1e-6)
+        c = draw(st.sampled_from([1.0, 0.1, -3j, 1e-100, 1e100 + 1e100j]))
+        parts.append((tuple(int(mj) for mj in m), p, np.sqrt(p @ p) * m / (m @ m), c))
+    return grid, lambda t: tuple((m, tuple(c * (p + t * DIVERGENCE_TOL * q))) for m, p, q, c in parts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tilted_mode_lists())
+def test_the_most_divergent_accepted_spec_passes_the_divergence_check(grid_modes):
+    # bisect the tilt t to the edge of what ForcingSpec accepts, where the rounding of m . a and of
+    # the realized k . a matters most
+    grid, modes = grid_modes
+
+    def accepted(t):
+        try:
+            return ForcingSpec(grid=grid, modes=modes(t), n_low=grid.cutoff)
+        except ForcingError as e:
+            assert "divergence-free" in str(e) or "duplicate" in str(e)
+            return None
+
+    assume(accepted(0.0) is not None)
+    lo, hi = 0.0, 2.0
+    assert accepted(hi) is None
+    for _ in range(60):
+        lo, hi = ((lo + hi) / 2, hi) if accepted((lo + hi) / 2) else (lo, (lo + hi) / 2)
+    assert check_divergence_free(realize_force(accepted(lo))) <= DIVERGENCE_TOL
 
 
 class TestForceAmplitude:

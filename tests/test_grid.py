@@ -37,10 +37,22 @@ class TestGridSpec:
         assert g.compact_shape == (43, 43, 22)
         assert g.spacing == pytest.approx(1.5 / 64)
 
-    @pytest.mark.parametrize("n", [3, 6, 12, 48, 0, -8])
-    def test_rejects_non_power_of_two(self, n):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("n", [3, 5, 37, 49, 2, 0, -8])
+    def test_rejects_odd_or_small_n(self, n):
+        with pytest.raises(ValueError, match=f"^n must be even and >= 4, got {n}$"):
             GridSpec(dim=2, n=n, box_length=1.0)
+
+    def test_accepts_every_even_n_with_the_largest_alias_free_cutoff(self):
+        # products of kept modes reach 2c and alias onto 2c - n, which must stay below -c: 3c < n
+        for n in range(4, 101, 2):
+            c = GridSpec(dim=2, n=n, box_length=1.0).cutoff
+            assert 3 * c < n <= 3 * (c + 1)
+
+    def test_cutoff_of_a_power_of_two_is_the_two_thirds_of_half_n_of_before(self):
+        # so every grid a power-of-two-only rule accepted keeps its kept modes, and its bits
+        for p in range(2, 21):
+            n = 2 ** p
+            assert GridSpec(dim=3, n=n, box_length=1.0).cutoff == int(2.0 / 3.0 * (n // 2))
 
     def test_rejects_bad_dim_and_box(self):
         with pytest.raises(ValueError):

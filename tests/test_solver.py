@@ -109,16 +109,54 @@ class TestStep:
                 u = imex_step(u, i * op.dt, op, f, f)
 
 
+class TestEvenGrids:
+    """Grids of an even n that is no power of two hold the gate's criteria 1, 2 and 3 at its tolerances."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 48), (2, 96), (3, 48), (3, 96)])
+    def test_skew_symmetry(self, dim, n):
+        grid = GridSpec(dim=dim, n=n, box_length=TWO_PI)
+        for seed in range(3):
+            u = random_state(grid, seed=seed)
+            nl = nonlinear_term(u, operator(grid))
+            rel = abs(inner(grid, nl, u)) / math.sqrt(parseval_sum(grid, nl) * parseval_sum(grid, u))
+            assert rel <= 1e-10
+
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_shear_decays_at_the_viscous_rate(self, n):
+        # criterion 3 in 2d: sin(y) e_x decays as exp(-nu t) for every gamma, to 1e-6 at t = 1
+        grid = GridSpec(dim=2, n=n, box_length=TWO_PI)
+        nu, dt = 0.1, 1e-3
+        u0 = shear_state(grid)
+        for gamma in (0.0, 1.0, 1e3):
+            u = u0
+            op = operator(grid, FlowParams(nu=nu, gamma=gamma), dt)
+            f = zeros(grid)
+            for i in range(1000):
+                u = imex_step(u, i * dt, op, f, f)
+            assert math.sqrt(parseval_sum(grid, u - math.exp(-nu) * u0)) <= 1e-6
+
+    def test_mms_temporal_order(self):
+        # criterion 2 at 2d n = 48
+        grid = GridSpec(dim=2, n=48, box_length=TWO_PI)
+        target = divergent_mms_target(grid)
+        params = FlowParams(nu=0.05, gamma=1.0)
+        errs = [run_mms(target, params, StepperConfig(dt=dt, t_end=0.4))["max_l2_error"]
+                for dt in (4e-3, 2e-3, 1e-3)]
+        assert min(math.log2(a / b) for a, b in zip(errs, errs[1:])) >= 1.9
+
+
 class TestTransformCount:
     """A step makes two nonlinear evaluations, each one 1-D pass per axis each way, and no n-d transform."""
 
     # lines per evaluation at n = 16 (cutoff 5, so 11 and 6 kept entries on a full and the last axis):
     # 2d inverse 4*6 + 4*16, forward 3*16 + 3*6; 3d inverse 7*11*6 + 7*16*6 + 7*16*16,
     # forward 4*16*16 + 4*16*6 + 4*11*6. The n-d transforms of the half-spectrum took 350 and
-    # 11968 lines per step.
-    @pytest.mark.parametrize("dim, lines", [(2, 308), (3, 9196)])
-    def test_line_transforms_per_step(self, monkeypatch, dim, lines):
-        grid = GridSpec(dim=dim, n=16, box_length=TWO_PI)
+    # 11968 lines per step. At n = 48 (cutoff 15, so 31 and 16 kept): 2d inverse 4*16 + 4*48,
+    # forward 3*48 + 3*16, 448 per evaluation; 3d inverse 7*31*16 + 7*48*16 + 7*48*48, forward
+    # 4*48*48 + 4*48*16 + 4*31*16, 39248 per evaluation.
+    @pytest.mark.parametrize("dim, n, lines", [(2, 16, 308), (3, 16, 9196), (2, 48, 896), (3, 48, 78496)])
+    def test_line_transforms_per_step(self, monkeypatch, dim, n, lines):
+        grid = GridSpec(dim=dim, n=n, box_length=TWO_PI)
         u = random_state(grid, seed=3)
         f = random_state(grid, seed=4)
         counted, nd_calls = [], []

@@ -209,7 +209,7 @@ def op(grid):
 
 class TestLayout:
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("n", [4, 8, 32, 64])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 32, 48, 64])
     def test_blocks_cover_exactly_the_kept_modes(self, dim, n):
         # the compact modes, placed in the half-spectrum by their mode numbers, hit each kept mode once
         g = GridSpec(dim=dim, n=n, box_length=TWO_PI)
@@ -218,7 +218,7 @@ class TestLayout:
         assert np.array_equal(cover, half_mask(g).astype(int))
         assert np.prod(g.compact_shape) == np.count_nonzero(half_mask(g))
 
-    @pytest.mark.parametrize("n", [4, 8, 32, 64])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 32, 48, 64])
     def test_restrict_extend_round_trip(self, n):
         g = GridSpec(dim=3, n=n, box_length=TWO_PI)
         rng = np.random.default_rng(n)
@@ -415,7 +415,7 @@ class TestPrunedTransforms:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape), single
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 48, 64])
     def test_same_bits_as_the_nd_transforms(self, dim, n):
         # the step's [u, omega, div u] stack (omega has 1 component in 2d, 3 in 3d), and the
         # force gradient's dim^2 components
