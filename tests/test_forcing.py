@@ -144,7 +144,7 @@ class TestDivergenceCheck:
 
 @st.composite
 def tilted_mode_lists(draw):
-    """(grid, modes(t)): 1 to 3 modes up to the largest m the grid keeps, |m . a| = t DIVERGENCE_TOL |a| for each.
+    """(grid, modes(t)): 1 to 3 modes up to the largest m the grid keeps, |m . a| about t DIVERGENCE_TOL |a| each.
 
     Each a is a complex multiple of a real vector with its part along m projected out in floats,
     plus t DIVERGENCE_TOL |a| m / |m|^2, so m . a also holds the projection's rounding.

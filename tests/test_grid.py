@@ -48,8 +48,8 @@ class TestGridSpec:
             c = GridSpec(dim=2, n=n, box_length=1.0).cutoff
             assert 3 * c < n <= 3 * (c + 1)
 
-    def test_cutoff_of_a_power_of_two_is_the_two_thirds_of_half_n_of_before(self):
-        # so every grid a power-of-two-only rule accepted keeps its kept modes, and its bits
+    def test_cutoff_of_every_power_of_two_is_unchanged(self):
+        # int(2/3 * (n // 2)) was the cutoff when n had to be a power of two, so those grids keep their bits
         for p in range(2, 21):
             n = 2 ** p
             assert GridSpec(dim=3, n=n, box_length=1.0).cutoff == int(2.0 / 3.0 * (n // 2))
