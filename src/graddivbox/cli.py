@@ -136,7 +136,3 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REFUSED
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -45,7 +45,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.burn_in < 0:
-            raise ConfigError("stats.burn_in must be nonnegative")
+            raise ConfigError(f"stats.burn_in must be nonnegative, got {self.burn_in}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         dt = self.stepper.dt

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import TWO_PI, Field, GridSpec, k_dot, parseval_sum, to_physical, wavevectors
+from .grid import TWO_PI, Field, GridSpec, k_dot, mode_numbers, parseval_sum, to_physical, wavevectors
 
 # largest ||div f|| / ((2 pi / box_length) F) a realized force may have; the measure is free of the box size
 DIVERGENCE_TOL = 1e-12
@@ -110,31 +110,22 @@ class ForceStats:
 
 
 def realize_force(spec: ForcingSpec) -> Field:
-    """Build the force field's compact coefficients from its mode list."""
+    """Build the force field's compact coefficients from its mode list.
+
+    Each mode (m, a) adds a to the slot whose `mode_numbers` equal m and conj(a) to the one whose equal -m;
+    the layout stores at most one of the two, both only on the m_last = 0 plane, and no slot is added twice.
+    """
     if not spec.modes:
         raise ForcingError("zero force: the mode list is empty")
     grid = spec.grid
     coeffs = np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
+    slot_modes = mode_numbers(grid)
     for m, a in spec.modes:
-        _place_mode(coeffs, m, a, 2 * grid.cutoff + 1)
-    # reality is structural in the compact layout
+        a = np.array(a)
+        for sign, amp in ((1, a), (-1, a.conj())):
+            at = np.logical_and.reduce([mj_slot == sign * mj for mj_slot, mj in zip(slot_modes, m)])
+            coeffs[:, at] += amp[:, np.newaxis]
     return Field(grid, coeffs)
-
-
-def _place_mode(coeffs, m, a, size):
-    # The compact layout stores only m_last >= 0, at index m_j mod size on
-    # the full axes; entries on the m_last = 0 plane need their conjugate
-    # partner placed explicitly.
-    if m[-1] < 0:
-        m = tuple(-mj for mj in m)
-        a = tuple(np.conj(aj) for aj in a)
-    idx = tuple(mj % size for mj in m)
-    for c, ac in enumerate(a):
-        coeffs[(c,) + idx] += ac
-    if m[-1] == 0:
-        conj_idx = tuple((-mj) % size for mj in m)
-        for c, ac in enumerate(a):
-            coeffs[(c,) + conj_idx] += np.conj(ac)
 
 
 def compute_F(f: Field) -> float:

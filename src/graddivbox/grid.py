@@ -8,11 +8,14 @@ the real-to-complex half spectrum (numpy's n-d real transform) and
 conjugate symmetry is structural. The force, the initial and restart
 states, the MMS targets, every stage of a run and the checkpoint payload
 live on it as bare arrays. `to_compact` and `to_physical` are the one
-transform pair between it and the samples. `parseval_sum` takes the volume
-means of the force, the initial state and the MMS norms; `stats` takes
-each run state's means itself, in one |uhat|^2 pass per state. A `Field`
-pairs an array with its grid only where `bench/workloads.py` holds one: the
-realized force, checkpoint I/O and `ManufacturedSolution.state`.
+transform pair between it and the samples. `mode_numbers` says which mode
+each slot stores; it and the arrays built from it are made anew on each
+call and cached nowhere, so a `SpectralOperator` owns its constants.
+`parseval_sum` takes the volume means of the force, the initial state and
+the MMS norms; `stats` takes each run state's means itself, in one
+|uhat|^2 pass per state. A `Field` pairs an array with its grid only where
+`bench/workloads.py` holds one: the realized force, checkpoint I/O and
+`ManufacturedSolution.state`.
 
 Normalization: spectral coefficients are true Fourier-series coefficients,
 ``u(x) = sum_k uhat_k exp(i k.x)``, i.e. forward transform divided by the
@@ -24,7 +27,6 @@ conjugate partner is not stored and ``w_k = 1`` on the m_last = 0 plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,29 +111,25 @@ def to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
     return np.fft.irfft(x, grid.n, axis=-1, norm="forward")
 
 
-@lru_cache(maxsize=None)
 def mode_numbers(grid: GridSpec):
-    """Integer mode index m_j along each axis, broadcast to the compact shape."""
+    """Integer mode index m_j along each axis, broadcast to the compact shape: the one map from slot to mode."""
     c = grid.cutoff
     full = np.concatenate([np.arange(c + 1), np.arange(-c, 0)]).astype(float)
     axes = [full] * (grid.dim - 1) + [np.arange(c + 1, dtype=float)]
     return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
-@lru_cache(maxsize=None)
 def wavevectors(grid: GridSpec):
     """Physical wavevector components k_j = (2*pi/box_length) m_j."""
     scale = TWO_PI / grid.box_length
     return tuple(scale * m for m in mode_numbers(grid))
 
 
-@lru_cache(maxsize=None)
 def wavenumber_sq(grid: GridSpec):
     k = wavevectors(grid)
     return sum(kj * kj for kj in k)
 
 
-@lru_cache(maxsize=None)
 def parseval_weights(grid: GridSpec):
     """Multiplicity of each kept mode in the full spectrum: 1 on the m_last = 0 plane, else 2."""
     w = np.full(grid.compact_shape, 2.0)

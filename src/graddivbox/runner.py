@@ -6,7 +6,7 @@ condition (force shape at unit rms plus a small seeded divergence-free
 perturbation), advances the solver with a fixed step, keeps one record per
 state, averages the records after burn-in, and writes into output_dir:
 
-    timeseries.csv   one row per step: t, the `COLUMNS` of its Diagnostics
+    timeseries.csv   one row per step: t, the fields of its `stats.Diagnostics`
                      record (kinetic_energy, eps_nu, eps_gamma, div_norm_sq),
                      budget_residual
     summary.json     force scales, U_T, Re, R_gamma, <eps> and its split,
@@ -19,9 +19,10 @@ checkpoint payload are compact coefficients, on the modes the 2/3 rule
 keeps (the layout of `grid`). The mean (k = 0) mode of a fresh run stays
 exactly 0. Time is the step index i, reported as i * dt. All floats in the
 CSV are printed with 17 significant digits, so a serial rerun (or a
-checkpoint restart) reproduces rows bitwise. A restart must start on the
-step grid in [0, t_end) and resumes the step index there; anything else
-is refused before a file is written. A restart into an output_dir holding
+checkpoint restart) reproduces rows bitwise, and every finite record parses
+back to the same bits. A restart must start on the step grid in
+[0, t_end) and resumes the step index there; anything else is refused
+before a file is written. A restart into an output_dir holding
 a timeseries.csv keeps and averages its rows up to t0 (the t0 row holding
 the restored state bitwise); into a fresh output_dir it averages from t0.
 """
@@ -46,22 +47,16 @@ from .stats import Diagnostics, diagnostics, finalize, update
 PERTURBATION_RMS = 0.01
 PERTURBATION_MAX_MODE = 4
 
-# timeseries.csv's column of each Diagnostics channel, in field order, with the factor it is printed at
-COLUMNS = (("kinetic_energy", 0.5), ("eps_nu", 1.0), ("eps_gamma", 1.0), ("div_norm_sq", 1.0))
-CSV_HEADER = ",".join(["t", *(name for name, _ in COLUMNS), "budget_residual"])
-_ROW = ",".join(["%.17g"] * (len(COLUMNS) + 2)) + "\n"  # t, the channels, budget_residual
+CSV_HEADER = ",".join(["t", *Diagnostics._fields, "budget_residual"])
+_ROW = ",".join(["%.17g"] * (len(Diagnostics._fields) + 2)) + "\n"  # t, the channels, budget_residual
 
 # sweep.csv's columns after gamma, named as in summary.json, in a row per gamma that ran to the end
 SWEEP_KEYS = ("eps_avg", "eps_nu_avg", "eps_gamma_avg", "div_norm_sq_avg", "U_T", "eps_bound",
               "in_window_mesh_independent", "in_window_mesh_dependent")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _csv_row(t: float, d: Diagnostics, residual: float) -> str:
-    return _ROW % (t, *(factor * x for (_, factor), x in zip(COLUMNS, d)), residual)
+    return _ROW % (t, *d, residual)
 
 
 def _rows_up_to(csv_path: str, start_step: int, dt: float, d: Diagnostics) -> tuple[str, list]:
@@ -77,14 +72,12 @@ def _rows_up_to(csv_path: str, start_step: int, dt: float, d: Diagnostics) -> tu
     for i, row in enumerate(lines[1:at + 1], start_step + 1 - at):
         try:
             t, *channels, residual = cells = [float(c) for c in row.split(",")]
-            if len(cells) != len(COLUMNS) + 2 or i < 0 or t != i * dt:
+            if len(cells) != len(Diagnostics._fields) + 2 or i < 0 or t != i * dt:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"{csv_path} row {row.strip()!r} is not {len(COLUMNS) + 2} floats "
+            raise ValueError(f"{csv_path} row {row.strip()!r} is not {len(Diagnostics._fields) + 2} floats "
                              f"at t = {i} * dt") from None
-        # each channel is printed round-trip times its factor 1 or 1/2, so dividing by it is exact for normal
-        # floats; a u_sq below 2^-1021, whose half is subnormal, may lose its last bit when it is halved
-        records.append((Diagnostics(*(x / factor for (_, factor), x in zip(COLUMNS, channels))), residual))
+        records.append((Diagnostics(*channels), residual))
     return "".join(lines[:at + 1]), records
 
 
@@ -267,7 +260,7 @@ def run_sweep(sweep: SweepConfig) -> dict:
         fh.write(",".join(["gamma", *SWEEP_KEYS]) + "\n")
         for gamma, summary in summaries.items():
             row = [gamma, *(summary[key] for key in SWEEP_KEYS)]
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else "" if v is None else str(v) for v in row) + "\n")
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else "" if v is None else str(v) for v in row) + "\n")
 
     out = {
         "gamma_values": list(sweep.gamma_values),

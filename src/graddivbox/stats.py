@@ -1,13 +1,15 @@
 """Time-averaged flow statistics and the per-step energy-budget audit.
 
-Folds a run's records, one (`diagnostics`, budget residual) pair per state
-as in timeseries.csv, into trapezoid-in-time integrals of the dissipation rate
+Folds a run's records, one (`diagnostics`, budget residual) pair per state,
+into trapezoid-in-time integrals of the dissipation rate
 
     eps(u) = (1/|box|) int nu |grad u|^2 + gamma |div u|^2 dx,
 
-of the mean-square velocity (giving the finite-window velocity scale U_T),
-and of the mean-square divergence, all Parseval sums over the kept modes of
-the compact run state. Time is the step index: step i starts at i * dt,
+of the kinetic energy |u|^2 / 2 (giving the finite-window velocity scale
+U_T = sqrt(2 <kinetic_energy>)), and of the mean-square divergence, all
+Parseval sums over the kept modes of the compact run state. A record is
+a timeseries.csv row: the `Diagnostics` fields are its columns, in order,
+as printed. Time is the step index: step i starts at i * dt,
 and the window is the steps from the burn-in step on. `update`
 audits each step against the discrete energy inequality: the residual
 
@@ -29,16 +31,16 @@ from .grid import k_dot
 from .solver import SpectralOperator
 
 class Diagnostics(NamedTuple):
-    """Volume means of one state: |u|^2, the two dissipation channels and (div u)^2."""
+    """Volume means of one state, the timeseries.csv columns in order: |u|^2 / 2, eps_nu, eps_gamma, (div u)^2."""
 
-    u_sq: float
+    kinetic_energy: float
     eps_nu: float
     eps_gamma: float
-    div_sq: float
+    div_norm_sq: float
 
 
 def _dissipation(u: np.ndarray, op: SpectralOperator) -> tuple:
-    """(per-mode |uhat|^2, eps_nu, eps_gamma, div_sq) of compact coefficients `u` from Parseval.
+    """(per-mode |uhat|^2, eps_nu, eps_gamma, div_norm_sq) of compact coefficients `u` from Parseval.
 
     eps_nu is nu times the volume mean of the squared Frobenius norm of
     grad u, which per mode is |k|^2 |uhat|^2; eps_gamma is gamma times the
@@ -47,14 +49,14 @@ def _dissipation(u: np.ndarray, op: SpectralOperator) -> tuple:
     energy = np.sum(u.real ** 2 + u.imag ** 2, axis=0)
     grad_sq = float(np.sum(op.weighted_ksq * energy))
     kdotu = k_dot(op.k, u)
-    div_sq = float(np.sum(op.weights * (kdotu.real ** 2 + kdotu.imag ** 2)))
-    return energy, op.params.nu * grad_sq, op.params.gamma * div_sq, div_sq
+    div_norm_sq = float(np.sum(op.weights * (kdotu.real ** 2 + kdotu.imag ** 2)))
+    return energy, op.params.nu * grad_sq, op.params.gamma * div_norm_sq, div_norm_sq
 
 
 def diagnostics(u: np.ndarray, op: SpectralOperator) -> Diagnostics:
     """The diagnostics record of compact coefficients `u`, all from Parseval and one |uhat|^2 pass."""
-    energy, eps_nu, eps_gamma, div_sq = _dissipation(u, op)
-    return Diagnostics(float(np.sum(op.weights * energy)), eps_nu, eps_gamma, div_sq)
+    energy, eps_nu, eps_gamma, div_norm_sq = _dissipation(u, op)
+    return Diagnostics(0.5 * float(np.sum(op.weights * energy)), eps_nu, eps_gamma, div_norm_sq)
 
 
 def update(records: list, u_prev: np.ndarray, u_next: np.ndarray, d_next: Diagnostics,
@@ -69,8 +71,7 @@ def update(records: list, u_prev: np.ndarray, u_next: np.ndarray, d_next: Diagno
     mid = 0.5 * (u_prev + u_next)
     _, eps_nu_mid, eps_gamma_mid, _ = _dissipation(mid, op)
     f_dot_mid = float(np.sum(op.weights * np.sum((np.conj(f) * mid).real, axis=0)))
-    r = (0.5 * d_next.u_sq - 0.5 * records[-1][0].u_sq
-         + dt * (eps_nu_mid + eps_gamma_mid) - dt * f_dot_mid)
+    r = d_next.kinetic_energy - records[-1][0].kinetic_energy + dt * (eps_nu_mid + eps_gamma_mid) - dt * f_dot_mid
     records.append((d_next, r))
 
 
@@ -93,8 +94,8 @@ def finalize(first_step: int, records: list, dt: float, burn_in_steps: int) -> d
         "eps_avg": mean.eps_nu + mean.eps_gamma,
         "eps_nu_avg": mean.eps_nu,
         "eps_gamma_avg": mean.eps_gamma,
-        "U_T": float(np.sqrt(mean.u_sq)),
-        "div_norm_sq_avg": mean.div_sq,
+        "U_T": float(np.sqrt(2.0 * mean.kinetic_energy)),
+        "div_norm_sq_avg": mean.div_norm_sq,
         "window": duration,
         "budget_residual_max": max(0.0, *(r for _, r in records)),
     }

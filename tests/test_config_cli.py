@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from graddivbox.config import (
 )
 from graddivbox.forcing import ForcingSpec
 from graddivbox.grid import Field, GridSpec, parseval_sum
+import graddivbox
 from graddivbox import checkpoint, config, runner, stats
 from graddivbox.runner import run_single, run_sweep
 from graddivbox.solver import BlowUpError, FlowParams, StepperConfig
@@ -336,7 +339,9 @@ class TestWindowValidation:
         ({"burn_in": 0.2, "window": 1e-12}, "stats.window = 1e-12 must be at least one step of dt = 0.01"),
         ({"window": 0.0}, "stats.window = 0.0 must be at least one step of dt = 0.01"),
         ({"window": -0.1}, "stats.window = -0.1 must be at least one step of dt = 0.01"),
-    ], ids=["window-past-t_end", "burn_in-off-grid", "window-of-no-step", "window-zero", "window-negative"])
+        ({"burn_in": -0.1, "window": 0.3}, "stats.burn_in must be nonnegative, got -0.1"),
+    ], ids=["window-past-t_end", "burn_in-off-grid", "window-of-no-step", "window-zero", "window-negative",
+            "burn_in-negative"])
     def test_window_off_the_step_grid_is_a_config_error(self, tmp_path, capsys, stats, message):
         # the first two loaded before and averaged 0.2 and 0.09 (from t = 0.11) with t_end = 0.2
         d = run_config_to_dict(small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2))
@@ -477,7 +482,7 @@ class TestRunSingle:
     @pytest.mark.parametrize("fault", ["five_cells", "seven_cells", "word", "shifted_t", "missing_row",
                                        "row_before_t_zero"])
     def test_restart_in_place_refuses_malformed_kept_rows(self, tmp_path, capsys, fault):
-        # kept rows are len(runner.COLUMNS) + 2 = 6 floats at t = i * dt of consecutive steps i ending at t0;
+        # kept rows are len(stats.Diagnostics._fields) + 2 = 6 floats at t = i * dt of consecutive steps i ending at t0;
         # otherwise nothing is written
         half = small_run_config(tmp_path, t_end=0.04, window=0.04, subdir="d")
         run_single(half)
@@ -1027,6 +1032,17 @@ class TestCli:
             ("measured_eps_avg", None),
             ("bound_satisfied", None),
         ]
+
+    def test_package_runs_as_a_module(self, capsys):
+        # `python -m graddivbox` is the documented entry point
+        args = ["criterion", "--U", "1", "--L", "1", "--nu", "0.01", "--kappa", "1.5"]
+        src = os.path.dirname(os.path.dirname(graddivbox.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-m", "graddivbox", *args], capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert main(args) == 0
+        assert json.loads(out.stdout) == json.loads(capsys.readouterr().out)
 
     def test_criterion_infinite_gamma_is_the_projected_limit(self, capsys):
         assert main(["criterion", "--U", "1", "--L", "1", "--nu", "0.01", "--kappa", "1.5", "--gamma", "inf"]) == 0

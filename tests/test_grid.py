@@ -198,7 +198,7 @@ class TestVolumeNorm:
     def test_one_norm_path_for_physical_and_spectral_fields(self, grid3d):
         # a state's norm and a run's kinetic-energy record are one Parseval sum, bit for bit
         u = random_state(grid3d, seed=16)
-        assert parseval_sum(grid3d, u) == diagnostics(u, operator(grid3d)).u_sq
+        assert 0.5 * parseval_sum(grid3d, u) == diagnostics(u, operator(grid3d)).kinetic_energy
         p = samples(grid3d, u)
         assert parseval_sum(grid3d, u) == pytest.approx(float(np.mean(np.sum(p * p, axis=0))), rel=1e-12)
 

@@ -77,7 +77,7 @@ class TestStep:
         op = operator(grid3d, FlowParams(nu=0.01, gamma=1e6), 1e-2)
         f = zeros(grid3d)
         u1 = imex_step(u0, 0.0, op, f, f)
-        reduction = math.sqrt(diagnostics(u0, op).div_sq / diagnostics(u1, op).div_sq)
+        reduction = math.sqrt(diagnostics(u0, op).div_norm_sq / diagnostics(u1, op).div_norm_sq)
         assert reduction >= 1e3
 
     def test_energy_dissipative_unforced(self, grid2d):

@@ -34,27 +34,27 @@ class TestDissipationRate:
         d = diagnostics(shear_state(grid3d), operator(grid3d, FlowParams(nu=1.0, gamma=7.0)))
         assert d.eps_nu == pytest.approx(0.5, rel=1e-12)
         assert d.eps_gamma == pytest.approx(0.0, abs=1e-24)
-        assert d.div_sq == pytest.approx(0.0, abs=1e-24)
-        assert d.u_sq == pytest.approx(0.5, rel=1e-12)
+        assert d.div_norm_sq == pytest.approx(0.0, abs=1e-24)
+        assert d.kinetic_energy == pytest.approx(0.25, rel=1e-12)
 
     def test_gradient_field_gamma_channel(self, grid2d):
         xs = coords(grid2d)
         # u = grad(sin x) = (cos x, 0): div u = -sin x, mean square 1/2
         u = from_samples(grid2d, np.stack([np.cos(xs[0]), np.zeros(grid2d.shape)]))
         d = diagnostics(u, operator(grid2d, FlowParams(nu=1e-30, gamma=2.0)))
-        assert d.div_sq == pytest.approx(0.5, rel=1e-12)
+        assert d.div_norm_sq == pytest.approx(0.5, rel=1e-12)
         assert d.eps_gamma == pytest.approx(1.0, rel=1e-12)
         assert d.eps_nu <= 1e-29
 
     def test_zero_field(self, grid2d):
         d = diagnostics(zeros(grid2d), operator(grid2d, FlowParams(nu=1.0, gamma=1.0)))
-        assert (d.u_sq, d.eps_nu, d.eps_gamma, d.div_sq) == (0.0, 0.0, 0.0, 0.0)
+        assert (d.kinetic_energy, d.eps_nu, d.eps_gamma, d.div_norm_sq) == (0.0, 0.0, 0.0, 0.0)
 
     def test_gamma_zero_kills_channel(self, grid2d):
         u = random_state(grid2d, seed=2)
         d = diagnostics(u, operator(grid2d, FlowParams(nu=0.1, gamma=0.0)))
         assert d.eps_gamma == 0.0
-        assert d.div_sq > 0.0
+        assert d.div_norm_sq > 0.0
 
     def test_parseval_consistency(self, grid2d):
         # spectral dissipation equals physical-space quadrature of nu |grad u|^2 + gamma (div u)^2
@@ -65,9 +65,10 @@ class TestDissipationRate:
         g = samples(grid2d, grad.reshape((4,) + grid2d.compact_shape))
         d = samples(grid2d, divergence(grid2d, u))[0]
         assert rec.eps_nu == pytest.approx(params.nu * float(np.mean(np.sum(g * g, axis=0))), rel=1e-10)
-        assert rec.div_sq == pytest.approx(float(np.mean(d * d)), rel=1e-10)
-        assert rec.eps_gamma == pytest.approx(params.gamma * rec.div_sq, rel=1e-15)
-        assert rec.u_sq == pytest.approx(float(np.mean(np.sum(samples(grid2d, u) ** 2, axis=0))), rel=1e-12)
+        assert rec.div_norm_sq == pytest.approx(float(np.mean(d * d)), rel=1e-10)
+        assert rec.eps_gamma == pytest.approx(params.gamma * rec.div_norm_sq, rel=1e-15)
+        assert rec.kinetic_energy == pytest.approx(0.5 * float(np.mean(np.sum(samples(grid2d, u) ** 2, axis=0))),
+                                                   rel=1e-12)
 
 
 class TestUpdate:
@@ -87,10 +88,10 @@ class TestUpdate:
         # update appends the step's record, its residual from the records and the midpoint only
         op = operator(grid2d, FlowParams(nu=1.0, gamma=0.0), 0.5)
         u = shear_state(grid2d)
-        records = [(Diagnostics(1.0, 2.0, 3.0, 4.0), 0.0)]
-        update(records, u, u, Diagnostics(5.0, 6.0, 7.0, 8.0), op, np.zeros_like(u))
-        # 1/2 (5 - 1) + dt eps(mid), with eps(mid) = 1/2 for unit shear at nu = 1
-        assert records[1][0] == Diagnostics(5.0, 6.0, 7.0, 8.0)
+        records = [(Diagnostics(0.5, 2.0, 3.0, 4.0), 0.0)]
+        update(records, u, u, Diagnostics(2.5, 6.0, 7.0, 8.0), op, np.zeros_like(u))
+        # (2.5 - 0.5) + dt eps(mid), with eps(mid) = 1/2 for unit shear at nu = 1
+        assert records[1][0] == Diagnostics(2.5, 6.0, 7.0, 8.0)
         assert records[1][1] == pytest.approx(2.25, rel=1e-12)
         # finalize sums the records alone: over a window of 0.5, each average is the mean of the pair
         out = finalize(0, records, 0.5, 0.0)

@@ -355,10 +355,10 @@ class TestSameBitsAsReference:
         kdotu = sum(op.k[j] * s[j] for j in range(g.dim))
         d = diagnostics(s, op)
         energy = np.sum(s.real ** 2 + s.imag ** 2, axis=0)
-        assert d.u_sq == float(np.sum(w * energy))
+        assert d.kinetic_energy == 0.5 * float(np.sum(w * energy))
         assert d.eps_nu == PARAMS.nu * float(np.sum(w * ksq * energy))
-        assert d.div_sq == float(np.sum(w * (kdotu.real ** 2 + kdotu.imag ** 2)))
-        assert d.eps_gamma == PARAMS.gamma * d.div_sq
+        assert d.div_norm_sq == float(np.sum(w * (kdotu.real ** 2 + kdotu.imag ** 2)))
+        assert d.eps_gamma == PARAMS.gamma * d.div_norm_sq
 
 
 class TestBatchedKernels:
