@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError, IsADirectoryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as e:

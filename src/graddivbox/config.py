@@ -234,7 +234,7 @@ for _cls in (_Loader, Dumper):
 
 
 def _load(path) -> dict:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # PyYAML detects UTF-8 or UTF-16, and refuses other bytes as invalid YAML
         try:
             d = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as e:

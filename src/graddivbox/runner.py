@@ -9,9 +9,10 @@ state, averages the records after burn-in, and writes into output_dir:
     timeseries.csv   one row per step: t, the fields of its `stats.Diagnostics`
                      record (kinetic_energy, eps_nu, eps_gamma, div_norm_sq),
                      budget_residual
-    summary.json     force scales, U_T, Re, R_gamma, <eps> and its split,
-                     the dissipation bound and whether it held, and the
-                     admissible gamma windows
+    summary.json     the force scales (`forcing.ForceStats`), the run settings,
+                     the window averages as `stats.finalize` returns them, then
+                     <eps> normalized, the `criterion.build_report` fields (Re,
+                     R_gamma, the bound, the gamma windows) and the Kolmogorov eta
     final.ckpt       restartable binary checkpoint of the end state
 
 The force, the initial or restart state, the state of every step and the
@@ -82,21 +83,13 @@ def _rows_up_to(csv_path: str, start_step: int, dt: float, d: Diagnostics) -> tu
 
 
 def json_safe(obj):
-    """`obj` with numpy scalars as Python numbers and non-finite floats as strings."""
+    """`obj`, into its dicts, lists and tuples, with each non-finite float as "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
         return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return float(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -182,15 +175,15 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
 def _summarize(cfg: RunConfig, fstats, records: list) -> dict:
     # the records are of consecutive states, the last at step n_steps
     averages = finalize(cfg.stepper.n_steps + 1 - len(records), records, cfg.stepper.dt, cfg.burn_in_steps)
-    u_t = averages["U_T"]
+    u_t, eps_avg = averages["U_T"], averages["eps_avg"]
     report = eps_normalized = None
     if fstats is not None and u_t > 0:
         inp = crit.CriterionInput(
             U=u_t, L=fstats.L, nu=cfg.params.nu,
             kappa=max(fstats.kappa, 1.0), gamma=cfg.params.gamma, h=cfg.grid.spacing,
         )
-        report = crit.build_report(inp, measured_eps_avg=averages["eps_avg"])
-        eps_normalized = averages["eps_avg"] * fstats.L / u_t ** 3
+        report = crit.build_report(inp, measured_eps_avg=eps_avg)
+        eps_normalized = eps_avg * fstats.L / u_t ** 3
 
     def pick(obj, *names):  # obj's attributes, or None for each when obj is None
         return {name: getattr(obj, name, None) for name in names}
@@ -202,18 +195,11 @@ def _summarize(cfg: RunConfig, fstats, records: list) -> dict:
         "dt": cfg.stepper.dt,
         "t_end": cfg.stepper.t_end,
         "burn_in": cfg.burn_in,
-        "window": averages["window"],
         "seed": cfg.seed,
-        "U_T": u_t,
-        **pick(report, "Re", "R_gamma"),
-        "eps_avg": averages["eps_avg"],
-        "eps_nu_avg": averages["eps_nu_avg"],
-        "eps_gamma_avg": averages["eps_gamma_avg"],
+        **averages,
         "eps_normalized": eps_normalized,
-        **pick(report, "eps_bound", "eps_bound_viscous", "bound_satisfied"),
-        "div_norm_sq_avg": averages["div_norm_sq_avg"],
-        "budget_residual_max": averages["budget_residual_max"],
-        **pick(report, "gamma_lo", "gamma_hi_mesh_independent", "gamma_hi_mesh_dependent",
+        **pick(report, "Re", "R_gamma", "eps_bound", "eps_bound_viscous", "bound_satisfied", "gamma_lo",
+               "gamma_hi_mesh_independent", "gamma_hi_mesh_dependent",
                "in_window_mesh_independent", "in_window_mesh_dependent"),
         "kolmogorov_eta": getattr(report, "eta", None),
     }

@@ -602,6 +602,19 @@ class TestRunSingle:
         cfg = small_run_config(tmp_path, dim=dim, n=8, modes=())
         assert parseval_sum(cfg.grid, runner.initial_condition(cfg, None)) == pytest.approx(1.0, rel=1e-12)
 
+    def test_summary_holds_every_entry_of_finalize(self, tmp_path, monkeypatch):
+        # a new window statistic is one entry in finalize's dict, and summary.json holds it
+        real_finalize = runner.finalize
+        monkeypatch.setattr(runner, "finalize", lambda *args: {**real_finalize(*args), "probe": 1.0})
+        cfg = small_run_config(tmp_path, n=8, t_end=0.02, window=0.02)
+        run_single(cfg)
+        assert json.load(open(os.path.join(cfg.output_dir, "summary.json")))["probe"] == 1.0
+
+    @pytest.mark.parametrize("modes", [None, ()], ids=["forced", "unforced"])
+    def test_every_sweep_key_is_a_summary_key(self, tmp_path, modes):
+        summary = run_single(small_run_config(tmp_path, n=8, t_end=0.02, window=0.02, modes=modes))
+        assert set(runner.SWEEP_KEYS) <= set(summary)
+
     def test_serial_rerun_is_bitwise(self, tmp_path):
         a = small_run_config(tmp_path, t_end=0.05, window=0.05, subdir="a")
         b = dataclasses.replace(a, output_dir=str(tmp_path / "b"))
@@ -950,11 +963,25 @@ class TestCli:
         assert main(["run", str(path), "--restart", str(ck)]) == 5
         assert capsys.readouterr().err == f"error: {ck}: truncated header\n"
 
-    def test_invalid_yaml_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [b"grid: {dim: 2, n: 16\nflow: [\n", b"grid: {dim: 2}\n\xff\n"],
+                             ids=["unclosed", "no-encoding"])
+    def test_invalid_yaml_is_a_config_error(self, tmp_path, capsys, text):
+        # bytes of no encoding must not reach a text-mode read: its UnicodeDecodeError is a ValueError, exit 5
         path = tmp_path / "broken.yaml"
-        path.write_text("grid: {dim: 2, n: 16\nflow: [\n")
+        path.write_bytes(text)
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: config file {path} is not valid YAML")
+
+    @pytest.mark.parametrize("where", ["config", "restart"])
+    def test_directory_for_a_file_is_a_config_error(self, tmp_path, capsys, where):
+        # open() raises IsADirectoryError, which is no FileNotFoundError
+        cfg = small_run_config(tmp_path)
+        path = tmp_path / "ok.yaml"
+        write_config(path, cfg)
+        args = ["run", str(tmp_path)] if where == "config" else ["run", str(path), "--restart", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not os.path.exists(cfg.output_dir)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_option_is_a_config_error(self, tmp_path, capsys, workers):

@@ -31,6 +31,15 @@ def test_compare_exits_1_on_any_difference(tmp_path, change, code, line):
     assert line in out.stdout
 
 
+def test_compare_names_a_difference_in_key_order_only(tmp_path):
+    # still a difference: the file is counted and the exit is 1
+    a = write_tree(tmp_path / "a", {"seed_0/run/summary.json": b'{"eps_avg": 0.125, "U_T": 2.0}'})
+    b = write_tree(tmp_path / "b", {"seed_0/run/summary.json": b'{"U_T": 2.0, "eps_avg": 0.125}'})
+    out = subprocess.run([sys.executable, TOOL, "--compare", a, b], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert out.stdout.splitlines() == ["seed_0/run/summary.json: differs in key order only", "1 of 1 files differ"]
+
+
 @pytest.mark.parametrize("change, summary", [
     ({}, "0 of 2 files differ"),
     ({"seed_0/run/summary.json": b'{"eps_avg": 0.126, "U_T": 2.0}',

@@ -24,10 +24,11 @@ prints nothing when the two commits write byte-identical outputs. Where
 they differ, `--compare` lists every file as byte-equal or not and gives,
 for the files that differ, the largest relative and absolute difference
 per CSV column, per float of a JSON file (keyed by its
-path, list indices dropped) and per MMS error. A last line gives the number
-of files that differ and the largest relative difference over all of them,
-with its file and key. It exits 0 when every file is byte-equal and 1 when
-a file differs or exists in one tree only.
+path, list indices dropped) and per MMS error. A JSON file whose two
+copies load to equal objects differs in key order only, and says so. A
+last line gives the number of files that differ and the largest relative
+difference over all of them, with its file and key. It exits 0 when every
+file is byte-equal and 1 when a file differs or exists in one tree only.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ def _criterion_reports(seed: int) -> list:
     return reports
 
 
+def _load(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _floats(path: str) -> dict:
     """{key: [floats]} of one output file: CSV columns, JSON floats by key path, MMS errors."""
     out = {}
@@ -89,8 +95,7 @@ def _floats(path: str) -> dict:
                     walk(v, key)
             elif isinstance(obj, float):
                 out.setdefault(key, []).append(obj)
-        with open(path) as fh:
-            walk(json.load(fh), "")
+        walk(_load(path), "")
     elif path.endswith(".txt"):
         with open(path) as fh:
             out["error"] = [float.fromhex(line) for line in fh]
@@ -116,8 +121,11 @@ def compare(a_dir: str, b_dir: str) -> int:
             if fa.read() == fb.read():
                 print(f"{name}: byte-equal")
                 continue
-        print(f"{name}: differs")
         unequal.add(name)
+        if name.endswith(".json") and _load(os.path.join(a_dir, name)) == _load(os.path.join(b_dir, name)):
+            print(f"{name}: differs in key order only")
+            continue
+        print(f"{name}: differs")
         fa, fb = _floats(os.path.join(a_dir, name)), _floats(os.path.join(b_dir, name))
         for key in sorted(set(fa) | set(fb)):
             xs, ys = fa.get(key, []), fb.get(key, [])
