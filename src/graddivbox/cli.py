@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import criterion as crit
@@ -63,7 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _with_output_dir(cfg, output_dir):
-    return dataclasses.replace(cfg, output_dir=output_dir) if output_dir else cfg
+    cfg = dataclasses.replace(cfg, output_dir=output_dir) if output_dir else cfg
+    head = os.path.abspath(cfg.output_dir)
+    while not os.path.lexists(head):  # the deepest part of the path that exists; the root does
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):  # os.makedirs would raise FileExistsError or NotADirectoryError
+        raise ConfigError(f"output_dir: cannot make {cfg.output_dir} a directory, because {head} exists and is not one")
+    return cfg
 
 
 def _cmd_run(args) -> int:

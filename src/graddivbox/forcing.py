@@ -136,20 +136,18 @@ def compute_F(f: Field) -> float:
     return float(np.sqrt(fsq))
 
 
-def _sup_norm(p: np.ndarray) -> float:
-    """Largest pointwise Euclidean norm over samples `p`, components on the first axis."""
-    return float(np.sqrt(np.max(np.sum(p * p, axis=0))))
-
-
 def force_stats(f: Field) -> ForceStats:
-    """F, L and kappa of a force, from one gradient and one transform of it stacked with the force."""
+    """F, L and kappa of a force, from transforms of `dim` components: each row d(f_i)/dx_j of its gradient, and f."""
     grid = f.grid
     F = compute_F(f)
-    # d(f_i)/dx_j at component i * dim + j
-    g = (1j * np.stack(wavevectors(grid)) * f.spec[:, np.newaxis]).reshape((-1,) + grid.compact_shape)
-    p = to_physical(grid, np.concatenate([g, f.spec]))
-    sup = _sup_norm(p[:len(g)])
-    l2 = float(np.sqrt(parseval_sum(grid, g)))
+    g = 1j * np.stack(wavevectors(grid)) * f.spec[:, np.newaxis]  # d(f_i)/dx_j at [i, j]
+    sq = 0.0  # |grad f|^2's samples, added in the component order of kappa's np.sum and so to the bits of one sum
+    for gi in g:
+        for pj in to_physical(grid, gi):
+            sq += pj * pj
+    sup = float(np.sqrt(np.max(sq)))
+    l2 = float(np.sqrt(parseval_sum(grid, g.reshape((-1,) + grid.compact_shape))))
+    p = to_physical(grid, f.spec)
     candidates = {
         "box_length": grid.box_length,
         "sup_gradient": F / sup if sup > 0 else np.inf,
@@ -160,7 +158,7 @@ def force_stats(f: Field) -> ForceStats:
         F=F,
         L=candidates[branch],
         L_branch=branch,
-        kappa=_sup_norm(p[len(g):]) / F,
+        kappa=float(np.sqrt(np.max(np.sum(p * p, axis=0)))) / F,
         grad_f_sup=sup,
         grad_f_l2=l2,
     )

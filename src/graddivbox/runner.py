@@ -40,7 +40,7 @@ import numpy as np
 from . import criterion as crit
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, SweepConfig
-from .forcing import force_stats, realize_force
+from .forcing import compute_F, force_stats, realize_force
 from .grid import Field, mode_numbers, parseval_sum, project_divergence_free, to_compact
 from .solver import BlowUpError, SpectralOperator, imex_step, step_index
 from .stats import Diagnostics, diagnostics, finalize, update
@@ -104,7 +104,7 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> np.ndarray:
     scaled to unit rms, is the initial state.
     """
     grid = cfg.grid
-    base = force.spec / np.sqrt(parseval_sum(grid, force.spec)) if force is not None else 0.0
+    base = force.spec / compute_F(force) if force is not None else 0.0
     rng = np.random.default_rng(cfg.seed)
     s = to_compact(grid, rng.standard_normal((grid.dim,) + grid.shape))
     for m in mode_numbers(grid):

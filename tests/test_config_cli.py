@@ -1001,6 +1001,7 @@ class TestCli:
         assert main(["run", str(path), "--restart", str(ck)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint grid does not match") and "config error" not in err
+        assert not os.path.exists(cfg.output_dir)
 
     def test_criterion_out_of_range_is_a_config_error(self, capsys):
         assert main(["criterion", "--U", "-1", "--L", "1", "--nu", "0.01", "--kappa", "1.5"]) == 2
@@ -1091,11 +1092,31 @@ class TestCli:
         cfg = small_run_config(tmp_path, t_end=0.02, window=0.02)
         path = tmp_path / "run.yaml"
         write_config(path, cfg)
-        override = tmp_path / "elsewhere"
+        override = tmp_path / "elsewhere" / "below"  # a directory below one still to be made
         assert main(["run", str(path), "--output-dir", str(override)]) == 0
         capsys.readouterr()
         assert os.path.exists(override / "summary.json")
         assert not os.path.exists(cfg.output_dir)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("where", ["option", "option-below-a-file", "config"])
+    def test_output_dir_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, monkeypatch, capsys, command,
+                                                                     where):
+        # refused before the force, its statistics or the initial state are built, and no file is written
+        for name in ("realize_force", "force_stats", "initial_condition"):
+            monkeypatch.setattr(runner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        output_dir = str(blocker / "sub") if where == "option-below-a-file" else str(blocker)
+        cfg = small_run_config(tmp_path, subdir="blocker" if where == "config" else "out")
+        path = tmp_path / "c.yaml"
+        write_config(path, cfg if command == "run" else SweepConfig(base=cfg, gamma_values=(0.0, 1.0)))
+        args = [command, str(path)] + (["--output-dir", output_dir] if where != "config" else [])
+        before = sorted(os.listdir(tmp_path))
+        assert main(args) == 2
+        assert capsys.readouterr().err == (f"config error: output_dir: cannot make {output_dir} a directory, "
+                                           f"because {blocker} exists and is not one\n")
+        assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "a file\n"
 
     def test_mms_subcommand(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, dt=4e-3, t_end=0.2, window=0.2)

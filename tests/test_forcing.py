@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from graddivbox.config import RunConfig
 from graddivbox.forcing import (
     DIVERGENCE_TOL,
+    ForceStats,
     ForcingError,
     ForcingSpec,
     check_divergence_free,
@@ -11,9 +15,11 @@ from graddivbox.forcing import (
     force_stats,
     realize_force,
 )
-from graddivbox.grid import Field, GridSpec, mode_numbers, parseval_sum
+from graddivbox.grid import Field, GridSpec, mode_numbers, parseval_sum, project_divergence_free, to_physical, wavevectors
+from graddivbox.runner import initial_condition
+from graddivbox.solver import FlowParams, SpectralOperator, StepperConfig, imex_step
 
-from conftest import TWO_PI, coords, divergence, from_samples, samples, shear_state, zeros
+from conftest import TWO_PI, coords, divergence, from_samples, random_state, samples, shear_state, zeros
 
 
 def sinusoidal_force(grid, F0=1.0):
@@ -266,3 +272,79 @@ class TestKappa:
         kc = force_stats(realize_force(ForcingSpec(grid=coarse, modes=modes))).kappa
         kf = force_stats(realize_force(ForcingSpec(grid=fine, modes=modes))).kappa
         assert kc == pytest.approx(kf, rel=1e-6)
+
+
+def stacked_force_stats(f):
+    """Reference: the statistics from one transform of the 2 dim + dim stack [grad f, f], summed by np.sum."""
+    grid = f.grid
+    F = compute_F(f)
+    g = (1j * np.stack(wavevectors(grid)) * f.spec[:, np.newaxis]).reshape((-1,) + grid.compact_shape)
+    p = to_physical(grid, np.concatenate([g, f.spec]))
+    sup = float(np.sqrt(np.max(np.sum(p[:len(g)] * p[:len(g)], axis=0))))
+    l2 = float(np.sqrt(parseval_sum(grid, g)))
+    candidates = {
+        "box_length": grid.box_length,
+        "sup_gradient": F / sup if sup > 0 else np.inf,
+        "rms_gradient": F / l2 if l2 > 0 else np.inf,
+    }
+    branch = min(candidates, key=candidates.get)
+    kappa = float(np.sqrt(np.max(np.sum(p[len(g):] * p[len(g):], axis=0)))) / F
+    return ForceStats(F=F, L=candidates[branch], L_branch=branch, kappa=kappa, grad_f_sup=sup, grad_f_l2=l2)
+
+
+def random_forces(grid, seed):
+    """Seeded divergence-free forces on `grid`: a random mode list, realized, and a projected random field."""
+    rng = np.random.default_rng(seed)
+    top = min(grid.cutoff, 4)
+    modes, keys = [], set()
+    while len(modes) < 3:
+        m = tuple(int(v) for v in rng.integers(-top, top + 1, size=grid.dim))
+        key = m if next((v for v in m if v), 0) > 0 else tuple(-v for v in m)
+        if not any(m) or key in keys:
+            continue
+        keys.add(key)
+        k = np.array(m, dtype=float)
+        a = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
+        modes.append((m, tuple(a - k * (k @ a) / (k @ k))))
+    spec = ForcingSpec(grid=grid, modes=tuple(modes), n_low=top)
+    return [realize_force(spec), Field(grid, project_divergence_free(grid, random_state(grid, seed)))]
+
+
+def bits(stats):
+    return [v.hex() if isinstance(v, float) else v for v in vars(stats).values()]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (2, 16), (2, 32), (2, 48), (2, 64),
+                                    (3, 8), (3, 16), (3, 32), (3, 48), (3, 64)])
+def test_force_stats_are_bitwise_those_of_one_stacked_transform(dim, n):
+    for seed, box_length in enumerate((TWO_PI, 1.0, 37.5) if dim == 2 or n < 64 else (TWO_PI,)):
+        grid = GridSpec(dim=dim, n=n, box_length=box_length)
+        for f in random_forces(grid, 100 * n + seed):
+            assert bits(force_stats(f)) == bits(stacked_force_stats(f))
+
+
+def traced_peak(fn, *args):
+    """Bytes of the traced peak of a second call of `fn`; the first call imports what it needs."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (2, 64), (3, 16), (3, 32)])
+def test_no_set_up_stage_allocates_more_than_one_step(tmp_path, dim, n):
+    grid = GridSpec(dim=dim, n=n, box_length=TWO_PI)
+    modes = ((((1, 1), (-0.25j, 0.25j)), ((1, -1), (-0.25j, -0.25j))) if dim == 2 else
+             (((0, 0, 1), (-0.5j, 0.5, 0)), ((0, 1, 0), (0.5, 0, -0.5j)), ((1, 0, 0), (0, -0.5j, 0.5))))
+    cfg = RunConfig(grid=grid, params=FlowParams(nu=0.05, gamma=1.0), forcing=ForcingSpec(grid=grid, modes=modes),
+                    stepper=StepperConfig(dt=0.01, t_end=0.01), burn_in=0.0, window=0.01, seed=1,
+                    output_dir=str(tmp_path))
+    force = realize_force(cfg.forcing)
+    u = initial_condition(cfg, force)
+    step = traced_peak(imex_step, u, 0.0, SpectralOperator(grid, cfg.params, 0.01), force.spec, force.spec)
+    peaks = {"realize_force": traced_peak(realize_force, cfg.forcing), "force_stats": traced_peak(force_stats, force),
+             "initial_condition": traced_peak(initial_condition, cfg, force)}
+    assert all(peak <= step for peak in peaks.values()), (peaks, step)

@@ -12,8 +12,11 @@ committed files only. For every workload of BENCHMARK.json it runs
 pairs and the change first in odd ones. Then it runs `--trace 1` once per
 side, times the tier-1 suite once per side and writes one JSON record:
 both commits, their `src/` line counts and tier-1 wall times, and per
-workload and end-to-end metric each side's runs, median and quartiles and
-the number of pairs the change won (ties count for neither side).
+workload and end-to-end metric each side's runs, median and quartiles,
+the number of pairs the change won (ties count for neither side) and
+`claim_met`: whether the change won at least 9 in 10 of the pairs and its
+median is better than the parent's by more than the parent's interquartile
+range.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def tier1(checkout: str) -> dict:
 
 
 def summarize(runs: dict, better: str) -> dict:
-    """Each side's median and quartiles, and the pairs the change won."""
+    """Each side's median and quartiles, the pairs the change won and whether that meets a claimed gain."""
     out = {}
     for side in SIDES:
         values = runs[side]
@@ -92,6 +95,7 @@ def summarize(runs: dict, better: str) -> dict:
     out["pairs"] = len(runs["parent"])
     out["median_change"] = out["change"]["median"] - out["parent"]["median"]
     out["parent_iqr"] = out["parent"]["q3"] - out["parent"]["q1"]
+    out["claim_met"] = 10 * out["change_wins"] >= 9 * out["pairs"] and -sign * out["median_change"] > out["parent_iqr"]
     return out
 
 
