@@ -15,7 +15,15 @@ from graddivbox.forcing import (
     force_stats,
     realize_force,
 )
-from graddivbox.grid import Field, GridSpec, mode_numbers, parseval_sum, project_divergence_free, to_physical, wavevectors
+from graddivbox.grid import (
+    Field,
+    GridSpec,
+    mode_numbers,
+    parseval_sum,
+    project_divergence_free,
+    to_physical,
+    wavevectors,
+)
 from graddivbox.runner import initial_condition
 from graddivbox.solver import FlowParams, SpectralOperator, StepperConfig, imex_step
 
