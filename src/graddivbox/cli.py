@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from . import criterion as crit
@@ -64,13 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _with_output_dir(cfg, output_dir):
-    cfg = dataclasses.replace(cfg, output_dir=output_dir) if output_dir else cfg
-    head = os.path.abspath(cfg.output_dir)
-    while not os.path.lexists(head):  # the deepest part of the path that exists; the root does
-        head = os.path.dirname(head)
-    if not os.path.isdir(head):  # os.makedirs would raise FileExistsError or NotADirectoryError
-        raise ConfigError(f"output_dir: cannot make {cfg.output_dir} a directory, because {head} exists and is not one")
-    return cfg
+    return dataclasses.replace(cfg, output_dir=output_dir) if output_dir else cfg
 
 
 def _cmd_run(args) -> int:

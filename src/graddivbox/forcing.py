@@ -110,13 +110,11 @@ class ForceStats:
 
 
 def realize_force(spec: ForcingSpec) -> Field:
-    """Build the force field's compact coefficients from its mode list.
+    """Build the force field's compact coefficients from its mode list; an empty list gives f = 0.
 
     Each mode (m, a) adds a to the slot whose `mode_numbers` equal m and conj(a) to the one whose equal -m;
     the layout stores at most one of the two, both only on the m_last = 0 plane, and no slot is added twice.
     """
-    if not spec.modes:
-        raise ForcingError("zero force: the mode list is empty")
     grid = spec.grid
     coeffs = np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
     slot_modes = mode_numbers(grid)
@@ -128,9 +126,9 @@ def realize_force(spec: ForcingSpec) -> Field:
     return Field(grid, coeffs)
 
 
-def compute_F(f: Field) -> float:
-    """Force amplitude scale: the volume-normalized rms of f."""
-    fsq = parseval_sum(f.grid, f.spec)
+def compute_F(grid: GridSpec, f: np.ndarray) -> float:
+    """Force amplitude scale: the volume-normalized rms of the force with compact coefficients f."""
+    fsq = parseval_sum(grid, f)
     if fsq <= 0.0:
         raise ForcingError("degenerate forcing: F = 0")
     return float(np.sqrt(fsq))
@@ -139,7 +137,7 @@ def compute_F(f: Field) -> float:
 def force_stats(f: Field) -> ForceStats:
     """F, L and kappa of a force, from transforms of `dim` components: each row d(f_i)/dx_j of its gradient, and f."""
     grid = f.grid
-    F = compute_F(f)
+    F = compute_F(grid, f.spec)
     g = 1j * np.stack(wavevectors(grid)) * f.spec[:, np.newaxis]  # d(f_i)/dx_j at [i, j]
     sq = 0.0  # |grad f|^2's samples, added in the component order of kappa's np.sum and so to the bits of one sum
     for gi in g:
@@ -168,7 +166,7 @@ def check_divergence_free(f: Field) -> float:
     """||div f|| / ((2 pi / box_length) F) of a realized force, bounded by `ForcingSpec`; raises past DIVERGENCE_TOL.
     Its one caller is the benchmark's set-up; it goes when that set-up moves to bare arrays (ROADMAP item 9)."""
     div = 1j * k_dot(wavevectors(f.grid), f.spec)[np.newaxis]
-    rel = float(np.sqrt(parseval_sum(f.grid, div))) / (TWO_PI / f.grid.box_length * compute_F(f))  # F > 0
+    rel = float(np.sqrt(parseval_sum(f.grid, div))) / (TWO_PI / f.grid.box_length * compute_F(f.grid, f.spec))  # F > 0
     if not rel <= DIVERGENCE_TOL:  # nan too
         raise ForcingError(f"force divergence {rel:.3e} exceeds tolerance {DIVERGENCE_TOL:.1e}")
     return rel

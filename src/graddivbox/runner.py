@@ -23,7 +23,7 @@ CSV are printed with 17 significant digits, so a serial rerun (or a
 checkpoint restart) reproduces rows bitwise, and every finite record parses
 back to the same bits. A restart must start on the step grid in
 [0, t_end) and resumes the step index there; anything else is refused
-before a file is written. A restart into an output_dir holding
+before output_dir is made or the force is built. A restart into an output_dir holding
 a timeseries.csv keeps and averages its rows up to t0 (the t0 row holding
 the restored state bitwise); into a fresh output_dir it averages from t0.
 """
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import criterion as crit
 from .checkpoint import read_checkpoint, write_checkpoint
-from .config import RunConfig, SweepConfig
+from .config import ConfigError, RunConfig, SweepConfig
 from .forcing import compute_F, force_stats, realize_force
 from .grid import Field, mode_numbers, parseval_sum, project_divergence_free, to_compact
 from .solver import BlowUpError, SpectralOperator, imex_step, step_index
@@ -93,18 +93,18 @@ def json_safe(obj):
     return obj
 
 
-def initial_condition(cfg: RunConfig, force: Field | None) -> np.ndarray:
+def initial_condition(cfg: RunConfig, force: Field) -> np.ndarray:
     """Compact coefficients of the force shape at unit rms plus a seeded divergence-free perturbation.
 
     The perturbation is the transform of seeded noise band-limited to
     |m_j| <= PERTURBATION_MAX_MODE = 4 (each kept mode if the cutoff is at
     most 4), with zero mean, projected divergence-free and scaled to rms
     PERTURBATION_RMS; the whole construction is a pure function of the seed,
-    so runs are reproducible. For unforced runs the perturbation alone,
-    scaled to unit rms, is the initial state.
+    so runs are reproducible. With an empty `cfg.forcing.modes` (`force` is
+    then zero) the perturbation alone, scaled to unit rms, is the initial state.
     """
-    grid = cfg.grid
-    base = force.spec / compute_F(force) if force is not None else 0.0
+    grid, forced = cfg.grid, bool(cfg.forcing.modes)
+    base = force.spec / compute_F(grid, force.spec) if forced else 0.0
     rng = np.random.default_rng(cfg.seed)
     s = to_compact(grid, rng.standard_normal((grid.dim,) + grid.shape))
     for m in mode_numbers(grid):
@@ -112,24 +112,27 @@ def initial_condition(cfg: RunConfig, force: Field | None) -> np.ndarray:
     s[(slice(None),) + (0,) * grid.dim] = 0.0
     pert = project_divergence_free(grid, s)
     prms = np.sqrt(parseval_sum(grid, pert))
-    target_rms = PERTURBATION_RMS if force is not None else 1.0
+    target_rms = PERTURBATION_RMS if forced else 1.0
     scale = target_rms / prms if prms > 0 else 0.0
     # summed in spectral space, so the mean (k = 0) mode is exactly 0
     return base + scale * pert
 
 
-def run_single(cfg: RunConfig, restart_path=None) -> dict:
-    """Execute one run; returns the summary dict (also written to summary.json)."""
-    grid, params, stepper = cfg.grid, cfg.params, cfg.stepper
-    if cfg.forcing.modes:
-        force = realize_force(cfg.forcing)
-        fstats = force_stats(force)
-    else:
-        force = fstats = None
-    dt, n_steps = stepper.dt, stepper.n_steps
-    op = SpectralOperator(grid, params, dt)
-    f = force.spec if force is not None else np.zeros((grid.dim,) + grid.compact_shape, dtype=complex)
+def _make_output_dir(path: str) -> None:
+    try:  # os.makedirs is the one judge: a file in the way, a name too long, no permission, ...
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output_dir: cannot make {path} a directory: {e}") from e
 
+
+def run_single(cfg: RunConfig, restart_path=None) -> dict:
+    """Execute one run; returns the summary dict (also written to summary.json).
+
+    Set-up order: the restart checks (`ValueError`), then making output_dir (`ConfigError`), then the force,
+    its statistics, the operator and the initial state, so a refused run has built none of them."""
+    grid, params, stepper = cfg.grid, cfg.params, cfg.stepper
+    dt, n_steps = stepper.dt, stepper.n_steps
+    start_step = 0
     if restart_path is not None:
         ck_grid, u_ck, t0, ck_params = read_checkpoint(restart_path)
         if ck_grid != grid:
@@ -140,17 +143,18 @@ def run_single(cfg: RunConfig, restart_path=None) -> dict:
         if not 0 <= start_step < n_steps:
             raise ValueError(f"checkpoint time t0 = {t0} starts no step of the run, at or after t = 0 "
                              f"with dt = {dt} before t_end = {stepper.t_end}")
-        u = u_ck.spec
-    else:
-        u = initial_condition(cfg, force)
-        start_step = 0
+    _make_output_dir(cfg.output_dir)
+    force = realize_force(cfg.forcing)
+    fstats = force_stats(force) if cfg.forcing.modes else None
+    op = SpectralOperator(grid, params, dt)
+    u = initial_condition(cfg, force) if restart_path is None else u_ck.spec
+    f = force.spec
 
     records = [(diagnostics(u, op), 0.0)]
     csv_path = os.path.join(cfg.output_dir, "timeseries.csv")
     head = CSV_HEADER + "\n" + (_csv_row(0.0, *records[0]) if start_step == 0 else "")
     if restart_path is not None and os.path.exists(csv_path):
         head, records = _rows_up_to(csv_path, start_step, dt, records[0][0])
-    os.makedirs(cfg.output_dir, exist_ok=True)
     with open(csv_path, "w") as csv:
         csv.write(head)
         for i in range(start_step, n_steps):
@@ -225,7 +229,7 @@ def run_sweep(sweep: SweepConfig) -> dict:
     dict has `failures` nonempty in that case.
     """
     base = sweep.base
-    os.makedirs(base.output_dir, exist_ok=True)
+    _make_output_dir(base.output_dir)
     jobs = [(base, g, i) for i, g in enumerate(sweep.gamma_values)]
     if sweep.parallel_workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 2 MB RSS, so only when a pool runs

@@ -28,3 +28,35 @@ def test_claim_met_needs_nine_in_ten_wins_and_a_median_gain_past_the_parents_iqr
                                     better)
         assert (out["change_wins"], out["claim_met"]) == (wins, met)
         assert out["parent_iqr"] == pytest.approx(0.06)
+
+
+BENCH_FAILURES = """..F...F.
+=================================== FAILURES ===================================
+E       AttributeError: type object 'Field' has no attribute 'from_physical'; 1 failed lookup
+=========================== short test summary info ============================
+FAILED bench/test_bench.py::test_install - AttributeError: type object 'Field'
+"""
+
+
+@pytest.mark.parametrize("stdout, summary", [
+    (BENCH_FAILURES + "2 failed, 21 passed in 5.43s\n", "2 failed, 21 passed in 5.43s"),
+    ("....\n[acceptance] criterion 1 skew-symmetry: PASS\n"
+     "======================== 534 passed in 64.75s (0:01:04) ========================\n",
+     "534 passed in 64.75s (0:01:04)"),
+    ("ERROR: file or directory not found: bench\n\nno tests ran in 0.01s\n", None),
+], ids=["bench-q", "framed", "no-count"])
+def test_pytest_summary_is_the_last_count_line_without_its_frame(stdout, summary):
+    assert bench_pairs.pytest_summary(stdout) == summary
+
+
+@pytest.mark.parametrize("stdout, summary", [
+    ("seed_0/criterion.json: byte-equal\nseed_3/mms2d-n32.txt: byte-equal\n0 of 50 files differ\n",
+     "0 of 50 files differ"),
+    ("seed_0/forced3d-n32/summary.json: differs\n  eps_avg: max rel 0.00794, max abs 0.001 (1 of 1 differ)\n"
+     "1 of 50 files differ; largest relative difference 0.00794, in seed_0/forced3d-n32/summary.json at eps_avg\n",
+     "1 of 50 files differ; largest relative difference 0.00794, in seed_0/forced3d-n32/summary.json at eps_avg"),
+    ("Traceback (most recent call last):\nFileNotFoundError: out\n", None),
+    ("", None),
+], ids=["equal", "one-differs", "crashed", "empty"])
+def test_compare_summary_is_the_count_line_or_none(stdout, summary):
+    assert bench_pairs.compare_summary(stdout) == summary

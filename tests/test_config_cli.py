@@ -22,7 +22,7 @@ from graddivbox.config import (
     load_sweep_config,
     run_config_to_dict,
 )
-from graddivbox.forcing import ForcingSpec
+from graddivbox.forcing import ForcingSpec, realize_force
 from graddivbox.grid import Field, GridSpec, parseval_sum
 import graddivbox
 from graddivbox import checkpoint, config, runner, stats
@@ -55,6 +55,12 @@ def small_run_config(tmp_path, dim=2, n=32, nu=0.05, gamma=1.0, dt=2e-3,
         seed=seed,
         output_dir=str(tmp_path / subdir),
     )
+
+
+def forbid_set_up_work(monkeypatch):
+    """Make the run's set-up stages fail the test if they are called."""
+    for name in ("realize_force", "force_stats", "initial_condition"):
+        monkeypatch.setattr(runner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
 
 
 def write_raw(path, d, text):
@@ -545,33 +551,35 @@ class TestRunSingle:
         _, u, _, _ = read_checkpoint(os.path.join(cfg.output_dir, "final.ckpt"))
         assert np.all(u.spec[:, 0, 0] == 0.0)
 
-    def _checkpoint_at(self, tmp_path, t0):
+    def _checkpoint_at(self, tmp_path, t0, monkeypatch):
+        # every refusal of the checkpoint comes before output_dir is made and before the set-up work
+        forbid_set_up_work(monkeypatch)
         cfg = small_run_config(tmp_path, dt=0.01, t_end=0.2, window=0.2, subdir="resumed")
         ck = tmp_path / "start.ckpt"
         write_checkpoint(ck, Field(cfg.grid, shear_state(cfg.grid)), t0, cfg.params)
         return cfg, str(ck)
 
-    def test_restart_off_step_grid_rejected(self, tmp_path):
-        cfg, ck = self._checkpoint_at(tmp_path, 0.1049)
+    def test_restart_off_step_grid_rejected(self, tmp_path, monkeypatch):
+        cfg, ck = self._checkpoint_at(tmp_path, 0.1049, monkeypatch)
         with pytest.raises(ValueError, match=r"t0 = 0\.1049 is not on the step grid of dt = 0\.01"):
             run_single(cfg, restart_path=ck)
         assert not os.path.exists(cfg.output_dir)
 
-    def test_restart_past_t_end_rejected(self, tmp_path):
-        cfg, ck = self._checkpoint_at(tmp_path, 0.5)
+    def test_restart_past_t_end_rejected(self, tmp_path, monkeypatch):
+        cfg, ck = self._checkpoint_at(tmp_path, 0.5, monkeypatch)
         with pytest.raises(ValueError, match=r"t0 = 0\.5 .*dt = 0\.01 before t_end = 0\.2"):
             run_single(cfg, restart_path=ck)
         assert not os.path.exists(cfg.output_dir)
 
-    def test_restart_before_t_zero_rejected(self, tmp_path):
-        cfg, ck = self._checkpoint_at(tmp_path, -0.03)
+    def test_restart_before_t_zero_rejected(self, tmp_path, monkeypatch):
+        cfg, ck = self._checkpoint_at(tmp_path, -0.03, monkeypatch)
         with pytest.raises(ValueError, match=r"t0 = -0\.03 starts no step of the run, at or after t = 0"):
             run_single(cfg, restart_path=ck)
         assert not os.path.exists(cfg.output_dir)
 
     @pytest.mark.parametrize("other", ["grid", "flow"])
-    def test_restart_from_other_grid_or_flow_rejected(self, tmp_path, other):
-        cfg, _ = self._checkpoint_at(tmp_path, 0.0)
+    def test_restart_from_other_grid_or_flow_rejected(self, tmp_path, monkeypatch, other):
+        cfg, _ = self._checkpoint_at(tmp_path, 0.0, monkeypatch)
         grid = GridSpec(dim=2, n=16, box_length=TWO_PI) if other == "grid" else cfg.grid
         params = FlowParams(nu=1.0) if other == "flow" else cfg.params
         ck = tmp_path / "other.ckpt"
@@ -579,6 +587,15 @@ class TestRunSingle:
         with pytest.raises(ValueError, match=f"checkpoint {other} .*do(es)? not match"):
             run_single(cfg, restart_path=str(ck))
         assert not os.path.exists(cfg.output_dir)
+
+    def test_output_dir_that_is_a_file_is_refused_before_any_work(self, tmp_path, monkeypatch):
+        # a library caller gets the refusal too, before the force, its statistics or the initial state are built
+        forbid_set_up_work(monkeypatch)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        with pytest.raises(ConfigError, match=f"^output_dir: cannot make {re.escape(str(blocker))} a directory: "):
+            run_single(small_run_config(tmp_path, subdir="blocker"))
+        assert sorted(os.listdir(tmp_path)) == ["blocker"] and blocker.read_text() == "a file\n"
 
     def test_one_diagnostics_pass_per_state(self, tmp_path, monkeypatch):
         # one record per state: the initial one and each step's; the midpoint needs none
@@ -600,7 +617,8 @@ class TestRunSingle:
     def test_unforced_initial_state_has_unit_rms_on_a_coarse_grid(self, tmp_path, dim):
         # n = 8 keeps |m_j| <= 2 of the perturbation's |m_j| <= 4; the kept part is what is scaled
         cfg = small_run_config(tmp_path, dim=dim, n=8, modes=())
-        assert parseval_sum(cfg.grid, runner.initial_condition(cfg, None)) == pytest.approx(1.0, rel=1e-12)
+        u = runner.initial_condition(cfg, realize_force(cfg.forcing))
+        assert parseval_sum(cfg.grid, u) == pytest.approx(1.0, rel=1e-12)
 
     def test_summary_holds_every_entry_of_finalize(self, tmp_path, monkeypatch):
         # a new window statistic is one entry in finalize's dict, and summary.json holds it
@@ -1099,23 +1117,30 @@ class TestCli:
         assert not os.path.exists(cfg.output_dir)
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("where", ["option", "option-below-a-file", "config"])
+    @pytest.mark.parametrize("where, reason", [
+        ("option", "[Errno 17] File exists"),
+        ("option-below-a-file", "[Errno 20] Not a directory"),
+        ("option-too-long", "[Errno 36] File name too long"),  # no path walk foresaw this one; os.makedirs judges
+        ("config", "[Errno 17] File exists"),
+    ], ids=["option", "option-below-a-file", "option-too-long", "config"])
     def test_output_dir_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, monkeypatch, capsys, command,
-                                                                     where):
+                                                                     where, reason):
         # refused before the force, its statistics or the initial state are built, and no file is written
-        for name in ("realize_force", "force_stats", "initial_condition"):
-            monkeypatch.setattr(runner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        forbid_set_up_work(monkeypatch)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file\n")
-        output_dir = str(blocker / "sub") if where == "option-below-a-file" else str(blocker)
+        output_dir = {"option-below-a-file": str(blocker / "sub"),
+                      "option-too-long": str(tmp_path / ("x" * 300))}.get(where, str(blocker))
         cfg = small_run_config(tmp_path, subdir="blocker" if where == "config" else "out")
         path = tmp_path / "c.yaml"
         write_config(path, cfg if command == "run" else SweepConfig(base=cfg, gamma_values=(0.0, 1.0)))
         args = [command, str(path)] + (["--output-dir", output_dir] if where != "config" else [])
         before = sorted(os.listdir(tmp_path))
         assert main(args) == 2
-        assert capsys.readouterr().err == (f"config error: output_dir: cannot make {output_dir} a directory, "
-                                           f"because {blocker} exists and is not one\n")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: output_dir: cannot make {output_dir} a directory: "
+                                f"{reason}: '{output_dir}'\n")
         assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "a file\n"
 
     def test_mms_subcommand(self, tmp_path, capsys):

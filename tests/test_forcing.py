@@ -83,9 +83,13 @@ class TestForcingSpec:
         with pytest.raises(ForcingError, match="zero force: every amplitude of forcing.modes is 0"):
             ForcingSpec(grid=grid3d, modes=(((0, 1, 0), (0.0, 0, 0)), ((1, 0, 0), (0, -0.0, 0j))))
 
-    def test_empty_modes_rejected_at_realization(self, grid3d):
-        with pytest.raises(ForcingError, match="zero force"):
-            realize_force(ForcingSpec(grid=grid3d, modes=()))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_modes_realize_the_zero_force(self, dim):
+        # an empty forcing.modes means f = 0, which the run steps with
+        grid = GridSpec(dim=dim, n=16, box_length=TWO_PI)
+        f = realize_force(ForcingSpec(grid=grid, modes=()))
+        assert f.spec.shape == (dim,) + grid.compact_shape and f.spec.dtype == complex
+        assert not np.any(f.spec)
 
     def test_random_admissible_spec_divergence_free(self, grid3d):
         rng = np.random.default_rng(17)
@@ -153,7 +157,7 @@ class TestDivergenceCheck:
 
     def test_measure_on_the_two_pi_box_is_the_relative_divergence(self, grid3d):
         f = realize_force(ForcingSpec(grid=grid3d, modes=(((1, 1, 0), (0.3, -(0.1 + 0.2), 0.0)),)))
-        assert check_divergence_free(f) == np.sqrt(parseval_sum(grid3d, divergence(grid3d, f.spec))) / compute_F(f)
+        assert check_divergence_free(f) == np.sqrt(parseval_sum(grid3d, divergence(grid3d, f.spec))) / compute_F(grid3d, f.spec)
 
 
 @st.composite
@@ -202,24 +206,23 @@ def test_the_most_divergent_accepted_spec_passes_the_divergence_check(grid_modes
 class TestForceAmplitude:
     def test_sinusoidal(self, grid3d):
         F0 = 3.0
-        assert compute_F(sinusoidal_force(grid3d, F0)) == pytest.approx(F0 / np.sqrt(2), rel=1e-12)
+        assert compute_F(grid3d, shear_state(grid3d, F0)) == pytest.approx(F0 / np.sqrt(2), rel=1e-12)
 
     def test_homogeneous_in_scale(self, grid2d):
-        f = taylor_green_force(grid2d)
-        scaled = Field(grid2d, 4.0 * f.spec)
-        assert compute_F(scaled) == pytest.approx(4.0 * compute_F(f), rel=1e-13)
+        f = taylor_green_force(grid2d).spec
+        assert compute_F(grid2d, 4.0 * f) == pytest.approx(4.0 * compute_F(grid2d, f), rel=1e-13)
 
     def test_constant_magnitude_fixture(self, grid2d):
         # |f| = F0 everywhere: (F0 cos y, F0 sin y); zero-mean but not div-free
         xs = coords(grid2d)
         F0 = 2.5
         f = Field(grid2d, from_samples(grid2d, np.stack([F0 * np.cos(xs[1]), F0 * np.sin(xs[1])])))
-        assert compute_F(f) == pytest.approx(F0, rel=1e-12)
+        assert compute_F(grid2d, f.spec) == pytest.approx(F0, rel=1e-12)
         assert force_stats(f).kappa == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_force_rejected(self, grid2d):
         with pytest.raises(ForcingError, match="degenerate"):
-            compute_F(Field(grid2d, zeros(grid2d)))
+            compute_F(grid2d, zeros(grid2d))
 
 
 class TestForceLengthScale:
@@ -285,7 +288,7 @@ class TestKappa:
 def stacked_force_stats(f):
     """Reference: the statistics from one transform of the 2 dim + dim stack [grad f, f], summed by np.sum."""
     grid = f.grid
-    F = compute_F(f)
+    F = compute_F(grid, f.spec)
     g = (1j * np.stack(wavevectors(grid)) * f.spec[:, np.newaxis]).reshape((-1,) + grid.compact_shape)
     p = to_physical(grid, np.concatenate([g, f.spec]))
     sup = float(np.sqrt(np.max(np.sum(p[:len(g)] * p[:len(g)], axis=0))))

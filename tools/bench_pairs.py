@@ -10,9 +10,13 @@ committed files only. For every workload of BENCHMARK.json it runs
 
 `--pairs` times on each side, pair i with seed i, the parent first in even
 pairs and the change first in odd ones. Then it runs `--trace 1` once per
-side, times the tier-1 suite once per side and writes one JSON record:
-both commits, their `src/` line counts and tier-1 wall times, and per
-workload and end-to-end metric each side's runs, median and quartiles,
+side, times the tier-1 suite once per side, runs `pytest -q bench` once per
+side, and writes the outputs of both sides with the change's
+`tools/output_identity.py --root` and compares them with its `--compare`.
+It writes one JSON record: both commits, their `src/` line counts, tier-1
+wall times and summary lines, the summary line of each side's `bench`
+tests (`bench_tests`), the last line of the `--compare` (`output_identity`),
+and per workload and end-to-end metric each side's runs, median and quartiles,
 the number of pairs the change won (ties count for neither side) and
 `claim_met`: whether the change won at least 9 in 10 of the pairs and its
 median is better than the parent's by more than the parent's interquartile
@@ -35,6 +39,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+BENCH_TESTS = [sys.executable, "-m", "pytest", "-q", "bench", "-p", "no:cacheprovider"]
 
 
 def export(rev: str, dest: str) -> str:
@@ -75,12 +80,35 @@ def bench(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> 
     return out
 
 
-def tier1(checkout: str) -> dict:
+def pytest_summary(stdout: str) -> str | None:
+    """The last line of a pytest run that counts passed or failed tests, without its "=" frame."""
+    lines = [ln for ln in stdout.splitlines() if " passed" in ln or " failed" in ln]
+    return lines[-1].strip("= ") if lines else None
+
+
+def run_pytest(checkout: str, args: list) -> dict:
+    """Wall seconds and summary line of the pytest command `args` run in `checkout` on its `src/`."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True)
-    lines = [ln for ln in proc.stdout.splitlines() if " passed" in ln or " failed" in ln]
-    return {"wall_s": round(time.perf_counter() - t0, 1), "summary": lines[-1].strip("= ") if lines else None}
+    proc = subprocess.run(args, cwd=checkout, env=env, capture_output=True, text=True)
+    return {"wall_s": round(time.perf_counter() - t0, 1), "summary": pytest_summary(proc.stdout)}
+
+
+def compare_summary(stdout: str) -> str | None:
+    """The last line of `tools/output_identity.py --compare`: the count of files that differ."""
+    lines = stdout.strip().splitlines()
+    return lines[-1] if lines and " files differ" in lines[-1] else None
+
+
+def output_identity(dirs: dict, work: str) -> str | None:
+    """`compare_summary` of both sides' outputs, each written by the change's tools/output_identity.py."""
+    tool = os.path.join(dirs["change"], "tools", "output_identity.py")
+    outs = {side: os.path.join(work, f"identity-{side}") for side in SIDES}
+    for side in SIDES:
+        subprocess.run([sys.executable, tool, outs[side], "--root", dirs[side]], capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, tool, "--compare", outs["parent"], outs["change"]],
+                          capture_output=True, text=True)
+    return compare_summary(proc.stdout)
 
 
 def summarize(runs: dict, better: str) -> dict:
@@ -135,7 +163,9 @@ def main(argv=None) -> int:
                              for s in SIDES}
         entry["trace"] = {s: bench(dirs[s], workload, 0, seconds, 1) for s in SIDES}
         record["workloads"][workload] = entry
-    record["tier1"] = {side: tier1(dirs[side]) for side in SIDES}
+    record["tier1"] = {side: run_pytest(dirs[side], TIER1) for side in SIDES}
+    record["bench_tests"] = {side: run_pytest(dirs[side], BENCH_TESTS)["summary"] for side in SIDES}
+    record["output_identity"] = output_identity(dirs, work)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -9,14 +9,19 @@ For each seed it writes, under OUT_DIR/seed_<n>/:
     sweep2d-n64/    sweep.csv, sweep.json and one directory per gamma of
                     `runner.run_sweep`, run with one worker
     mms2d-n32.txt   the `solver.run_mms` error of each dt level, as float.hex
+    unforced2d-n32/ timeseries.csv, summary.json, final.ckpt of a short
+                    `runner.run_single` with an empty forcing.modes
+    restart2d-n32/  the same three files of a forced run stopped halfway and
+                    resumed in place from its final.ckpt
     criterion.json  `criterion.build_report` of fixed and of seeded random
                     scales, at gamma = None, 0, 1, inf and a seeded value,
                     h = None, 0.0625 and a seeded value, each without and
                     with a seeded measured <eps>
 
-The configs and calls are those of `bench/workloads.py`, imported from
-CHECKOUT (default: the checkout holding this script) together with its
-`src/`. Run it once per commit, then
+The first three configs and calls are those of `bench/workloads.py`,
+imported from CHECKOUT (default: the checkout holding this script)
+together with its `src/`; the last two runs are configured here. That is
+25 files per seed, 50 for the default seeds. Run it once per commit, then
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -49,6 +54,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CRITERION_SCALES = ((1.0, 1.0, 0.01, math.sqrt(2)), (0.37, 0.29, 0.9, 1.7), (3.1, 2.0, 1e-4, 1.0))
 CRITERION_RANDOM = 20
 
+# 2d n=32 runs of `runner.run_single` beside the benchmark's: (directory, forcing.modes, stats of each call)
+RUN_2D = {"grid": {"dim": 2, "n": 32, "box_length": 2 * math.pi}, "flow": {"nu": 0.05, "gamma": 1.0},
+          "stepper": {"dt": 0.01}}
+SHEAR_2D = [{"m": [0, 1], "amplitude": [[0.5, 0.0], [0.0, 0.0]]}]
+RUNS_2D = (("unforced2d-n32", [], [{"burn_in": 0.05, "window": 0.15}]),
+           ("restart2d-n32", SHEAR_2D, [{"burn_in": 0.05, "window": 0.05}, {"burn_in": 0.05, "window": 0.15}]))
+
 
 def _criterion_reports(seed: int) -> list:
     """The criterion reports of the fixed and the seeded scales, as JSON-ready dicts."""
@@ -66,6 +78,23 @@ def _criterion_reports(seed: int) -> list:
                 for measured in (None, 10 ** rng.uniform(-3, 3)):
                     reports.append(json_safe(dataclasses.asdict(build_report(inp, measured_eps_avg=measured))))
     return reports
+
+
+def _run_single_outputs(seed_dir: str, seed: int) -> None:
+    """Write RUNS_2D: each call runs into the same directory, every call after the first resumed from final.ckpt."""
+    from graddivbox.config import load_run_config
+    from graddivbox.runner import run_single
+
+    for name, modes, calls in RUNS_2D:
+        out_dir = os.path.join(seed_dir, name)
+        cfg_path = out_dir + ".yaml"
+        for i, stats in enumerate(calls):
+            with open(cfg_path, "w") as fh:
+                yaml.safe_dump({**RUN_2D, "forcing": {"modes": modes}, "stats": stats, "seed": seed,
+                                "output_dir": out_dir}, fh)
+            run_single(load_run_config(cfg_path), restart_path=os.path.join(out_dir, "final.ckpt") if i else None)
+        os.remove(cfg_path)
+        print(f"seed {seed}: {name} written", file=sys.stderr)
 
 
 def _load(path: str):
@@ -177,6 +206,7 @@ def main(argv=None) -> int:
                 with open(os.path.join(seed_dir, f"{workload}.txt"), "w") as fh:
                     fh.writelines(float(e).hex() + "\n" for e in out["errors"])
             print(f"seed {seed}: {workload} written", file=sys.stderr)
+        _run_single_outputs(seed_dir, seed)
         with open(os.path.join(seed_dir, "criterion.json"), "w") as fh:
             json.dump(_criterion_reports(seed), fh, indent=1)
     return 0
